@@ -64,7 +64,7 @@ runBattery(sb::GadgetKind gadget, const sb::CoreConfig &cfg,
             any_leak |= res.leaked;
         }
         std::printf("%-11s timing probe: \"%s\"   residency oracle: "
-                    "\"%s\"   -> %s (monitor transmit-violations: "
+                    "\"%s\"   -> %s (shadow transmit-violations: "
                     "%llu)\n",
                     schemeName(s), timing_out.c_str(),
                     oracle_out.c_str(),

@@ -16,7 +16,8 @@
 #                              # mitigated conformance slice
 #   scripts/check.sh --docs    # Also run the markdown docs link check
 #   scripts/check.sh --shards  # Also run the shard-tier smoke
-#                              # (cold sharded run == in-process run)
+#                              # (cold sharded run == in-process run,
+#                              # and a crash storm that must converge)
 #   scripts/check.sh --tenants # Also run the multi-tenant server mix
 #                              # and gate on its cross-tenant verdict
 #
@@ -95,6 +96,26 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
 
 status=0
 
+if [ "$run_contracts" = 1 ]; then
+    # Contract shadow gate: the battery re-judged under the strictest
+    # (constant-time) policy, plus the contract_check scenario over
+    # the fuzz corpus. `sbsim verify` always writes SBSIM_verify.json,
+    # so this block runs before --verify and moves its matrix aside:
+    # the --verify block then writes the declared-contract matrix
+    # under the plain name. --no-cache for the same reason as the
+    # battery: a cached verdict must never green-light a broken
+    # scheme.
+    if (cd "$build_dir" \
+        && ./sbsim verify --contract constant-time --no-cache --json \
+        && mv SBSIM_verify.json SBSIM_verify_ct.json \
+        && ./sbsim run contract_check --no-cache); then
+        echo "constant-time matrix: $build_dir/SBSIM_verify_ct.json"
+    else
+        echo "FAIL: contract shadow check" >&2
+        status=1
+    fi
+fi
+
 if [ "$run_verify" = 1 ]; then
     # The security battery: every gadget x scheme cell, differentially
     # checked; `sbsim verify` exits nonzero on any contract breach.
@@ -106,24 +127,6 @@ if [ "$run_verify" = 1 ]; then
         echo "leak matrix: $build_dir/SBSIM_verify.json"
     else
         echo "FAIL: security battery reported a leak / divergence" >&2
-        status=1
-    fi
-fi
-
-if [ "$run_contracts" = 1 ]; then
-    # Contract shadow gate: the battery re-judged under the strictest
-    # (constant-time) policy, plus the contract_check scenario over
-    # the fuzz corpus. The matrix JSON moves aside so it never
-    # clobbers the --verify output. --no-cache for the same reason as
-    # the battery: a cached verdict must never green-light a broken
-    # scheme.
-    if (cd "$build_dir" \
-        && ./sbsim verify --contract constant-time --no-cache --json \
-        && mv SBSIM_verify.json SBSIM_verify_ct.json \
-        && ./sbsim run contract_check --no-cache); then
-        echo "constant-time matrix: $build_dir/SBSIM_verify_ct.json"
-    else
-        echo "FAIL: contract shadow check" >&2
         status=1
     fi
 fi
@@ -202,6 +205,20 @@ if [ "$run_shards" = 1 ]; then
         echo "shard smoke: sharded == in-process (byte-identical)"
     else
         echo "FAIL: sharded run diverged from in-process run" >&2
+        status=1
+    fi
+    # Crash storm: every worker generation dies before its 5th reply.
+    # The supervisor must converge (retries served from the shared
+    # cache written before each crash) and exit 0, or exit 1 with an
+    # explicit quarantine report; never wedge or die.
+    storm=0
+    (cd "$build_dir" \
+     && SB_FAULT=crash:5 ./sbsim run table1 --shards 2 \
+          --cache-dir "$shard_tmp/storm-cache" > /dev/null) || storm=$?
+    if [ "$storm" -le 1 ]; then
+        echo "crash storm: converged or quarantined loudly (exit $storm)"
+    else
+        echo "FAIL: crash-storm run exited $storm" >&2
         status=1
     fi
     rm -rf "$shard_tmp"

@@ -101,12 +101,14 @@ ContractShadow::onLoadData(const DynInst &load, bool still_speculative)
     }
     if (load.pdst == invalidPhysReg)
         return;
-    // The load itself is the youngest point the secret crossed the
+    // The load itself is the youngest point its value crossed the
     // sandbox boundary; once the load is bound to commit the access
     // is architecturally sanctioned and only the constant-time
     // contract still cares about the label.
-    label.root = (label.secret && still_speculative) ? load.seq
-                                                     : invalidSeqNum;
+    const SeqNum spec_root = still_speculative ? load.seq : invalidSeqNum;
+    label.root = label.secret ? spec_root : invalidSeqNum;
+    label.taint = spec_root;
+    label.producerLoad = spec_root;
     regs[load.pdst] = label;
 }
 
@@ -131,15 +133,6 @@ ContractShadow::onStoreCommit(const DynInst &store)
         setMemSecret(store.effAddr, label.secret, label.owner);
 }
 
-SeqNum
-ContractShadow::liveRoot(PhysReg reg, SeqNum vp) const
-{
-    const Label &label = regs[reg];
-    if (label.secret && label.root != invalidSeqNum && label.root > vp)
-        return label.root;
-    return invalidSeqNum;
-}
-
 void
 ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
                           bool use_src1, bool use_src2, bool transmits)
@@ -147,23 +140,41 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
     bool secret = false;
     SeqNum root = invalidSeqNum;
     TenantId owner = 0;
+    SeqNum taint = invalidSeqNum;
+    bool spec_producer = false;
 
+    // A root older than the visibility point is bound-to-commit: its
+    // data is architecturally sanctioned, hence no longer speculative.
+    auto join_live = [vp](SeqNum &into, SeqNum r) {
+        if (r != invalidSeqNum && r > vp
+            && (into == invalidSeqNum || r > into))
+            into = r;
+    };
     auto check_src = [&](PhysReg reg) {
         if (reg == invalidPhysReg)
             return;
-        if (!regs[reg].secret)
+        const Label &label = regs[reg];
+        join_live(taint, label.taint);
+        if (label.producerLoad != invalidSeqNum && label.producerLoad > vp)
+            spec_producer = true;
+        if (!label.secret)
             return;
         secret = true;
-        owner = regs[reg].owner;
-        const SeqNum r = liveRoot(reg, vp);
-        if (r != invalidSeqNum && (root == invalidSeqNum || r > root))
-            root = r;
+        owner = label.owner;
+        join_live(root, label.root);
     };
 
     if (use_src1 && inst.uop.hasSrc1())
         check_src(inst.psrc1);
     if (use_src2 && inst.uop.hasSrc2())
         check_src(inst.psrc2);
+
+    // NDA: the operand came straight from a still-speculative load.
+    if (spec_producer)
+        ++consumeViol;
+    // STT: an observable use of a speculatively-tainted operand.
+    if (transmits && taint != invalidSeqNum)
+        ++transmitViol;
 
     if (transmits && secret) {
         // Constant-time (ProSpeCT): a secret operand reached a
@@ -190,12 +201,9 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
 
     // Propagate the joined label to the destination (loads are
     // handled in onLoadData, which overwrites with the load's own
-    // label).
-    if (inst.pdst != invalidPhysReg && !inst.isLoad()) {
-        regs[inst.pdst].secret = secret;
-        regs[inst.pdst].root = root;
-        regs[inst.pdst].owner = owner;
-    }
+    // label). A computed value is no load's direct product.
+    if (inst.pdst != invalidPhysReg && !inst.isLoad())
+        regs[inst.pdst] = {secret, root, owner, taint, invalidSeqNum};
 }
 
 void
@@ -233,6 +241,8 @@ ContractShadow::reset()
     sandboxViol = 0;
     ctViol = 0;
     crossTenantViol = 0;
+    transmitViol = 0;
+    consumeViol = 0;
     firstSandbox = ContractViolation{};
     firstCt = ContractViolation{};
     firstCrossTenant = ContractViolation{};

@@ -23,6 +23,18 @@
  *    data may never reach a transmitter operand at all, even
  *    architecturally.
  *
+ * Every label also carries the two dataflow roots the scheme
+ * obligations are stated in (paper Sec. 2), secret or not:
+ *
+ *  - **STT (transmitter)** — no transmitter executes with an operand
+ *    that transitively derives from a still-speculative load.
+ *  - **NDA (consume)** — no instruction at all consumes a value
+ *    produced directly by a still-speculative load.
+ *
+ * The unprotected baseline violates both; STT designs must have zero
+ * transmit violations, NDA designs zero consume violations (which
+ * implies zero transmit violations).
+ *
  * The engine is a pure observer: every hook is gated on on() and no
  * result feeds timing, so goldens are bit-identical with it on or
  * off. Like the invariant checkers it defaults on in debug builds
@@ -100,12 +112,12 @@ class ContractShadow
     void onStoreCommit(const DynInst &store);
 
     /**
-     * An instruction consumed operands; the label analogue of
-     * SecurityMonitor::onConsume. @p now is the current cycle and
-     * @p vp the visibility point (a secret root older than it is
-     * architecturally sanctioned). @p transmits marks observable
-     * uses (load/store address, branch), where both contracts are
-     * checked.
+     * An instruction consumed operands: join the source labels into
+     * the destination's and check the consume obligation. @p now is
+     * the current cycle and @p vp the visibility point (a root older
+     * than it is architecturally sanctioned). @p transmits marks
+     * observable uses (load/store address, branch), where both
+     * contracts and the transmitter obligation are checked.
      */
     void onConsume(const DynInst &inst, Cycle now, SeqNum vp,
                    bool use_src1, bool use_src2, bool transmits);
@@ -127,6 +139,12 @@ class ContractShadow
         /** Protection domain the secret belongs to (meaningful only
          *  while secret is set). */
         TenantId owner = 0;
+        /** STT taint root: the youngest still-speculative load the
+         *  value derives from, secret or not. */
+        SeqNum taint = invalidSeqNum;
+        /** NDA: the still-speculative load that produced the value
+         *  directly, if any. */
+        SeqNum producerLoad = invalidSeqNum;
     };
 
     Label regLabel(PhysReg reg) const { return regs[reg]; }
@@ -141,6 +159,10 @@ class ContractShadow
 
     std::uint64_t sandboxViolations() const { return sandboxViol; }
     std::uint64_t ctViolations() const { return ctViol; }
+    /** Transmitters that executed on an STT-tainted operand. */
+    std::uint64_t transmitViolations() const { return transmitViol; }
+    /** Instructions that consumed a still-speculative load's value. */
+    std::uint64_t consumeViolations() const { return consumeViol; }
     /** Transmitters that executed with a secret operand owned by a
      *  *different* tenant than the executing instruction's — the
      *  protection-domain escalation of a constant-time violation. */
@@ -160,9 +182,6 @@ class ContractShadow
   private:
     static Addr alignWord(Addr addr) { return addr & ~Addr(7); }
 
-    /** Secret root of a register live at @p vp, invalid otherwise. */
-    SeqNum liveRoot(PhysReg reg, SeqNum vp) const;
-
     bool active = false;
     std::vector<Label> regs;
 
@@ -179,6 +198,8 @@ class ContractShadow
     std::uint64_t sandboxViol = 0;
     std::uint64_t ctViol = 0;
     std::uint64_t crossTenantViol = 0;
+    std::uint64_t transmitViol = 0;
+    std::uint64_t consumeViol = 0;
     ContractViolation firstSandbox;
     ContractViolation firstCt;
     ContractViolation firstCrossTenant;

@@ -18,7 +18,6 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       mem(config),
       predictor(10),
       renameMap(numArchRegs, config.numPhysRegs),
-      secMonitor(config.numPhysRegs),
       cshadow(config.numPhysRegs),
       workingMem(prog.memory),
       // Exact by construction: a live record is in the fetch queue,
@@ -535,7 +534,6 @@ Core::writebackPhase()
         if (inst->isLoad()) {
             const bool still_spec = shadows.isSpeculative(inst->seq);
             inst->specAtComplete = still_spec;
-            secMonitor.onLoadData(*inst, still_spec);
             if (cshadow.on())
                 cshadow.onLoadData(*inst, still_spec);
             regVal[inst->pdst] = inst->result;
@@ -602,8 +600,6 @@ Core::executeBranch(DynInst &inst)
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
     inst.src1Val = s1;
     inst.src2Val = s2;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, true,
-                         true);
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           true, true);
@@ -644,8 +640,6 @@ Core::executeLoadAddr(InstHandle h, DynInst &inst)
     inst.src1Val = regVal[inst.psrc1];
     inst.effAddr = inst.src1Val + static_cast<Word>(inst.uop.imm);
     inst.effAddrValid = true;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, false,
-                         true);
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           false, true);
@@ -723,8 +717,6 @@ Core::executeStoreAddr(DynInst &inst)
     inst.effAddrValid = true;
     // Publish the address to the SQ entry before anything can scan it.
     lsu.storeAddrReady(inst);
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, false,
-                         true);
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           false, true);
@@ -750,8 +742,6 @@ Core::executeStoreData(DynInst &inst)
 {
     inst.src2Val = regVal[inst.psrc2];
     inst.storeDataDone = true;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), false, true,
-                         false);
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), false,
                           true, false);
@@ -778,7 +768,8 @@ Core::shadowPhase()
     safeScratch.clear();
     shadows.update(lastRenamedSeq + 1, safeScratch);
     // Schemes observe the visibility point directly (and drain their
-    // own pending queues in tick()); the monitor needs no callback.
+    // own pending queues in tick()); the contract shadow is handed it
+    // at every consume, so it needs no callback either.
     st.loadsBecameSafe += safeScratch.size();
 }
 
@@ -942,8 +933,6 @@ Core::executeAluAtSelect(InstHandle h, DynInst &inst)
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
     inst.src1Val = s1;
     inst.src2Val = s2;
-    secMonitor.onConsume(inst, shadows.visibilityPoint(), true, true,
-                         false);
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           true, false);
@@ -1043,7 +1032,6 @@ Core::renamePhase()
             // New allocation epoch: any wakeup still queued for this
             // register (from a squashed former owner) is now stale.
             ++pregEpoch[inst.pdst];
-            secMonitor.onAllocate(inst.pdst);
             if (cshadow.on())
                 cshadow.onAllocate(inst.pdst);
         }

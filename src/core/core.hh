@@ -53,7 +53,6 @@
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
 #include "core/scheme_iface.hh"
-#include "core/security_monitor.hh"
 #include "core/shadow_tracker.hh"
 #include "isa/program.hh"
 #include "memory/memory_system.hh"
@@ -212,7 +211,6 @@ class Core
     const CoreConfig &config() const { return cfg; }
     const SchemeConfig &schemeConfig() const { return schemeCfg; }
     StatGroup &stats() { return statGroup; }
-    const SecurityMonitor &monitor() const { return secMonitor; }
     MemorySystem &memorySystem() { return mem; }
     SecureScheme &scheme() { return *schemePtr; }
 
@@ -308,12 +306,13 @@ class Core
      *  build/environment default (the fuzz harness always enables). */
     void setInvariantsEnabled(bool enable) { inv.setActive(enable); }
 
-    /** Contract shadow engine verdicts (pure observer; see
+    /** Contract shadow engine verdicts, including the STT transmit
+     *  and NDA consume obligation counts (pure observer; see
      *  contract_shadow.hh). */
     const ContractShadow &contractShadow() const { return cshadow; }
 
     /** Force the contract shadow engine on/off, overriding the
-     *  build/environment default (the verify and conformance
+     *  build/environment default (the attack, conformance and tenant
      *  harnesses always enable). */
     void setContractShadowEnabled(bool enable)
     {
@@ -425,7 +424,6 @@ class Core
     TagePredictor predictor;
     RenameMap renameMap;
     ShadowTracker shadows;
-    SecurityMonitor secMonitor;
     ContractShadow cshadow;
     MemoryImage workingMem;   ///< Committed functional memory.
 

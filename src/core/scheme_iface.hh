@@ -117,7 +117,7 @@ class SecureScheme
      * Security contract self-description, consumed by the gadget
      * battery (src/harness/verify.hh), the conformance fuzzer and the
      * in-core contract shadow engine: the descriptor names the
-     * declared policy and the monitor obligations the harness holds
+     * declared policy and the dataflow obligations the harness holds
      * the scheme to. A scheme that obliges transmitter safety (no
      * transmitter executes with speculatively-tainted operands) must
      * show zero leaks and zero differential divergence across every

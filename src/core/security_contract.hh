@@ -5,7 +5,7 @@
  * A scheme no longer answers three ad-hoc claims* booleans; it returns
  * one SecurityContract naming the hardware-software contract it
  * promises (Tan et al., "RTL Verification for Secure Speculation Using
- * Contract Shadow Logic"; Daniel et al., "ProSpeCT"), plus the monitor
+ * Contract Shadow Logic"; Daniel et al., "ProSpeCT"), plus the dataflow
  * obligations the harness may hold it to. The gadget battery
  * (src/harness/verify.hh), the conformance fuzzer
  * (src/harness/conformance.hh) and the in-core contract shadow engine
@@ -64,10 +64,10 @@ enum class ContractPolicy {
 struct SecurityContract {
     ContractPolicy policy = ContractPolicy::None;
 
-    /** Ground-truth SecurityMonitor transmit count must be zero. */
+    /** Contract-shadow STT transmit count must be zero. */
     bool obligesTransmitterSafety = false;
 
-    /** Monitor consume count must be zero (implies the above). */
+    /** Shadow NDA consume count must be zero (implies the above). */
     bool obligesConsumeSafety = false;
 
     /** Differential obligation: paired secret-flipped runs must

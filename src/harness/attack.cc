@@ -125,17 +125,15 @@ runGadgetAttack(const GadgetProgram &gadget,
         }
     }
 
-    res.transmitViolations = core.monitor().transmitViolations();
-    res.consumeViolations = core.monitor().consumeViolations();
-    res.sandboxViolations = core.contractShadow().sandboxViolations();
-    res.ctViolations = core.contractShadow().ctViolations();
-    res.firstSandboxViolation =
-        core.contractShadow().firstSandboxViolation();
-    res.firstCtViolation = core.contractShadow().firstCtViolation();
-    res.crossTenantViolations =
-        core.contractShadow().crossTenantViolations();
-    res.firstCrossTenantViolation =
-        core.contractShadow().firstCrossTenantViolation();
+    const ContractShadow &shadow = core.contractShadow();
+    res.transmitViolations = shadow.transmitViolations();
+    res.consumeViolations = shadow.consumeViolations();
+    res.sandboxViolations = shadow.sandboxViolations();
+    res.ctViolations = shadow.ctViolations();
+    res.firstSandboxViolation = shadow.firstSandboxViolation();
+    res.firstCtViolation = shadow.firstCtViolation();
+    res.crossTenantViolations = shadow.crossTenantViolations();
+    res.firstCrossTenantViolation = shadow.firstCrossTenantViolation();
     res.contextSwitches = core.contextSwitchCount();
     res.leaked = res.timingByte == secret_byte
                  || res.oracleByte == secret_byte;

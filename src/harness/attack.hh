@@ -37,12 +37,13 @@ struct AttackResult
     int oracleByte = -1;
     /** True if either receiver recovered the actual secret. */
     bool leaked = false;
-    /** Ground-truth monitor counts for the run. */
+    /** Contract shadow engine counts (contract_shadow.hh): transmit
+     *  = a transmitter executed on an STT-tainted operand; consume =
+     *  an instruction consumed a still-speculative load's value;
+     *  sandboxing = a transmitter executed on a transiently-acquired
+     *  secret; constant-time = a secret reached a transmitter at all. */
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
-    /** Contract shadow engine counts (contract_shadow.hh): sandboxing
-     *  = a transmitter executed on a transiently-acquired secret;
-     *  constant-time = a secret reached a transmitter at all. */
     std::uint64_t sandboxViolations = 0;
     std::uint64_t ctViolations = 0;
     /** Transmits of a secret owned by a different tenant than the

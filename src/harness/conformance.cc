@@ -126,12 +126,12 @@ runConformanceCell(const Program &program, const CoreConfig &core_cfg,
     cell.regHash = reg_hash;
     cell.memHash = core.memoryImage().fingerprint();
     cell.invariantViolations = core.invariants().violations();
-    cell.transmitViolations = core.monitor().transmitViolations();
-    cell.consumeViolations = core.monitor().consumeViolations();
-    cell.sandboxViolations = core.contractShadow().sandboxViolations();
-    cell.ctViolations = core.contractShadow().ctViolations();
-    const ContractViolation &first =
-        core.contractShadow().firstSandboxViolation();
+    const ContractShadow &shadow = core.contractShadow();
+    cell.transmitViolations = shadow.transmitViolations();
+    cell.consumeViolations = shadow.consumeViolations();
+    cell.sandboxViolations = shadow.sandboxViolations();
+    cell.ctViolations = shadow.ctViolations();
+    const ContractViolation &first = shadow.firstSandboxViolation();
     if (first.valid()) {
         cell.firstSandboxCycle = first.cycle;
         cell.firstSandboxPc = first.pc;
@@ -385,7 +385,7 @@ foldFuzzOutcomes(const FuzzParams &params,
                     params.mitigation);
             }
 
-            // Monitor obligations: only the ones the scheme's
+            // Dataflow obligations: only the ones the scheme's
             // contract obliges (DoM declares sandboxing alone, so
             // tainted transmitters executing on L1 hits are by
             // design).

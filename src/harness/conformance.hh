@@ -13,9 +13,10 @@
  *  - identical committed-instruction stream (PC-sequence digest) and
  *    committed-instruction count,
  *  - liveness: the run halts — no deadlock, no watchdog trip,
- *  - clean in-core invariant checkers (src/core/invariants.hh, force-
- *    enabled for every fuzz cell) and the monitor obligations each
- *    scheme claims.
+ *  - clean in-core invariant checkers (src/core/invariants.hh) and the
+ *    STT/NDA obligations each scheme claims, counted by the contract
+ *    shadow (src/core/contract_shadow.hh); both are force-enabled for
+ *    every fuzz cell.
  *
  * Each (program, scheme) cell is an ordinary RunSpec with a
  * "fuzz:<profile>:seed=S:iters=N" workload, so fuzzing rides the
@@ -77,10 +78,11 @@ struct ConformanceCell
     bool halted = false;
     bool watchdogTripped = false;
     std::uint64_t invariantViolations = 0;
+    /** Contract shadow verdicts (src/core/contract_shadow.hh): the
+     *  STT transmit and NDA consume obligation counts, then the
+     *  contracts over the generated program's secret-labelled buffer. */
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
-    /** Contract shadow verdicts (src/core/contract_shadow.hh) over
-     *  the generated program's secret-labelled buffer. */
     std::uint64_t sandboxViolations = 0;
     std::uint64_t ctViolations = 0;
     std::uint64_t firstSandboxCycle = 0;
@@ -166,9 +168,10 @@ struct FuzzFailure
     Scheme scheme = Scheme::Baseline;
     /** Mitigation active in the failing cell (None for oracle cells). */
     Mitigation mitigation = Mitigation::None;
-    /** "divergence" | "deadlock" | "invariant" | "monitor" |
-     *  "contract" (shadow-engine sandboxing breach against a declared
-     *  dataflow policy). */
+    /** "divergence" | "deadlock" | "invariant" | "monitor" (nonzero
+     *  shadow transmit/consume count against a declared STT/NDA
+     *  obligation) | "contract" (shadow-engine sandboxing breach
+     *  against a declared dataflow policy). */
     std::string kind;
     std::string detail;
 

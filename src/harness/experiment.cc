@@ -140,8 +140,9 @@ ExperimentRunner::runOne(const RunSpec &spec, const RunHooks &hooks)
                   ? 0.0
                   : static_cast<double>(out.instructions)
                         / static_cast<double>(out.cycles);
-    out.transmitViolations = core.monitor().transmitViolations();
-    out.consumeViolations = core.monitor().consumeViolations();
+    // The obligation counts stay 0: they are judged on shadow-on
+    // cells (attack, fuzz, tenant), and a window cell's outcome must
+    // not depend on the build's shadow default.
     for (const auto &kv : core.stats().counters())
         out.stats[kv.first] = kv.second.value();
     if (spec.mitigation.enabled())

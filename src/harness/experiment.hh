@@ -26,7 +26,7 @@ namespace sb
  * cache lines then miss instead of resurfacing stale results. CI
  * keys its persisted result cache on this constant.
  */
-constexpr unsigned specSchemaVersion = 5;
+constexpr unsigned specSchemaVersion = 6;
 
 /** One simulation to run. */
 struct RunSpec
@@ -81,7 +81,9 @@ struct RunOutcome
     std::uint64_t instructions = 0;
     double ipc = 0.0;
 
-    /** Ground-truth monitor counts over the whole run. */
+    /** Contract-shadow STT transmit / NDA consume counts over the
+     *  whole run. Only shadow-on cells (gadget, fuzz, tenant) harvest
+     *  them; windowed benchmark cells always carry 0. */
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
 

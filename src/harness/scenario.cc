@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "harness/conformance.hh"
-#include "harness/engine.hh"
 #include "harness/tenant.hh"
 #include "harness/verify.hh"
 
@@ -53,20 +52,6 @@ ScenarioRegistry::names() const
     for (const Scenario &s : scenarios)
         out.push_back(s.name);
     return out;
-}
-
-int
-runScenarioMain(const std::string &name)
-{
-    const Scenario *scenario = ScenarioRegistry::instance().find(name);
-    if (!scenario) {
-        std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-        return 2;
-    }
-    ExperimentEngine engine;
-    const auto outcomes = engine.run(scenario->specs());
-    scenario->report(outcomes, stdout);
-    return 0;
 }
 
 } // namespace sb

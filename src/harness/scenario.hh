@@ -5,9 +5,8 @@
  * so one driver (tools/sbsim.cpp) can run any slice of the evaluation
  * through a shared ExperimentEngine — with in-batch dedup and the
  * content-addressed result cache amortizing every (config, scheme,
- * workload) cell across scenarios. The standalone bench_* binaries
- * are thin wrappers over the same definitions (runScenarioMain), so
- * per-cell numbers are bit-identical however a cell is reached.
+ * workload) cell across scenarios, so per-cell numbers are
+ * bit-identical however a cell is reached.
  */
 
 #ifndef SB_HARNESS_SCENARIO_HH
@@ -69,13 +68,6 @@ class ScenarioRegistry
  * tests can build isolated registries.
  */
 void registerPaperScenarios(ScenarioRegistry &registry);
-
-/**
- * Shared main() body of the thin bench_* wrappers: simulate and
- * report one scenario on a cache-less engine (standalone
- * reproductions always re-simulate). Returns a process exit code.
- */
-int runScenarioMain(const std::string &name);
 
 } // namespace sb
 

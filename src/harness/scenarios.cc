@@ -1,12 +1,9 @@
 /**
  * @file
- * The paper's evaluation grid as registered scenarios. Each
- * definition is the former body of the matching bench_* binary
- * (which is now a thin wrapper, see bench/): the specs() builders and
- * report() renderers are ported verbatim so per-cell numbers stay
- * bit-identical to the standalone targets, while the shared
- * ExperimentEngine dedups and caches the overlapping grid cells
- * across scenarios.
+ * The paper's evaluation grid as registered scenarios, run through
+ * `sbsim run <name>`: each definition pairs a specs() builder with a
+ * report() renderer, and the shared ExperimentEngine dedups and
+ * caches the overlapping grid cells across scenarios.
  */
 
 #include "harness/scenario.hh"

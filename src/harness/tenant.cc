@@ -111,8 +111,9 @@ runServerMixCell(const RunSpec &spec)
     out.cycles = res.cycles;
     out.instructions = res.instructions;
     out.ipc = res.ipc();
-    out.transmitViolations = core.monitor().transmitViolations();
-    out.consumeViolations = core.monitor().consumeViolations();
+    const ContractShadow &shadow = core.contractShadow();
+    out.transmitViolations = shadow.transmitViolations();
+    out.consumeViolations = shadow.consumeViolations();
 
     out.stats["mt_tenants"] = params.tenants;
     out.stats["mt_hostile"] = params.hostile ? 1 : 0;
@@ -126,10 +127,8 @@ runServerMixCell(const RunSpec &spec)
     out.stats["mt_context_switches"] = core.contextSwitchCount();
     out.stats["mt_flush_on_switch"] =
         spec.core.flushPredictorsOnSwitch ? 1 : 0;
-    out.stats["mt_cross_viol"] =
-        core.contractShadow().crossTenantViolations();
-    const ContractViolation &first =
-        core.contractShadow().firstCrossTenantViolation();
+    out.stats["mt_cross_viol"] = shadow.crossTenantViolations();
+    const ContractViolation &first = shadow.firstCrossTenantViolation();
     if (first.valid()) {
         out.stats["mt_first_cross_cycle"] = first.cycle;
         out.stats["mt_first_cross_seq"] = first.seq;

@@ -424,7 +424,7 @@ printVerifyMatrix(const VerifyMatrix &matrix, std::FILE *out)
     std::fprintf(out,
                  "Declared contracts must show leaked=no diverged=no "
                  "and zero sandboxing shadow violations, plus clean\n"
-                 "monitor obligations for the dataflow policies "
+                 "STT/NDA obligations for the dataflow policies "
                  "(transmitter-safe/consume-safe; sandboxing is the\n"
                  "purely observational contract, e.g. DoM). The unsafe "
                  "baseline must leak on every gadget (proof the\n"

@@ -92,7 +92,7 @@ struct VerifyCell
     Scheme scheme = Scheme::Baseline;
     /** The scheme's declared contract (SecureScheme::contract()).
      *  The dataflow obligations (transmitter/consume) are checked
-     *  against the ground-truth monitor; the observational
+     *  against the contract shadow's STT/NDA counts; the observational
      *  obligation (leak freedom + zero sandboxing shadow violations)
      *  binds every scheme with a non-None policy — Delay-on-Miss
      *  declares exactly the sandboxing policy and nothing stronger. */
@@ -108,7 +108,7 @@ struct VerifyCell
     bool armed = false;
     /** Paired observation traces differ (timing divergence). */
     bool diverged = false;
-    /** Worst-case monitor counts over the pair. */
+    /** Worst-case shadow transmit / consume counts over the pair. */
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
     /** Per-run diagnostics. */
@@ -141,7 +141,7 @@ struct VerifyCell
     /**
      * Contract check under judgedPolicy: a scheme with a declared
      * contract must block recovery, show no differential divergence,
-     * keep whichever monitor obligations it declares, and show zero
+     * keep whichever dataflow obligations it declares, and show zero
      * sandboxing shadow violations (zero constant-time violations
      * when judged under the ConstantTime override); a scheme
      * declaring nothing (the unsafe baseline) must demonstrably leak

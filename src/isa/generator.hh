@@ -3,8 +3,7 @@
  * Seeded random-program generator for differential conformance
  * testing.
  *
- * Where src/trace/random_program.cc emits flat blocks of ops, this
- * generator builds *structured* programs — nested bounded loops,
+ * The generator builds *structured* programs — nested bounded loops,
  * if/else diamonds, indirect-jump dispatch tables, branches trained
  * to mispredict, and load/store clusters with deliberate aliasing
  * pressure — from a 64-bit seed and an op-mix profile. Every program

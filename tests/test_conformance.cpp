@@ -343,16 +343,17 @@ TEST(SpecKey, GoldenStability)
     fuzz.maxCycles = 4'000'000;
 
     // Schema 5: MitigationConfig joined the canonical serialization
-    // (every spec now carries "|mitigation=<name>|").
-    EXPECT_EQ(bench.specKey(), "a2d58888409bb91f");
-    EXPECT_EQ(gadget.specKey(), "b868eccdb877aa84");
-    EXPECT_EQ(fuzz.specKey(), "ed0c76e0c4c7565a");
+    // (every spec now carries "|mitigation=<name>|"). Schema 6: window
+    // cells stopped harvesting the transmit/consume counts.
+    EXPECT_EQ(bench.specKey(), "bd255c355cc2363a");
+    EXPECT_EQ(gadget.specKey(), "6045dc58c796f46b");
+    EXPECT_EQ(fuzz.specKey(), "2a8aa9460419d55b");
 
     // A mitigated cell must address a *different* cache cell than the
     // same spec unmitigated.
     sb::RunSpec mitigated = gadget;
     mitigated.mitigation.kind = sb::Mitigation::Slh;
-    EXPECT_EQ(mitigated.specKey(), "b0d45f125f181f39");
+    EXPECT_EQ(mitigated.specKey(), "5c8f42059057181c");
     EXPECT_NE(mitigated.specKey(), gadget.specKey());
     EXPECT_NE(mitigated.canonical().find("|mitigation=slh|"),
               std::string::npos);

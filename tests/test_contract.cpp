@@ -6,7 +6,7 @@
  * violates constant-time where the declared schemes do not, the
  * engine is timing-invisible, the conformance generator emits
  * secret-labelled buffers, and SB_INVARIANTS=1 forces the checks on
- * whatever the build default.
+ * whatever the build default without changing a window cell's outcome.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "harness/attack.hh"
 #include "harness/conformance.hh"
 #include "harness/experiment.hh"
+#include "harness/reporting.hh"
 #include "harness/verify.hh"
 #include "isa/generator.hh"
 #include "secure/factory.hh"
@@ -190,11 +191,23 @@ TEST(ContractShadow, SbInvariantsForcesTheChecksOn)
                                           sb::makeScheme(scfg),
                                           gadget.program);
     };
+    // A short window cell: its cached outcome must not depend on the
+    // shadow default (window cells carry no obligation counts).
+    sb::RunSpec window;
+    window.workload = "505.mcf";
+    window.warmupInsts = 2000;
+    window.measureInsts = 5000;
+
     ::setenv("SB_INVARIANTS", "1", 1);
     EXPECT_TRUE(makeCore()->contractShadow().on());
+    const std::string forced_on =
+        sb::toJson(sb::ExperimentRunner::runOne(window)).dump();
     ::setenv("SB_INVARIANTS", "0", 1);
     EXPECT_FALSE(makeCore()->contractShadow().on());
+    const std::string forced_off =
+        sb::toJson(sb::ExperimentRunner::runOne(window)).dump();
     ::unsetenv("SB_INVARIANTS");
+    EXPECT_EQ(forced_on, forced_off);
 }
 
 } // anonymous namespace

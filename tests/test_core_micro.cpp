@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the core's microarchitectural components: rename
- * map, issue queue, LSU, shadow tracker, and security monitor.
+ * map, issue queue, LSU, shadow tracker, and the contract shadow's
+ * STT/NDA obligation checks.
  *
  * Components address instructions through InstSlab handles, so each
  * test owns a small slab and the helpers hand back handles.
@@ -9,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/contract_shadow.hh"
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
-#include "core/security_monitor.hh"
 #include "core/shadow_tracker.hh"
 
 namespace
@@ -559,27 +560,35 @@ TEST(ShadowTracker, PrevLatchLagsOneUpdate)
     EXPECT_EQ(st.visibilityPoint(), 5u);
 }
 
-// --- SecurityMonitor ---------------------------------------------------
+// --- ContractShadow: STT/NDA obligations ----------------------------
 
-TEST(Monitor, TransmitterWithTaintedOperandViolates)
+sb::ContractShadow
+activeShadow()
 {
-    sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
-    const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), true); // Spec load -> preg 20 tainted.
-
-    const auto consumer = makeLoad(slab, 12, 21, 20); // Uses preg 20.
-    mon.onConsume(slab.get(consumer), 5, true, false, true);
-    EXPECT_EQ(mon.transmitViolations(), 1u);
-    EXPECT_EQ(mon.consumeViolations(), 1u);
+    sb::ContractShadow shadow(64);
+    shadow.setActive(true);
+    return shadow;
 }
 
-TEST(Monitor, NonTransmitterConsumptionOnlyFlagsNda)
+TEST(ContractShadow, TransmitterWithTaintedOperandViolates)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow shadow = activeShadow();
     const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), true);
+    shadow.onLoadData(slab.get(ld), true); // Spec load -> preg 20 tainted.
+
+    const auto consumer = makeLoad(slab, 12, 21, 20); // Uses preg 20.
+    shadow.onConsume(slab.get(consumer), 0, 5, true, false, true);
+    EXPECT_EQ(shadow.transmitViolations(), 1u);
+    EXPECT_EQ(shadow.consumeViolations(), 1u);
+}
+
+TEST(ContractShadow, NonTransmitterConsumptionOnlyFlagsNda)
+{
+    sb::InstSlab slab(16);
+    sb::ContractShadow shadow = activeShadow();
+    const auto ld = makeLoad(slab, 10, 20);
+    shadow.onLoadData(slab.get(ld), true);
     const auto alu = makeInst(slab, 12, sb::Op::Add);
     sb::DynInst &a = slab.get(alu);
     a.uop.dst = 1;
@@ -588,17 +597,17 @@ TEST(Monitor, NonTransmitterConsumptionOnlyFlagsNda)
     a.pdst = 22;
     a.psrc1 = 20;
     a.psrc2 = 21;
-    mon.onConsume(a, 5, true, true, false);
-    EXPECT_EQ(mon.transmitViolations(), 0u);
-    EXPECT_EQ(mon.consumeViolations(), 1u);
+    shadow.onConsume(a, 0, 5, true, true, false);
+    EXPECT_EQ(shadow.transmitViolations(), 0u);
+    EXPECT_EQ(shadow.consumeViolations(), 1u);
 }
 
-TEST(Monitor, TaintPropagatesTransitively)
+TEST(ContractShadow, TaintPropagatesTransitively)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow shadow = activeShadow();
     const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), true);
+    shadow.onLoadData(slab.get(ld), true);
     // alu: preg 22 = f(preg 20) while root still speculative.
     const auto alu = makeInst(slab, 11, sb::Op::Add);
     sb::DynInst &a = slab.get(alu);
@@ -606,59 +615,104 @@ TEST(Monitor, TaintPropagatesTransitively)
     a.uop.src1 = 2;
     a.pdst = 22;
     a.psrc1 = 20;
-    mon.onConsume(a, 5, true, false, false);
-    // Transmitter consuming preg 22: indirect taint.
+    shadow.onConsume(a, 0, 5, true, false, false);
+    // Transmitter consuming preg 22: indirect taint. Only the alu
+    // consumed the load's value directly.
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 22;
-    mon.onConsume(b, 5, true, false, true);
-    EXPECT_EQ(mon.transmitViolations(), 1u);
+    shadow.onConsume(b, 0, 5, true, false, true);
+    EXPECT_EQ(shadow.transmitViolations(), 1u);
+    EXPECT_EQ(shadow.consumeViolations(), 1u);
 }
 
-TEST(Monitor, RootsExpireAtVisibilityPoint)
+TEST(ContractShadow, RootsExpireAtVisibilityPoint)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow shadow = activeShadow();
     const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), true);
+    shadow.onLoadData(slab.get(ld), true);
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 20;
     // Visibility point has passed the load: data is public now.
-    mon.onConsume(b, 11, true, false, true);
-    EXPECT_EQ(mon.transmitViolations(), 0u);
-    EXPECT_EQ(mon.consumeViolations(), 0u);
+    shadow.onConsume(b, 0, 11, true, false, true);
+    EXPECT_EQ(shadow.transmitViolations(), 0u);
+    EXPECT_EQ(shadow.consumeViolations(), 0u);
 }
 
-TEST(Monitor, NonSpeculativeLoadProducesCleanData)
+TEST(ContractShadow, NonSpeculativeLoadProducesCleanData)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow shadow = activeShadow();
     const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), false);
+    shadow.onLoadData(slab.get(ld), false);
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 20;
-    mon.onConsume(b, 5, true, false, true);
-    EXPECT_EQ(mon.transmitViolations(), 0u);
+    shadow.onConsume(b, 0, 5, true, false, true);
+    EXPECT_EQ(shadow.transmitViolations(), 0u);
 }
 
-TEST(Monitor, AllocationClearsOldState)
+TEST(ContractShadow, AllocationClearsOldState)
 {
     sb::InstSlab slab(16);
-    sb::SecurityMonitor mon(64);
+    sb::ContractShadow shadow = activeShadow();
     const auto ld = makeLoad(slab, 10, 20);
-    mon.onLoadData(slab.get(ld), true);
-    mon.onAllocate(20); // Register reallocated to a new producer.
+    shadow.onLoadData(slab.get(ld), true);
+    shadow.onAllocate(20); // Register reallocated to a new producer.
     const auto br = makeInst(slab, 12, sb::Op::Beq);
     sb::DynInst &b = slab.get(br);
     b.uop.src1 = 2;
     b.psrc1 = 20;
-    mon.onConsume(b, 5, true, false, true);
-    EXPECT_EQ(mon.transmitViolations(), 0u);
+    shadow.onConsume(b, 0, 5, true, false, true);
+    EXPECT_EQ(shadow.transmitViolations(), 0u);
+}
+
+TEST(ContractShadow, TaintAndSecretRootsStayDistinct)
+{
+    sb::InstSlab slab(16);
+    const sb::Addr secret = 0x1000;
+    const auto branchOn = [&](sb::PhysReg reg) {
+        const auto br = makeInst(slab, 12, sb::Op::Beq);
+        sb::DynInst &b = slab.get(br);
+        b.uop.src1 = 2;
+        b.psrc1 = reg;
+        return br;
+    };
+
+    // A public value from a still-speculative load: the STT and NDA
+    // obligations fire, neither secret contract does.
+    sb::ContractShadow spec = activeShadow();
+    spec.markSecretRegion(secret, 64);
+    sb::DynInst &pub = slab.get(makeLoad(slab, 10, 20));
+    pub.effAddr = secret + 64;
+    pub.effAddrValid = true;
+    spec.onLoadValue(pub, sb::invalidSeqNum);
+    spec.onLoadData(pub, true);
+    spec.onConsume(slab.get(branchOn(20)), 0, 5, true, false, true);
+    EXPECT_EQ(spec.transmitViolations(), 1u);
+    EXPECT_EQ(spec.consumeViolations(), 1u);
+    EXPECT_EQ(spec.sandboxViolations(), 0u);
+    EXPECT_EQ(spec.ctViolations(), 0u);
+
+    // A secret acquired architecturally (the load is bound to
+    // commit): only constant-time fires.
+    sb::ContractShadow arch = activeShadow();
+    arch.markSecretRegion(secret, 64);
+    sb::DynInst &sec = slab.get(makeLoad(slab, 10, 20));
+    sec.effAddr = secret;
+    sec.effAddrValid = true;
+    arch.onLoadValue(sec, sb::invalidSeqNum);
+    arch.onLoadData(sec, false);
+    arch.onConsume(slab.get(branchOn(20)), 0, 5, true, false, true);
+    EXPECT_EQ(arch.ctViolations(), 1u);
+    EXPECT_EQ(arch.transmitViolations(), 0u);
+    EXPECT_EQ(arch.sandboxViolations(), 0u);
+    EXPECT_EQ(arch.consumeViolations(), 0u);
 }
 
 } // anonymous namespace

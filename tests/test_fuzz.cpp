@@ -1,9 +1,11 @@
 /**
  * @file
- * Differential fuzzing: random always-terminating programs must
- * produce bit-identical architectural state under every secure
- * scheme, with clean security obligations and no simulator panics —
- * across seeds, configurations, and generator shapes (TEST_P sweeps).
+ * Differential fuzzing with the structured generator
+ * (src/isa/generator.hh) through the conformance oracle
+ * (src/harness/conformance.hh): generated programs must produce
+ * bit-identical architectural state under every secure scheme, the
+ * two-taint store ablation, and narrow and wide configurations, with
+ * clean security obligations and no simulator panics.
  */
 
 #include <gtest/gtest.h>
@@ -13,192 +15,21 @@
 #include "harness/conformance.hh"
 #include "isa/generator.hh"
 #include "secure/factory.hh"
-#include "trace/random_program.hh"
 
 namespace
 {
 
-struct ArchState
+/** One conformance cell (invariants and contract shadow forced on). */
+sb::ConformanceCell
+runCell(const sb::Program &program, const sb::CoreConfig &core,
+        const sb::SchemeConfig &scfg)
 {
-    std::vector<sb::Word> regs;
-    sb::Word memSignature = 0;
-    std::uint64_t instructions = 0;
-    bool halted = false;
-
-    bool
-    operator==(const ArchState &o) const
-    {
-        return regs == o.regs && memSignature == o.memSignature
-               && instructions == o.instructions && halted == o.halted;
-    }
-};
-
-ArchState
-runProgram(const sb::Program &program, sb::Scheme scheme,
-           const sb::CoreConfig &cfg, std::uint64_t *transmit_viol,
-           std::uint64_t *consume_viol)
-{
-    sb::SchemeConfig scfg;
-    scfg.scheme = scheme;
-    sb::Core core(cfg, scfg, sb::makeScheme(scfg), program);
-    const auto r = core.run(50'000'000, 50'000'000);
-
-    ArchState s;
-    s.halted = r.halted;
-    s.instructions = r.instructions;
-    for (sb::ArchReg reg = sb::randomProgramFirstReg;
-         reg <= sb::randomProgramLastReg; ++reg) {
-        s.regs.push_back(core.readArchReg(reg));
-    }
-    for (sb::Addr a = 0; a < 4096; a += 8) {
-        s.memSignature =
-            s.memSignature * 1099511628211ULL
-            + core.readMemory(sb::randomProgramMemBase + a);
-    }
-    if (transmit_viol)
-        *transmit_viol = core.monitor().transmitViolations();
-    if (consume_viol)
-        *consume_viol = core.monitor().consumeViolations();
-    return s;
+    return sb::runConformanceCell(program, core, scfg,
+                                  sb::makeScheme(scfg), 4'000'000);
 }
 
-struct FuzzSeedTest : ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(FuzzSeedTest, AllSchemesMatchBaseline)
-{
-    sb::RandomProgramParams params;
-    params.seed = 1000 + GetParam();
-    const sb::Program program = sb::makeRandomProgram(params);
-
-    const ArchState base = runProgram(program, sb::Scheme::Baseline,
-                                      sb::CoreConfig::mega(), nullptr,
-                                      nullptr);
-    ASSERT_TRUE(base.halted) << "seed " << params.seed;
-
-    for (sb::Scheme s : {sb::Scheme::SttRename, sb::Scheme::SttIssue,
-                         sb::Scheme::Nda, sb::Scheme::NdaStrict,
-                         sb::Scheme::DelayOnMiss, sb::Scheme::DelayAll}) {
-        std::uint64_t tv = 0;
-        std::uint64_t cv = 0;
-        const ArchState got = runProgram(program, s,
-                                         sb::CoreConfig::mega(), &tv,
-                                         &cv);
-        EXPECT_TRUE(got == base)
-            << "seed " << params.seed << " scheme "
-            << sb::schemeName(s);
-        // DoM's contract has no dataflow obligation (tainted transmitters may
-        // execute on L1 hits); every other scheme must stay clean.
-        if (s != sb::Scheme::DelayOnMiss) {
-            EXPECT_EQ(tv, 0u) << "seed " << params.seed << " "
-                              << sb::schemeName(s);
-        }
-        if (s == sb::Scheme::Nda || s == sb::Scheme::NdaStrict
-            || s == sb::Scheme::DelayAll) {
-            EXPECT_EQ(cv, 0u) << "seed " << params.seed;
-        }
-    }
-}
-
-TEST_P(FuzzSeedTest, TwoTaintStoresMatchToo)
-{
-    sb::RandomProgramParams params;
-    params.seed = 2000 + GetParam();
-    params.storeFraction = 0.25; // Store-heavy: stress partial issue.
-    params.slowBranchFraction = 0.10;
-    const sb::Program program = sb::makeRandomProgram(params);
-
-    const ArchState base = runProgram(program, sb::Scheme::Baseline,
-                                      sb::CoreConfig::mega(), nullptr,
-                                      nullptr);
-    ASSERT_TRUE(base.halted);
-
-    sb::SchemeConfig scfg;
-    scfg.scheme = sb::Scheme::SttRename;
-    scfg.twoTaintStores = true;
-    sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
-                  program);
-    core.run(50'000'000, 50'000'000);
-    ArchState got;
-    got.halted = core.halted();
-    got.instructions = core.committedInstructions();
-    for (sb::ArchReg reg = sb::randomProgramFirstReg;
-         reg <= sb::randomProgramLastReg; ++reg) {
-        got.regs.push_back(core.readArchReg(reg));
-    }
-    for (sb::Addr a = 0; a < 4096; a += 8) {
-        got.memSignature =
-            got.memSignature * 1099511628211ULL
-            + core.readMemory(sb::randomProgramMemBase + a);
-    }
-    EXPECT_TRUE(got == base) << "seed " << params.seed;
-    EXPECT_EQ(core.monitor().transmitViolations(), 0u);
-}
-
-TEST_P(FuzzSeedTest, NarrowConfigMatchesWide)
-{
-    // Architectural results are configuration-independent.
-    sb::RandomProgramParams params;
-    params.seed = 3000 + GetParam();
-    params.blocks = 4;
-    params.outerIterations = 25;
-    const sb::Program program = sb::makeRandomProgram(params);
-
-    const ArchState wide = runProgram(program, sb::Scheme::SttIssue,
-                                      sb::CoreConfig::mega(), nullptr,
-                                      nullptr);
-    const ArchState narrow = runProgram(program, sb::Scheme::SttIssue,
-                                        sb::CoreConfig::small(),
-                                        nullptr, nullptr);
-    EXPECT_TRUE(wide == narrow) << "seed " << params.seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest, ::testing::Range(0, 12));
-
-TEST(FuzzGenerator, DeterministicForSeed)
-{
-    sb::RandomProgramParams params;
-    params.seed = 77;
-    const auto a = sb::makeRandomProgram(params);
-    const auto c = sb::makeRandomProgram(params);
-    ASSERT_EQ(a.size(), c.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a.code[i].disassemble(), c.code[i].disassemble());
-}
-
-TEST(FuzzGenerator, DifferentSeedsDiffer)
-{
-    sb::RandomProgramParams pa;
-    pa.seed = 1;
-    sb::RandomProgramParams pb;
-    pb.seed = 2;
-    const auto a = sb::makeRandomProgram(pa);
-    const auto c = sb::makeRandomProgram(pb);
-    bool differ = a.size() != c.size();
-    for (std::size_t i = 0; !differ && i < a.size(); ++i)
-        differ = a.code[i].disassemble() != c.code[i].disassemble();
-    EXPECT_TRUE(differ);
-}
-
-TEST(FuzzGenerator, StoreHeavyProgramsTerminate)
-{
-    sb::RandomProgramParams params;
-    params.seed = 99;
-    params.storeFraction = 0.35;
-    params.loadFraction = 0.35;
-    const auto program = sb::makeRandomProgram(params);
-    const ArchState s = runProgram(program, sb::Scheme::SttRename,
-                                   sb::CoreConfig::mega(), nullptr,
-                                   nullptr);
-    EXPECT_TRUE(s.halted);
-}
-
-// ---------------------------------------------------------------------
-// The structured generator (src/isa/generator.hh) through the full
-// conformance oracle: every profile, several seeds, every scheme.
-// ---------------------------------------------------------------------
-
+// Every profile, several seeds: the full roster, the two-taint
+// ablation, and narrow vs wide cores against the oracle.
 struct StructuredSweep : ::testing::TestWithParam<int>
 {
 };
@@ -220,6 +51,43 @@ TEST_P(StructuredSweep, EverySchemeMatchesBaseline)
                 ? "no cells"
                 : report.failures[0].kind + ": "
                       + report.failures[0].detail);
+}
+
+TEST_P(StructuredSweep, TwoTaintStoresMatchBaseline)
+{
+    sb::GeneratorParams gen;
+    gen.seed = 2000 + GetParam();
+    gen.profile = sb::OpMixProfile::MemHeavy; // Stress partial issue.
+    const sb::Program program = sb::generateProgram(gen);
+
+    const auto base =
+        runCell(program, sb::CoreConfig::mega(), sb::SchemeConfig{});
+    ASSERT_TRUE(base.halted) << "seed " << gen.seed;
+
+    sb::SchemeConfig two_taint;
+    two_taint.scheme = sb::Scheme::SttRename;
+    two_taint.twoTaintStores = true;
+    const auto got = runCell(program, sb::CoreConfig::mega(), two_taint);
+    EXPECT_TRUE(got.halted) << "seed " << gen.seed;
+    EXPECT_TRUE(got.architecturallyEqual(base)) << "seed " << gen.seed;
+    EXPECT_EQ(got.transmitViolations, 0u) << "seed " << gen.seed;
+}
+
+TEST_P(StructuredSweep, NarrowConfigMatchesWide)
+{
+    // Architectural results are configuration-independent.
+    const auto profiles = sb::allOpMixProfiles();
+    sb::GeneratorParams gen;
+    gen.seed = 3000 + GetParam();
+    gen.profile = profiles[GetParam() % profiles.size()];
+    const sb::Program program = sb::generateProgram(gen);
+
+    sb::SchemeConfig scfg;
+    scfg.scheme = sb::Scheme::SttIssue;
+    const auto wide = runCell(program, sb::CoreConfig::mega(), scfg);
+    const auto narrow = runCell(program, sb::CoreConfig::small(), scfg);
+    ASSERT_TRUE(wide.halted && narrow.halted) << "seed " << gen.seed;
+    EXPECT_TRUE(wide.architecturallyEqual(narrow)) << "seed " << gen.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StructuredSweep,

@@ -3,7 +3,7 @@
  * Golden security tests for the Spectre gadget battery: the
  * unprotected baseline must leak the secret on every gadget, and
  * every scheme that claims the STT obligation (STT-Rename, STT-Issue,
- * NDA, NDA-Strict) must leak on none of them, with clean monitor
+ * NDA, NDA-Strict) must leak on none of them, with clean STT/NDA
  * obligations.
  */
 

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/core.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
+#include "secure/factory.hh"
+#include "trace/spec_suite.hh"
 
 namespace
 {
@@ -27,6 +30,21 @@ runBench(const std::string &bench, sb::Scheme scheme,
     s.warmupInsts = 20000;
     s.measureInsts = 60000;
     return sb::ExperimentRunner::runOne(s);
+}
+
+/** Shadow-on Mega run over runBench()'s warmup + measure length
+ *  (window cells do not carry the obligation counts). */
+sb::ContractShadow
+shadowRun(const std::string &bench, sb::Scheme scheme)
+{
+    const sb::Workload w = sb::SpecSuite::make(bench);
+    sb::SchemeConfig scfg;
+    scfg.scheme = scheme;
+    sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                  w.program);
+    core.setContractShadowEnabled(true);
+    core.run(80000, 40'000'000);
+    return core.contractShadow();
 }
 
 TEST(Exchange2, SttRenameForwardingErrorStorm)
@@ -126,15 +144,17 @@ TEST(Nda, StrictIsNoFasterThanPermissive)
     const auto perm = runBench("538.imagick", sb::Scheme::Nda);
     const auto strict = runBench("538.imagick", sb::Scheme::NdaStrict);
     EXPECT_LE(strict.ipc, perm.ipc * 1.02);
-    EXPECT_EQ(strict.transmitViolations, 0u);
-    EXPECT_EQ(strict.consumeViolations, 0u);
+    const auto shadow = shadowRun("538.imagick", sb::Scheme::NdaStrict);
+    EXPECT_EQ(shadow.transmitViolations(), 0u);
+    EXPECT_EQ(shadow.consumeViolations(), 0u);
 }
 
 TEST(Monitor, BaselineLeaksOnTaintHeavyWorkloads)
 {
     for (const char *b : {"505.mcf", "502.gcc", "531.deepsjeng"}) {
-        const auto o = runBench(b, sb::Scheme::Baseline);
-        EXPECT_GT(o.transmitViolations, 0u) << b;
+        EXPECT_GT(shadowRun(b, sb::Scheme::Baseline).transmitViolations(),
+                  0u)
+            << b;
     }
 }
 

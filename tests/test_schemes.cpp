@@ -87,6 +87,9 @@ runScheme(const sb::Program &p, sb::SchemeConfig scfg, sb::Core **out,
 {
     holder = std::make_unique<sb::Core>(sb::CoreConfig::mega(), scfg,
                                         sb::makeScheme(scfg), p);
+    // The obligation counts come from the contract shadow, which is
+    // off by default in release builds.
+    holder->setContractShadowEnabled(true);
     *out = holder.get();
     return holder->run(3'000'000, 3'000'000);
 }
@@ -101,7 +104,7 @@ TEST(SttRename, BlocksTaintedTransmitters)
     const auto r = runScheme(p, scfg, &core, holder);
     EXPECT_TRUE(r.halted);
     EXPECT_GT(core->stats().value("scheme_select_blocks"), 100u);
-    EXPECT_EQ(core->monitor().transmitViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().transmitViolations(), 0u);
 }
 
 TEST(SttIssue, KillsTaintedSelectionsIntoNops)
@@ -117,7 +120,7 @@ TEST(SttIssue, KillsTaintedSelectionsIntoNops)
     EXPECT_GT(core->stats().value("scheme_issue_kills"), 50u);
     // ...and masks ready afterwards (back-propagated YRoT).
     EXPECT_GT(core->stats().value("scheme_select_blocks"), 50u);
-    EXPECT_EQ(core->monitor().transmitViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().transmitViolations(), 0u);
 }
 
 TEST(Nda, DefersSpeculativeLoadBroadcasts)
@@ -130,8 +133,8 @@ TEST(Nda, DefersSpeculativeLoadBroadcasts)
     const auto r = runScheme(p, scfg, &core, holder);
     EXPECT_TRUE(r.halted);
     EXPECT_GT(core->stats().value("deferred_broadcasts"), 100u);
-    EXPECT_EQ(core->monitor().transmitViolations(), 0u);
-    EXPECT_EQ(core->monitor().consumeViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().transmitViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().consumeViolations(), 0u);
 }
 
 TEST(Baseline, LeaksOnTheSameProgram)
@@ -142,8 +145,8 @@ TEST(Baseline, LeaksOnTheSameProgram)
     std::unique_ptr<sb::Core> holder;
     runScheme(p, scfg, &core, holder);
     // The unprotected core freely transmits speculative data.
-    EXPECT_GT(core->monitor().transmitViolations(), 0u);
-    EXPECT_GT(core->monitor().consumeViolations(), 0u);
+    EXPECT_GT(core->contractShadow().transmitViolations(), 0u);
+    EXPECT_GT(core->contractShadow().consumeViolations(), 0u);
 }
 
 TEST(NdaStrict, AlsoDefersAluResults)
@@ -164,7 +167,7 @@ TEST(NdaStrict, AlsoDefersAluResults)
     // Strict defers at least as much as permissive.
     EXPECT_GE(core->stats().value("deferred_broadcasts"),
               core2->stats().value("deferred_broadcasts"));
-    EXPECT_EQ(core->monitor().consumeViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().consumeViolations(), 0u);
 }
 
 /**
@@ -261,8 +264,8 @@ TEST(DelayAll, NoLoadIssuesSpeculatively)
     EXPECT_EQ(core->stats().value("scheme_miss_delays"), 0u);
     // A load that never executes speculatively satisfies the NDA
     // obligation (and hence STT's) by construction.
-    EXPECT_EQ(core->monitor().transmitViolations(), 0u);
-    EXPECT_EQ(core->monitor().consumeViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().transmitViolations(), 0u);
+    EXPECT_EQ(core->contractShadow().consumeViolations(), 0u);
 }
 
 TEST(Schemes, ContractsMatchTheRoster)

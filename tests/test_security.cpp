@@ -3,7 +3,7 @@
  * End-to-end Spectre-v1 verification (the stand-in for the paper's
  * BOOM-attacks methodology): the unprotected baseline must leak the
  * secret through the cache covert channel, and STT-Rename, STT-Issue
- * and NDA must all block it with clean monitor obligations.
+ * and NDA must all block it with clean STT/NDA obligations.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +57,7 @@ TEST(SpectreV1, DelayOnMissBlocksTheChannelNotTheDataflow)
 {
     // DoM parks the transient probe-array miss, so neither receiver
     // recovers the secret — but tainted transmitters still execute
-    // when they *hit* in the L1, so the monitor legitimately records
+    // when they *hit* in the L1, so the shadow legitimately records
     // transmitter violations. That asymmetry is exactly the
     // sandboxing contract DoM declares (obligesLeakFreedom without
     // obligesTransmitterSafety).

@@ -225,7 +225,7 @@ TEST(GadgetCells, NewRosterSchemesBlockTheBattery)
 
     // DoM blocks the channel without policing dataflow: no leak, yet
     // tainted transmitters legitimately execute on L1 hits — the
-    // monitor's nonzero count is the signature of the
+    // shadow's nonzero transmit count is the signature of the
     // leak-freedom-only contract.
     const auto dom = sb::ExperimentRunner::runOne(gadgetSpec(
         sb::GadgetKind::SpectreV1, sb::verifySecretA,
@@ -238,7 +238,7 @@ TEST(Differential, DomPairedTracesAreEquivalent)
 {
     // The leak-freedom contract DoM claims is exactly this: paired
     // secret-flipped runs must be observationally identical even
-    // though the monitor records transmitter violations.
+    // though the shadow records transmitter violations.
     sb::SchemeConfig scfg;
     scfg.scheme = sb::Scheme::DelayOnMiss;
     for (const auto kind : sb::allGadgets()) {
@@ -259,7 +259,7 @@ TEST(Differential, DomPairedTracesAreEquivalent)
 /**
  * A do-nothing scheme claiming only the observational contract: the
  * new leak-freedom verdict path must catch it through the
- * differential check alone (it has no monitor obligation to trip).
+ * differential check alone (it has no dataflow obligation to trip).
  */
 class LeakyObservationalScheme : public sb::SecureScheme
 {
