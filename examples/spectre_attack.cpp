@@ -18,7 +18,7 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "harness/attack.hh"
+#include "harness/verify.hh"
 
 namespace
 {
@@ -53,7 +53,8 @@ runBattery(sb::GadgetKind gadget, const sb::CoreConfig &cfg,
         for (std::size_t i = 0; i < secret.size(); ++i) {
             const auto byte = static_cast<std::uint8_t>(secret[i]);
             const AttackResult res =
-                runGadget(gadget, cfg, scfg, byte, 1000 + i);
+                attackResult(ExperimentRunner::runOne(
+                    gadgetSpec(gadget, cfg, scfg, byte, 1000 + i)));
             timing_out += res.timingByte > 0
                               ? static_cast<char>(res.timingByte)
                               : '?';

@@ -146,7 +146,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     // enough to vanish in the run loop, frequent enough that a wedged
     // or interrupted cell ends within milliseconds of its deadline.
     const bool supervised = wallDeadlineArmed || interruptibleFlag;
-    unsigned untilCheck = 4096;
+    unsigned untilCheck = untilSupervisionPoll;
     while (!haltedFlag && !watchdogTrippedFlag && committedCount < target
            && cycle < limit) {
         tick();
@@ -156,6 +156,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                 watchdogTrippedFlag = true;
         }
     }
+    untilSupervisionPoll = untilCheck;
     // After a halt, keep ticking until committed stores have drained
     // to memory, so the functional image reflects all committed work.
     while (haltedFlag && lsu.sqSize() > 0 && cycle < limit)
@@ -208,8 +209,10 @@ Core::setWallDeadline(double seconds)
 bool
 Core::wallStopRequested()
 {
-    if (interruptibleFlag && interruptRequested())
+    if (interruptibleFlag && interruptRequested()) {
+        interruptHitFlag = true;
         return true;
+    }
     if (wallDeadlineArmed
         && std::chrono::steady_clock::now() >= wallDeadline) {
         wallDeadlineHitFlag = true;

@@ -351,6 +351,9 @@ class Core
     /** True once the wall-clock deadline ended the run. */
     bool wallDeadlineHit() const { return wallDeadlineHitFlag; }
 
+    /** True once an interrupt request ended the run. */
+    bool interruptHit() const { return interruptHitFlag; }
+
   private:
     // --- Pipeline phases (called back-to-front from tick()) -----------
     void commitPhase();
@@ -533,6 +536,11 @@ class Core
     bool wallDeadlineArmed = false;
     bool wallDeadlineHitFlag = false;
     bool interruptibleFlag = false;
+    bool interruptHitFlag = false;
+    /** Supervised cycles left until the next poll. Kept across run()
+     *  calls, so a caller stepping the core one commit at a time is
+     *  polled as often as one long run. */
+    unsigned untilSupervisionPoll = 4096;
     /** Poll the wall-clock supervision; true ends the run. */
     bool wallStopRequested();
     InvariantChecker inv;

@@ -9,6 +9,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
+#include "harness/cell_driver.hh"
 #include "harness/engine.hh"
 #include "harness/scenario.hh"
 #include "secure/factory.hh"
@@ -81,115 +82,102 @@ parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
     return true;
 }
 
-ConformanceCell
-runConformanceCell(const Program &program, const CoreConfig &core_cfg,
-                   const SchemeConfig &scheme_config,
-                   std::unique_ptr<SecureScheme> scheme,
-                   std::uint64_t max_cycles,
-                   const TransformedProgram *mitigated)
+namespace
 {
-    Core core(core_cfg, scheme_config, std::move(scheme), program);
-    core.setInvariantsEnabled(true);
-    core.setContractShadowEnabled(true);
-    core.setSoftWatchdog(100000);
 
-    // Under a mitigation the fingerprint is taken modulo inserted
-    // glue: committed PCs map back through origin(), glue commits
-    // vanish from both the digest and the instruction count.
-    std::uint64_t commit_hash = fnv1aBasis;
-    std::uint64_t useful = 0;
-    core.setCommitHook([&](const DynInst &inst, Cycle) {
-        std::int64_t opc = inst.pc;
-        if (mitigated) {
-            opc = mitigated->origin(inst.pc);
-            if (opc < 0)
-                return;
-        }
-        commit_hash =
-            fnv1aWord(commit_hash, static_cast<std::uint64_t>(opc));
-        ++useful;
-    });
-
-    const RunResult r =
-        core.run(std::numeric_limits<std::uint64_t>::max() / 2,
-                 max_cycles);
-
-    ConformanceCell cell;
-    cell.instructions = mitigated ? useful : r.instructions;
-    cell.cycles = r.cycles;
-    cell.halted = r.halted;
-    cell.watchdogTripped = r.watchdogTripped;
-    cell.commitHash = commit_hash;
-    std::uint64_t reg_hash = fnv1aBasis;
-    for (ArchReg reg = 0; reg < numArchRegs; ++reg)
-        reg_hash = fnv1aWord(reg_hash, core.readArchReg(reg));
-    cell.regHash = reg_hash;
-    cell.memHash = core.memoryImage().fingerprint();
-    cell.invariantViolations = core.invariants().violations();
-    const ContractShadow &shadow = core.contractShadow();
-    cell.transmitViolations = shadow.transmitViolations();
-    cell.consumeViolations = shadow.consumeViolations();
-    cell.sandboxViolations = shadow.sandboxViolations();
-    cell.ctViolations = shadow.ctViolations();
-    const ContractViolation &first = shadow.firstSandboxViolation();
-    if (first.valid()) {
-        cell.firstSandboxCycle = first.cycle;
-        cell.firstSandboxPc = first.pc;
+/** One generated program run to halt, fingerprinted for the oracle. */
+class FuzzCell final : public CellDriver
+{
+  public:
+    explicit FuzzCell(const RunSpec &spec) : spec(spec)
+    {
+        GeneratorParams gen;
+        if (!parseFuzzWorkload(spec.workload, gen.profile, gen.seed,
+                               gen.outerIterations))
+            sb_fatal("malformed fuzz workload '", spec.workload, "'");
+        generated = generateProgram(gen);
     }
-    return cell;
+
+    const Program &program() const override { return generated; }
+
+    // Every commit arrives here (glue excepted), so the count is the
+    // whole run's unmitigated, and only the useful work mitigated.
+    void
+    onCommit(const DynInst &, std::uint32_t pc, Cycle) override
+    {
+        commitHash = fnv1aWord(commitHash, pc);
+        ++useful;
+    }
+
+    void
+    drive(Core &core, RunOutcome &out) override
+    {
+        core.setInvariantsEnabled(true);
+        const RunResult r =
+            core.run(std::numeric_limits<std::uint64_t>::max() / 2,
+                     spec.maxCycles);
+
+        std::uint64_t reg_hash = fnv1aBasis;
+        for (ArchReg reg = 0; reg < numArchRegs; ++reg)
+            reg_hash = fnv1aWord(reg_hash, core.readArchReg(reg));
+        const ContractShadow &shadow = core.contractShadow();
+        const ContractViolation &first = shadow.firstSandboxViolation();
+        // A deadlock is this kind's own (cacheable) verdict; a
+        // deadline or interrupt trip is runOne's supervision marker.
+        const bool deadlocked = r.watchdogTripped
+                                && !core.wallDeadlineHit()
+                                && !core.interruptHit();
+
+        out.cycles = r.cycles;
+        out.instructions = useful;
+        out.stats["fuzz_reg_hash"] = reg_hash;
+        out.stats["fuzz_mem_hash"] = core.memoryImage().fingerprint();
+        out.stats["fuzz_commit_hash"] = commitHash;
+        out.stats["fuzz_halted"] = r.halted ? 1 : 0;
+        out.stats["fuzz_watchdog"] = deadlocked ? 1 : 0;
+        out.stats["fuzz_invariant_violations"] =
+            core.invariants().violations();
+        out.stats["fuzz_sandbox_viol"] = shadow.sandboxViolations();
+        out.stats["fuzz_ct_viol"] = shadow.ctViolations();
+        out.stats["fuzz_first_sandbox_cycle"] =
+            first.valid() ? first.cycle : 0;
+        out.stats["fuzz_first_sandbox_pc"] = first.valid() ? first.pc : 0;
+    }
+
+  private:
+    const RunSpec &spec;
+    Program generated;
+    std::uint64_t commitHash = fnv1aBasis;
+    std::uint64_t useful = 0;
+};
+
+} // anonymous namespace
+
+std::unique_ptr<CellDriver>
+makeFuzzCell(const RunSpec &spec)
+{
+    return std::make_unique<FuzzCell>(spec);
 }
 
-RunOutcome
-runFuzzCell(const RunSpec &spec)
+ConformanceCell
+conformanceCell(const RunOutcome &outcome)
 {
-    OpMixProfile profile;
-    std::uint64_t seed = 0;
-    unsigned iterations = 0;
-    if (!parseFuzzWorkload(spec.workload, profile, seed, iterations))
-        sb_fatal("malformed fuzz workload '", spec.workload, "'");
-
-    GeneratorParams gen;
-    gen.seed = seed;
-    gen.profile = profile;
-    gen.outerIterations = iterations;
-    const Program program = generateProgram(gen);
-
     ConformanceCell cell;
-    if (spec.mitigation.enabled()) {
-        const TransformedProgram mitigated =
-            applyMitigation(spec.mitigation.kind, program);
-        cell = runConformanceCell(mitigated.program, spec.core,
-                                  spec.scheme, makeScheme(spec.scheme),
-                                  spec.maxCycles, &mitigated);
-    } else {
-        cell = runConformanceCell(program, spec.core, spec.scheme,
-                                  makeScheme(spec.scheme),
-                                  spec.maxCycles);
-    }
-
-    RunOutcome out;
-    out.workload = spec.workload;
-    out.coreName = spec.core.name;
-    out.scheme = spec.scheme.scheme;
-    out.cycles = cell.cycles;
-    out.instructions = cell.instructions;
-    out.ipc = cell.cycles == 0
-                  ? 0.0
-                  : static_cast<double>(cell.instructions)
-                        / static_cast<double>(cell.cycles);
-    out.transmitViolations = cell.transmitViolations;
-    out.consumeViolations = cell.consumeViolations;
-    out.stats["fuzz_reg_hash"] = cell.regHash;
-    out.stats["fuzz_mem_hash"] = cell.memHash;
-    out.stats["fuzz_commit_hash"] = cell.commitHash;
-    out.stats["fuzz_halted"] = cell.halted ? 1 : 0;
-    out.stats["fuzz_watchdog"] = cell.watchdogTripped ? 1 : 0;
-    out.stats["fuzz_invariant_violations"] = cell.invariantViolations;
-    out.stats["fuzz_sandbox_viol"] = cell.sandboxViolations;
-    out.stats["fuzz_ct_viol"] = cell.ctViolations;
-    out.stats["fuzz_first_sandbox_cycle"] = cell.firstSandboxCycle;
-    out.stats["fuzz_first_sandbox_pc"] = cell.firstSandboxPc;
-    return out;
+    cell.regHash = outcome.stat("fuzz_reg_hash");
+    cell.memHash = outcome.stat("fuzz_mem_hash");
+    cell.commitHash = outcome.stat("fuzz_commit_hash");
+    cell.instructions = outcome.instructions;
+    cell.cycles = outcome.cycles;
+    cell.halted = outcome.stat("fuzz_halted") != 0;
+    cell.watchdogTripped = outcome.stat("fuzz_watchdog") != 0;
+    cell.invariantViolations = outcome.stat("fuzz_invariant_violations");
+    cell.transmitViolations = outcome.transmitViolations;
+    cell.consumeViolations = outcome.consumeViolations;
+    cell.sandboxViolations = outcome.stat("fuzz_sandbox_viol");
+    cell.ctViolations = outcome.stat("fuzz_ct_viol");
+    cell.firstSandboxCycle = outcome.stat("fuzz_first_sandbox_cycle");
+    cell.firstSandboxPc = outcome.stat("fuzz_first_sandbox_pc");
+    return cell;
 }
 
 OpMixProfile
@@ -251,27 +239,6 @@ fuzzSpecs(const FuzzParams &params)
 namespace
 {
 
-ConformanceCell
-cellFromOutcome(const RunOutcome &outcome)
-{
-    ConformanceCell cell;
-    cell.regHash = outcome.stat("fuzz_reg_hash");
-    cell.memHash = outcome.stat("fuzz_mem_hash");
-    cell.commitHash = outcome.stat("fuzz_commit_hash");
-    cell.instructions = outcome.instructions;
-    cell.cycles = outcome.cycles;
-    cell.halted = outcome.stat("fuzz_halted") != 0;
-    cell.watchdogTripped = outcome.stat("fuzz_watchdog") != 0;
-    cell.invariantViolations = outcome.stat("fuzz_invariant_violations");
-    cell.transmitViolations = outcome.transmitViolations;
-    cell.consumeViolations = outcome.consumeViolations;
-    cell.sandboxViolations = outcome.stat("fuzz_sandbox_viol");
-    cell.ctViolations = outcome.stat("fuzz_ct_viol");
-    cell.firstSandboxCycle = outcome.stat("fuzz_first_sandbox_cycle");
-    cell.firstSandboxPc = outcome.stat("fuzz_first_sandbox_pc");
-    return cell;
-}
-
 std::string
 hex16(std::uint64_t value)
 {
@@ -315,7 +282,7 @@ foldFuzzOutcomes(const FuzzParams &params,
         // The oracle: with a mitigation the extra leading unmitigated
         // Baseline cell; otherwise the roster's Baseline cell itself.
         const ConformanceCell baseline =
-            cellFromOutcome(outcomes[base_idx]);
+            conformanceCell(outcomes[base_idx]);
 
         auto add = [&](Scheme scheme, const char *kind,
                        std::string detail,
@@ -330,6 +297,13 @@ foldFuzzOutcomes(const FuzzParams &params,
             report.failures.push_back(std::move(f));
         };
 
+        // A cell supervision cut short ran only part of its program:
+        // its stats say nothing about liveness or equivalence.
+        if (!outcomeIsCacheable(outcomes[base_idx])) {
+            add(Scheme::Baseline, "unfinished",
+                "baseline run cut short by supervision: no oracle");
+            continue;
+        }
         if (!baseline.halted || baseline.watchdogTripped) {
             add(Scheme::Baseline, "deadlock",
                 baseline.watchdogTripped
@@ -349,9 +323,15 @@ foldFuzzOutcomes(const FuzzParams &params,
         for (std::size_t s = mitigated ? 0 : 1; s < schemes.size();
              ++s) {
             const Scheme scheme = schemes[s].scheme;
-            const ConformanceCell cell = cellFromOutcome(
-                outcomes[base_idx + s + (mitigated ? 1 : 0)]);
+            const RunOutcome &outcome =
+                outcomes[base_idx + s + (mitigated ? 1 : 0)];
+            const ConformanceCell cell = conformanceCell(outcome);
 
+            if (!outcomeIsCacheable(outcome)) {
+                add(scheme, "unfinished", "run cut short by supervision",
+                    params.mitigation);
+                continue;
+            }
             if (!cell.halted || cell.watchdogTripped) {
                 add(scheme, "deadlock",
                     cell.watchdogTripped
@@ -530,10 +510,10 @@ printContractReport(const FuzzParams &params,
         const SecurityContract contract = makeScheme(scfg)->contract();
         std::uint64_t sandbox = 0, ct = 0;
         for (unsigned p = 0; p < params.programs; ++p) {
-            const RunOutcome &o =
-                outcomes[std::size_t(p) * schemes.size() + s];
-            sandbox += o.stat("fuzz_sandbox_viol");
-            ct += o.stat("fuzz_ct_viol");
+            const ConformanceCell cell = conformanceCell(
+                outcomes[std::size_t(p) * schemes.size() + s]);
+            sandbox += cell.sandboxViolations;
+            ct += cell.ctViolations;
         }
         std::fprintf(out, "%-12s %-16s %12llu %12llu\n",
                      schemeName(scfg.scheme),
@@ -543,18 +523,20 @@ printContractReport(const FuzzParams &params,
     }
     std::fprintf(out, "\n");
 
-    // The verdict rides the normal fold; only contract failures are
-    // surfaced here (everything else belongs to the conformance
-    // scenario's report over the same cells).
+    // The verdict rides the normal fold; only contract failures and
+    // cut-short cells (whose totals above are partial) are surfaced
+    // here (everything else belongs to the conformance scenario's
+    // report over the same cells).
     const FuzzReport report = foldFuzzOutcomes(params, outcomes);
     unsigned contract_failures = 0;
     for (const FuzzFailure &f : report.failures) {
-        if (f.kind != "contract")
+        if (f.kind != "contract" && f.kind != "unfinished")
             continue;
         ++contract_failures;
         std::fprintf(out,
-                     "FAIL [contract] seed=%llu profile=%s scheme=%s: "
+                     "FAIL [%s] seed=%llu profile=%s scheme=%s: "
                      "%s\n      repro: %s\n",
+                     f.kind.c_str(),
                      static_cast<unsigned long long>(f.seed),
                      opMixProfileName(f.profile), schemeName(f.scheme),
                      f.detail.c_str(),

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,6 @@ namespace sb
 {
 
 class ScenarioRegistry;
-class SecureScheme;
 
 /**
  * Workload-name encoding of one fuzz cell, e.g.
@@ -65,8 +63,16 @@ bool parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                        std::uint64_t &seed, unsigned &iterations);
 
 /**
- * Architectural fingerprint plus health bits of one (program, scheme)
- * run — everything the oracle compares.
+ * Read-side view of a fuzz cell's RunOutcome: the architectural
+ * fingerprint plus health bits the oracle compares. A fuzz cell runs
+ * one generated program to completion with the invariant checkers
+ * force-enabled and the soft watchdog armed, so a deadlock returns
+ * with "fuzz_watchdog" set instead of aborting; its stats keys are
+ * "fuzz_*". Under a mitigation the fingerprint is taken *modulo the
+ * transform's glue*: inserted glue drops out of the commit digest and
+ * RunOutcome::instructions counts only commits that stand for an
+ * original instruction, so a correct transform produces a cell
+ * architecturallyEqual() to the untransformed Baseline run.
  */
 struct ConformanceCell
 {
@@ -99,34 +105,8 @@ struct ConformanceCell
     }
 };
 
-/**
- * Run one program to completion under @p scheme with the invariant
- * checkers force-enabled and a soft watchdog (a deadlock returns with
- * watchdogTripped instead of aborting). The timing path is untouched:
- * the harness observes, never perturbs.
- *
- * When @p mitigated is non-null, @p program must be its .program and
- * the fingerprint is taken *modulo the transform's glue*: committed
- * PCs are mapped through TransformedProgram::origin, inserted glue
- * (origin < 0) is dropped from the commit digest, and `instructions`
- * counts only origin-mapped commits — so a correct transform produces
- * a cell architecturallyEqual() to the untransformed Baseline run.
- */
-ConformanceCell runConformanceCell(const Program &program,
-                                   const CoreConfig &core,
-                                   const SchemeConfig &scheme_config,
-                                   std::unique_ptr<SecureScheme> scheme,
-                                   std::uint64_t max_cycles,
-                                   const TransformedProgram *mitigated =
-                                       nullptr);
-
-/**
- * Execute one fuzz cell (ExperimentRunner::runOne dispatches here for
- * fuzz workloads). The fingerprint lands in RunOutcome::stats under
- * "fuzz_*" keys; warmup/measure counts are ignored (a fuzz run is a
- * complete program, not a windowed measurement).
- */
-RunOutcome runFuzzCell(const RunSpec &spec);
+/** Decode a fuzz cell's @p outcome. */
+ConformanceCell conformanceCell(const RunOutcome &outcome);
 
 /** Parameters of one fuzz campaign. */
 struct FuzzParams
@@ -171,7 +151,8 @@ struct FuzzFailure
     /** "divergence" | "deadlock" | "invariant" | "monitor" (nonzero
      *  shadow transmit/consume count against a declared STT/NDA
      *  obligation) | "contract" (shadow-engine sandboxing breach
-     *  against a declared dataflow policy). */
+     *  against a declared dataflow policy) | "unfinished" (supervision
+     *  cut the cell short, so it carries no verdict). */
     std::string kind;
     std::string detail;
 

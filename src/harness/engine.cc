@@ -11,22 +11,6 @@
 namespace sb
 {
 
-namespace
-{
-
-RunOutcome
-interruptedStub(const RunSpec &spec)
-{
-    RunOutcome out;
-    out.workload = spec.workload;
-    out.coreName = spec.core.name;
-    out.scheme = spec.scheme.scheme;
-    out.stats["interrupted"] = 1;
-    return out;
-}
-
-} // anonymous namespace
-
 ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 
 ExperimentEngine::ExperimentEngine(Options options)
@@ -76,7 +60,7 @@ ExperimentEngine::workerLoop()
                 // Drain the batch with stubs instead of simulating:
                 // run() still sees every cell complete, the caller
                 // gets partial results and a nonzero exit.
-                out = interruptedStub(spec);
+                out = outcomeHeader(spec, "interrupted");
             } else {
                 RunHooks hooks;
                 hooks.wallDeadlineSec = opt.cellTimeoutSec;

@@ -1,8 +1,7 @@
 /**
  * @file
- * ExperimentEngine: the grid-scale successor of ExperimentRunner.
- *
- * Three things distinguish it from the simple runner:
+ * ExperimentEngine: runs batches of cells, each through
+ * ExperimentRunner::runOne, with three things on top:
  *  - a persistent worker pool (threads live for the engine's
  *    lifetime, not per batch), sized by resolveJobs() so SB_JOBS and
  *    --jobs bound simulation parallelism everywhere;

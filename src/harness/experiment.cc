@@ -1,16 +1,16 @@
 #include "harness/experiment.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/signals.hh"
 #include "core/core.hh"
+#include "harness/cell_driver.hh"
 #include "harness/conformance.hh"
 #include "harness/tenant.hh"
 #include "harness/verify.hh"
@@ -68,95 +68,183 @@ resolveJobs(unsigned requested)
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ExperimentRunner::ExperimentRunner(unsigned threads)
-    : numThreads(resolveJobs(threads))
-{
-}
-
 RunOutcome
-ExperimentRunner::runOne(const RunSpec &spec)
+outcomeHeader(const RunSpec &spec, const char *marker)
 {
-    return runOne(spec, RunHooks{});
-}
-
-RunOutcome
-ExperimentRunner::runOne(const RunSpec &spec, const RunHooks &hooks)
-{
-    // Security-battery cells run the attack harness instead of a
-    // windowed measurement; they share dedup/cache with everything
-    // else because the dispatch key (the workload string) is part of
-    // specKey(). They build their own cores, so the per-cell wall
-    // deadline covers only windowed measurement cells — gadget and
-    // fuzz cells are short and carry their own cycle watchdogs.
-    if (isGadgetWorkload(spec.workload))
-        return runGadgetCell(spec);
-    if (isFuzzWorkload(spec.workload))
-        return runFuzzCell(spec);
-    if (isTenantWorkload(spec.workload))
-        return runServerMixCell(spec);
-
-    const Workload workload = SpecSuite::make(spec.workload);
-    const TransformedProgram transformed =
-        applyMitigation(spec.mitigation.kind, workload.program);
-    Core core(spec.core, spec.scheme, makeScheme(spec.scheme),
-              transformed.program);
-
-    // Under a mitigation the raw committed-instruction count includes
-    // pass glue; track *useful* commits (instructions standing for an
-    // original one) so overhead reports can compare like with like.
-    std::uint64_t useful = 0;
-    if (spec.mitigation.enabled()) {
-        core.setCommitHook([&](const DynInst &inst, Cycle) {
-            if (transformed.origin(inst.pc) >= 0)
-                ++useful;
-        });
-    }
-
-    if (hooks.wallDeadlineSec > 0) {
-        core.setWallDeadline(hooks.wallDeadlineSec);
-        // The deadline must end the run, not escalate the stall
-        // panic: a slow-but-healthy cell is a timeout, not a bug.
-        core.setSoftWatchdog(100000);
-    }
-    if (hooks.interruptible)
-        core.setInterruptible(true);
-
-    // Warmup: fill caches, train the predictor, reach steady state.
-    core.run(spec.warmupInsts, spec.maxCycles);
-    core.stats().reset();
-    const Cycle cycles0 = core.now();
-    const std::uint64_t insts0 = core.committedInstructions();
-    const std::uint64_t useful0 = useful;
-
-    core.run(spec.measureInsts, spec.maxCycles);
-
     RunOutcome out;
     out.workload = spec.workload;
     out.coreName = spec.core.name;
     out.scheme = spec.scheme.scheme;
-    out.cycles = core.now() - cycles0;
-    out.instructions = core.committedInstructions() - insts0;
-    out.ipc = out.cycles == 0
-                  ? 0.0
-                  : static_cast<double>(out.instructions)
-                        / static_cast<double>(out.cycles);
-    // The obligation counts stay 0: they are judged on shadow-on
-    // cells (attack, fuzz, tenant), and a window cell's outcome must
-    // not depend on the build's shadow default.
-    for (const auto &kv : core.stats().counters())
-        out.stats[kv.first] = kv.second.value();
-    if (spec.mitigation.enabled())
-        out.stats["useful_instructions"] = useful - useful0;
-    if (core.watchdogTripped()) {
-        // Supervision artifact, not a measurement: the cell ran out
-        // of wall clock (or was interrupted, or genuinely stalled).
-        // Marked so aggregation and the cache can tell it apart.
-        if (hooks.interruptible && interruptRequested()
-            && !core.wallDeadlineHit())
-            out.stats["interrupted"] = 1;
-        else
-            out.stats["watchdog_tripped"] = 1;
+    if (marker)
+        out.stats[marker] = 1;
+    return out;
+}
+
+namespace
+{
+
+/** A SPEC stand-in measured over a window: warm up, reset the
+ *  counters, measure. */
+class WindowCell final : public CellDriver
+{
+  public:
+    explicit WindowCell(const RunSpec &spec)
+        : spec(spec), workload(SpecSuite::make(spec.workload))
+    {
     }
+
+    const Program &program() const override { return workload.program; }
+
+    // Reached only under a mitigation, whose glue inflates the raw
+    // commit count: count *useful* commits (instructions standing for
+    // an original one) so overhead reports compare like with like.
+    void onCommit(const DynInst &, std::uint32_t, Cycle) override
+    {
+        ++useful;
+    }
+
+    void
+    drive(Core &core, RunOutcome &out) override
+    {
+        // Warmup: fill caches, train the predictor, reach steady state.
+        core.run(spec.warmupInsts, spec.maxCycles);
+        core.stats().reset();
+        const Cycle cycles0 = core.now();
+        const std::uint64_t insts0 = core.committedInstructions();
+        const std::uint64_t useful0 = useful;
+
+        core.run(spec.measureInsts, spec.maxCycles);
+
+        out.cycles = core.now() - cycles0;
+        out.instructions = core.committedInstructions() - insts0;
+        for (const auto &kv : core.stats().counters())
+            out.stats[kv.first] = kv.second.value();
+        if (spec.mitigation.enabled())
+            out.stats["useful_instructions"] = useful - useful0;
+    }
+
+  private:
+    const RunSpec &spec;
+    const Workload workload;
+    std::uint64_t useful = 0;
+};
+
+std::unique_ptr<CellDriver>
+makeWindowCell(const RunSpec &spec)
+{
+    return std::make_unique<WindowCell>(spec);
+}
+
+/** A workload family runOne executes. */
+struct CellKind
+{
+    /** Does @p workload belong to this kind? nullptr: every name. */
+    bool (*owns)(const std::string &workload);
+    /** Parse the workload and build the cell's program. */
+    std::unique_ptr<CellDriver> (*make)(const RunSpec &spec);
+    /** Runs a whole program and judges it: the contract shadow is
+     *  forced on whatever the build default, its STT/NDA obligation
+     *  counts land in the outcome, and every commit reaches the
+     *  driver. Window cells carry 0 counts, so their outcome never
+     *  depends on that default, and see commits only when mitigated. */
+    bool wholeProgram;
+    /** Judges liveness itself: the soft watchdog is always armed, and
+     *  a commit stall is the kind's verdict, not a supervision
+     *  artifact. */
+    bool judgesLiveness;
+};
+
+/** Every cell kind, searched in order. Window is the fallback: any
+ *  name no other kind claims is a SPEC stand-in (SpecSuite::make
+ *  rejects unknown names). */
+const CellKind cellKinds[] = {
+    // owns            make            whole  liveness
+    {isGadgetWorkload, makeGadgetCell, true, false},
+    {isFuzzWorkload, makeFuzzCell, true, true},
+    {isTenantWorkload, makeTenantCell, true, false},
+    {nullptr, makeWindowCell, false, false},
+};
+
+const CellKind &
+cellKindOf(const std::string &workload)
+{
+    for (const CellKind &kind : cellKinds)
+        if (!kind.owns || kind.owns(workload))
+            return kind;
+    sb_panic("no cell kind owns workload '", workload, "'");
+}
+
+} // anonymous namespace
+
+RunOutcome
+ExperimentRunner::runOne(const RunSpec &spec, const RunHooks &hooks)
+{
+    return runOne(spec, makeScheme(spec.scheme), hooks);
+}
+
+RunOutcome
+ExperimentRunner::runOne(const RunSpec &spec,
+                         std::unique_ptr<SecureScheme> scheme,
+                         const RunHooks &hooks)
+{
+    const CellKind &kind = cellKindOf(spec.workload);
+    const std::unique_ptr<CellDriver> cell = kind.make(spec);
+
+    std::optional<TransformedProgram> mitigated;
+    if (spec.mitigation.enabled())
+        mitigated.emplace(
+            applyMitigation(spec.mitigation.kind, cell->program()));
+    Core core(spec.core, spec.scheme, std::move(scheme),
+              mitigated ? mitigated->program : cell->program());
+
+    if (kind.wholeProgram)
+        core.setContractShadowEnabled(true);
+
+    // Commits reach the kind at their original PCs: glue a mitigation
+    // inserted is invisible to receivers, digests and useful-commit
+    // counts alike. Unmitigated window cells install no hook at all.
+    if (kind.wholeProgram || mitigated) {
+        const TransformedProgram *transform =
+            mitigated ? &*mitigated : nullptr;
+        CellDriver *driver = cell.get();
+        core.setCommitHook([transform, driver](const DynInst &inst,
+                                               Cycle at) {
+            std::int64_t pc = inst.pc;
+            if (transform) {
+                pc = transform->origin(inst.pc);
+                if (pc < 0)
+                    return;
+            }
+            driver->onCommit(inst, static_cast<std::uint32_t>(pc), at);
+        });
+    }
+
+    // Supervision binds every kind. A deadline must end the run, not
+    // escalate a stall into the hard panic: a slow-but-healthy cell is
+    // a timeout, not a bug.
+    if (hooks.wallDeadlineSec > 0)
+        core.setWallDeadline(hooks.wallDeadlineSec);
+    if (hooks.wallDeadlineSec > 0 || kind.judgesLiveness)
+        core.setSoftWatchdog(100000);
+    core.setInterruptible(hooks.interruptible);
+
+    RunOutcome out = outcomeHeader(spec);
+    cell->drive(core, out);
+    out.ipc = out.cycles == 0 ? 0.0
+                              : static_cast<double>(out.instructions)
+                                    / static_cast<double>(out.cycles);
+    if (kind.wholeProgram) {
+        const ContractShadow &shadow = core.contractShadow();
+        out.transmitViolations = shadow.transmitViolations();
+        out.consumeViolations = shadow.consumeViolations();
+    }
+    // Supervision artifacts, not measurements: marked so aggregation
+    // and the cache can tell them apart.
+    if (core.interruptHit())
+        out.stats["interrupted"] = 1;
+    else if (core.wallDeadlineHit()
+             || (core.watchdogTripped() && !kind.judgesLiveness))
+        out.stats["watchdog_tripped"] = 1;
     return out;
 }
 
@@ -166,33 +254,6 @@ outcomeIsCacheable(const RunOutcome &outcome)
     return outcome.stat("watchdog_tripped") == 0
            && outcome.stat("interrupted") == 0
            && outcome.stat("quarantined") == 0;
-}
-
-std::vector<RunOutcome>
-ExperimentRunner::runAll(const std::vector<RunSpec> &specs) const
-{
-    std::vector<RunOutcome> results(specs.size());
-    std::atomic<std::size_t> next{0};
-
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t idx =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= specs.size())
-                return;
-            results[idx] = runOne(specs[idx]);
-        }
-    };
-
-    const unsigned n =
-        std::min<std::size_t>(numThreads, specs.size());
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    return results;
 }
 
 std::vector<RunSpec>

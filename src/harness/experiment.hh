@@ -1,7 +1,9 @@
 /**
  * @file
- * Experiment runner: executes (core config x scheme x workload)
- * simulations, with warmup, in parallel across host threads.
+ * The cell pipeline: one RunSpec (core config x scheme x workload) in,
+ * one RunOutcome out. ExperimentRunner::runOne runs every cell kind —
+ * windowed benchmark, gadget, fuzz and multi-tenant — through the same
+ * steps; the ExperimentEngine (engine.hh) fans cells out to threads.
  */
 
 #ifndef SB_HARNESS_EXPERIMENT_HH
@@ -9,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,8 @@
 
 namespace sb
 {
+
+class SecureScheme;
 
 /**
  * Version of the RunSpec canonical-serialization schema, folded into
@@ -33,8 +38,9 @@ struct RunSpec
 {
     CoreConfig core;
     SchemeConfig scheme;
-    /** SPEC stand-in name, or a "gadget:" security-battery cell
-     *  (see harness/verify.hh). */
+    /** SPEC stand-in name (a windowed measurement), or a whole-program
+     *  cell: "gadget:" (harness/verify.hh), "fuzz:"
+     *  (harness/conformance.hh) or "mt:" (harness/tenant.hh). */
     std::string workload;
     /** Software mitigation applied to the program before simulation
      *  (isa/transform.hh); None runs the workload as written. */
@@ -87,11 +93,19 @@ struct RunOutcome
     std::uint64_t transmitViolations = 0;
     std::uint64_t consumeViolations = 0;
 
-    /** All core counters harvested from the measurement window. */
+    /** Window cells: every core counter of the measurement window.
+     *  Whole-program kinds: their own prefixed keys ("gadget_*",
+     *  "fuzz_*", "mt_*"). Plus any supervision marker. */
     std::map<std::string, std::uint64_t> stats;
 
     std::uint64_t stat(const std::string &name) const;
 };
+
+/** An outcome carrying only @p spec's identity (workload, core,
+ *  scheme): every outcome starts here. A supervision stub also
+ *  carries its @p marker ("interrupted", "quarantined") set to 1. */
+RunOutcome outcomeHeader(const RunSpec &spec,
+                         const char *marker = nullptr);
 
 /**
  * Supervision knobs for one cell execution. Deliberately NOT part of
@@ -114,31 +128,31 @@ struct RunHooks
     bool interruptible = false;
 };
 
-/** Thread-pooled runner. */
+/** Executes cells. */
 class ExperimentRunner
 {
   public:
-    /** @param threads worker count; 0 defers to resolveJobs(). */
-    explicit ExperimentRunner(unsigned threads = 0);
+    /**
+     * Execute one spec synchronously, whatever its kind, under the
+     * supervision of @p hooks (per-cell deadline, interrupt
+     * awareness); see RunHooks.
+     */
+    static RunOutcome runOne(const RunSpec &spec,
+                             const RunHooks &hooks = RunHooks{});
 
-    /** Execute every spec (order of results matches input order). */
-    std::vector<RunOutcome> runAll(const std::vector<RunSpec> &specs) const;
-
-    /** Execute one spec synchronously. */
-    static RunOutcome runOne(const RunSpec &spec);
-
-    /** Execute one spec under supervision (per-cell deadline /
-     *  interrupt awareness); see RunHooks. */
-    static RunOutcome runOne(const RunSpec &spec, const RunHooks &hooks);
-
-  private:
-    unsigned numThreads;
+    /** The same with @p scheme in place of makeScheme(spec.scheme):
+     *  the injection point for deliberately broken schemes in tests.
+     *  The outcome still reports spec.scheme. */
+    static RunOutcome runOne(const RunSpec &spec,
+                             std::unique_ptr<SecureScheme> scheme,
+                             const RunHooks &hooks = RunHooks{});
 };
 
 /**
  * True when @p outcome represents the cell's real simulated result
  * (as opposed to a supervision artifact — timed out, interrupted, or
  * quarantined) and may therefore be persisted in the result cache.
+ * Folds judge only such outcomes: a supervision artifact was cut short.
  */
 bool outcomeIsCacheable(const RunOutcome &outcome);
 

@@ -50,17 +50,6 @@ toMsClamped(TimePoint deadline, TimePoint now)
     return static_cast<int>(std::min<long long>(ms, 500));
 }
 
-RunOutcome
-stubOutcome(const RunSpec &spec, const char *marker)
-{
-    RunOutcome out;
-    out.workload = spec.workload;
-    out.coreName = spec.core.name;
-    out.scheme = spec.scheme.scheme;
-    out.stats[marker] = 1;
-    return out;
-}
-
 } // anonymous namespace
 
 unsigned
@@ -296,7 +285,7 @@ ShardDispatcher::onWorkerDeath(Worker &worker, Batch &batch, bool hang)
             rep.quarantinedKeys.push_back(
                 key.empty() ? (*batch.specs)[cell].specKey() : key);
             batch.results[cell] =
-                stubOutcome((*batch.specs)[cell], "quarantined");
+                outcomeHeader((*batch.specs)[cell], "quarantined");
             st = Batch::CellState::Done;
             --batch.remaining;
         } else {
@@ -451,7 +440,7 @@ ShardDispatcher::runRemainingInProcess(Batch &batch)
         if (interruptRequested()) {
             rep.interrupted = true;
             batch.results[cell] =
-                stubOutcome((*batch.specs)[cell], "interrupted");
+                outcomeHeader((*batch.specs)[cell], "interrupted");
         } else {
             batch.results[cell] =
                 ExperimentRunner::runOne((*batch.specs)[cell], hooks);
@@ -586,7 +575,7 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
             if (batch.state[cell] == Batch::CellState::Done)
                 continue;
             batch.results[cell] =
-                stubOutcome((*batch.specs)[cell], "interrupted");
+                outcomeHeader((*batch.specs)[cell], "interrupted");
             batch.state[cell] = Batch::CellState::Done;
             --batch.remaining;
         }

@@ -46,15 +46,6 @@ bool isTenantWorkload(const std::string &workload);
 bool parseTenantWorkload(const std::string &workload,
                          ServerMixParams &out);
 
-/**
- * Execute one server-mix cell (ExperimentRunner::runOne dispatches
- * here for "mt:" workloads). Per-request latencies, quantiles, and
- * the cross-tenant violation counts land in RunOutcome::stats under
- * "mt_*" keys; warmup/measure counts are ignored (the mix is a
- * complete program, measured whole).
- */
-RunOutcome runServerMixCell(const RunSpec &spec);
-
 /** Register the "multi_tenant" scenario (schemes x switch policies
  *  over the hostile server mix) into @p registry. */
 void registerTenantScenarios(ScenarioRegistry &registry);

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "harness/attack.hh"
+#include "core/core.hh"
+#include "harness/cell_driver.hh"
 #include "harness/scenario.hh"
 #include "secure/factory.hh"
 
@@ -88,53 +90,163 @@ parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
     return true;
 }
 
-RunOutcome
-runGadgetCell(const RunSpec &spec)
+RunSpec
+gadgetSpec(GadgetKind kind, const CoreConfig &core,
+           const SchemeConfig &scheme, std::uint8_t secret,
+           std::uint64_t seed)
 {
-    GadgetKind kind;
-    std::uint8_t secret = 0;
-    std::uint64_t seed = 0;
-    if (!parseGadgetWorkload(spec.workload, kind, secret, seed))
-        sb_fatal("malformed gadget workload '", spec.workload, "'");
+    RunSpec spec;
+    spec.core = core;
+    spec.scheme = scheme;
+    spec.workload = gadgetWorkloadName(kind, secret, seed);
+    spec.warmupInsts = 0;
+    spec.measureInsts = 0;
+    return spec;
+}
 
-    AttackResult res;
-    if (spec.mitigation.enabled()) {
-        const GadgetProgram gadget =
-            buildGadgetProgram(kind, secret, seed);
-        const TransformedProgram mitigated =
-            applyMitigation(spec.mitigation.kind, gadget.program);
-        res = runGadgetAttack(gadget, spec.core, spec.scheme,
-                              makeScheme(spec.scheme), secret,
-                              &mitigated);
-    } else {
-        res = runGadget(kind, spec.core, spec.scheme, secret, seed);
+namespace
+{
+
+/** FNV-1a 64 digest of the committed-load observation trace. */
+std::uint64_t
+hashObservations(const std::vector<LoadObservation> &trace)
+{
+    std::uint64_t hash = fnv1aBasis;
+    auto mix = [&hash](std::uint64_t word) {
+        hash = fnv1aWord(hash, word);
+    };
+    for (const LoadObservation &obs : trace) {
+        mix(obs.pc);
+        mix(obs.commitCycle);
+        mix(obs.completeCycle);
+        mix(obs.l1Hit ? 1 : 0);
+    }
+    return hash;
+}
+
+/**
+ * One attack run: both receivers plus the differential surface. The
+ * run is two-phase: the victim rounds execute until the first barrier
+ * load commits, so the cache-residency oracle sees the post-attack
+ * cache before the probe pollutes it; then the timing probe runs to
+ * completion and its serialised per-slot commit gaps are scored.
+ */
+class GadgetCell final : public CellDriver
+{
+  public:
+    explicit GadgetCell(const RunSpec &spec)
+    {
+        GadgetKind kind{};
+        std::uint64_t seed = 0;
+        if (!parseGadgetWorkload(spec.workload, kind, secret, seed))
+            sb_fatal("malformed gadget workload '", spec.workload, "'");
+        gadget = buildGadgetProgram(kind, secret, seed);
     }
 
-    RunOutcome out;
-    out.workload = spec.workload;
-    out.coreName = spec.core.name;
-    out.scheme = spec.scheme.scheme;
-    out.cycles = res.cycles;
-    out.transmitViolations = res.transmitViolations;
-    out.consumeViolations = res.consumeViolations;
-    out.stats["gadget_leaked"] = res.leaked ? 1 : 0;
+    const Program &program() const override { return gadget.program; }
+
+    // Commit-time receiver: the commit cycle of each probe.
+    void
+    onCommit(const DynInst &inst, std::uint32_t pc, Cycle at) override
+    {
+        if (pc >= gadget.firstProbePc && inst.isLoad()) {
+            const unsigned v = 1 + (pc - gadget.firstProbePc) / 4;
+            if (v < 256)
+                commitCycle[v] = at;
+        }
+        if (pc == gadget.barrierPc)
+            roundsDone = true;
+    }
+
+    void drive(Core &core, RunOutcome &out) override;
+
+  private:
+    GadgetProgram gadget;
+    std::uint8_t secret = 0;
+    std::vector<Cycle> commitCycle = std::vector<Cycle>(256, 0);
+    bool roundsDone = false;
+};
+
+void
+GadgetCell::drive(Core &core, RunOutcome &out)
+{
+    using gadget_layout::array2Base;
+    using gadget_layout::probeStride;
+
+    core.enableObservationTrace();
+
+    // Phase 1: run the victim rounds, pausing before the probe
+    // commits so the residency oracle sees the post-attack state.
+    // Single-commit granularity: the serialised barrier means whole
+    // hops can pass inside one coarser run() chunk, letting probes
+    // slip past the pause. A tripped core returns from run() at once.
+    while (!roundsDone && !core.halted() && !core.watchdogTripped()
+           && core.now() < 10'000'000)
+        core.run(1, 10'000'000);
+
+    int oracle_byte = -1;
+    int oracle_hits = 0;
+    for (unsigned v = 1; v < 256; ++v) {
+        if (core.memorySystem().cached(array2Base + Addr(v) * probeStride)) {
+            oracle_byte = static_cast<int>(v);
+            ++oracle_hits;
+        }
+    }
+    if (oracle_hits != 1)
+        oracle_byte = -1;
+
+    // Phase 2: run the timing probe to completion.
+    core.run(100'000'000, 10'000'000);
+
+    int timing_byte = -1;
+    double median_gap = 0.0;
+    double min_gap = 0.0;
+    std::vector<double> gaps;
+    for (unsigned v = 2; v < 256; ++v) {
+        if (commitCycle[v] > 0 && commitCycle[v - 1] > 0) {
+            gaps.push_back(static_cast<double>(commitCycle[v])
+                           - static_cast<double>(commitCycle[v - 1]));
+        }
+    }
+    if (gaps.size() > 64) {
+        std::sort(gaps.begin(), gaps.end());
+        median_gap = gaps[gaps.size() / 2];
+        min_gap = gaps.front();
+        // A hit sits a full memory latency below the (miss) median.
+        if (min_gap < 0.5 * median_gap) {
+            for (unsigned v = 2; v < 256; ++v) {
+                const double g =
+                    static_cast<double>(commitCycle[v])
+                    - static_cast<double>(commitCycle[v - 1]);
+                if (g == min_gap) {
+                    timing_byte = static_cast<int>(v);
+                    break;
+                }
+            }
+        }
+    }
+
+    out.cycles = core.now();
+    out.stats["gadget_leaked"] =
+        timing_byte == secret || oracle_byte == secret ? 1 : 0;
     // Bytes are stored +1 so "no signal" (-1) round-trips as 0.
     out.stats["gadget_timing_byte"] =
-        static_cast<std::uint64_t>(res.timingByte + 1);
+        static_cast<std::uint64_t>(timing_byte + 1);
     out.stats["gadget_oracle_byte"] =
-        static_cast<std::uint64_t>(res.oracleByte + 1);
-    out.stats["gadget_trace_hash"] = res.traceHash;
-    out.stats["gadget_trace_len"] = res.traceLength;
+        static_cast<std::uint64_t>(oracle_byte + 1);
+    out.stats["gadget_trace_hash"] =
+        hashObservations(core.observationTrace());
+    out.stats["gadget_trace_len"] = core.observationTrace().size();
     // Probe gaps are integral cycle deltas; stored as counters.
     out.stats["gadget_median_gap"] =
-        static_cast<std::uint64_t>(res.medianGap);
-    out.stats["gadget_min_gap"] =
-        static_cast<std::uint64_t>(res.minGap);
+        static_cast<std::uint64_t>(median_gap);
+    out.stats["gadget_min_gap"] = static_cast<std::uint64_t>(min_gap);
     // Contract shadow verdicts: counters plus the pinpointed first
     // violation of each contract (valid flag keeps the zero cycle of
     // a real first-cycle violation distinguishable from "none").
-    out.stats["gadget_sandbox_viol"] = res.sandboxViolations;
-    out.stats["gadget_ct_viol"] = res.ctViolations;
+    const ContractShadow &shadow = core.contractShadow();
+    out.stats["gadget_sandbox_viol"] = shadow.sandboxViolations();
+    out.stats["gadget_ct_viol"] = shadow.ctViolations();
     auto record = [&out](const char *prefix, const ContractViolation &v) {
         const std::string p = prefix;
         out.stats[p + "_valid"] = v.valid() ? 1 : 0;
@@ -142,18 +254,60 @@ runGadgetCell(const RunSpec &spec)
         out.stats[p + "_seq"] = v.valid() ? v.seq : 0;
         out.stats[p + "_pc"] = v.valid() ? v.pc : 0;
     };
-    record("gadget_first_sandbox", res.firstSandboxViolation);
-    record("gadget_first_ct", res.firstCtViolation);
+    record("gadget_first_sandbox", shadow.firstSandboxViolation());
+    record("gadget_first_ct", shadow.firstCtViolation());
     // Protection-domain verdicts. The flush-policy bit is recorded so
     // the fold can tell an expected-closed cross-domain cell (flush
     // core, unprotected) from an armed-proof one without re-deriving
     // the core configuration from its name.
-    out.stats["gadget_cross_viol"] = res.crossTenantViolations;
-    record("gadget_first_cross", res.firstCrossTenantViolation);
-    out.stats["gadget_context_switches"] = res.contextSwitches;
+    out.stats["gadget_cross_viol"] = shadow.crossTenantViolations();
+    record("gadget_first_cross", shadow.firstCrossTenantViolation());
+    out.stats["gadget_context_switches"] = core.contextSwitchCount();
     out.stats["gadget_flush_on_switch"] =
-        spec.core.flushPredictorsOnSwitch ? 1 : 0;
-    return out;
+        core.config().flushPredictorsOnSwitch ? 1 : 0;
+}
+
+} // anonymous namespace
+
+std::unique_ptr<CellDriver>
+makeGadgetCell(const RunSpec &spec)
+{
+    return std::make_unique<GadgetCell>(spec);
+}
+
+AttackResult
+attackResult(const RunOutcome &outcome)
+{
+    auto first = [&outcome](const char *prefix) {
+        const std::string p = prefix;
+        ContractViolation v;
+        if (outcome.stat(p + "_valid") != 0) {
+            v.cycle = outcome.stat(p + "_cycle");
+            v.seq = outcome.stat(p + "_seq");
+            v.pc = static_cast<std::uint32_t>(outcome.stat(p + "_pc"));
+        }
+        return v;
+    };
+    AttackResult res;
+    res.timingByte = static_cast<int>(outcome.stat("gadget_timing_byte")) - 1;
+    res.oracleByte = static_cast<int>(outcome.stat("gadget_oracle_byte")) - 1;
+    res.leaked = outcome.stat("gadget_leaked") != 0;
+    res.transmitViolations = outcome.transmitViolations;
+    res.consumeViolations = outcome.consumeViolations;
+    res.sandboxViolations = outcome.stat("gadget_sandbox_viol");
+    res.ctViolations = outcome.stat("gadget_ct_viol");
+    res.crossTenantViolations = outcome.stat("gadget_cross_viol");
+    res.firstSandboxViolation = first("gadget_first_sandbox");
+    res.firstCtViolation = first("gadget_first_ct");
+    res.firstCrossTenantViolation = first("gadget_first_cross");
+    res.contextSwitches = outcome.stat("gadget_context_switches");
+    res.flushOnSwitch = outcome.stat("gadget_flush_on_switch") != 0;
+    res.medianGap = static_cast<double>(outcome.stat("gadget_median_gap"));
+    res.minGap = static_cast<double>(outcome.stat("gadget_min_gap"));
+    res.traceHash = outcome.stat("gadget_trace_hash");
+    res.traceLength = outcome.stat("gadget_trace_len");
+    res.cycles = outcome.cycles;
+    return res;
 }
 
 bool
@@ -166,6 +320,8 @@ gadgetIsCrossDomain(GadgetKind kind)
 bool
 VerifyCell::pass() const
 {
+    if (unfinished)
+        return false;
     if (judgedPolicy == ContractPolicy::None) {
         // A cross-domain cell on a flush-on-switch core: the *core
         // policy* is the mitigation under test, so the unprotected
@@ -202,24 +358,81 @@ verifyBatterySpecs(const CoreConfig &core,
                    const std::vector<SchemeConfig> &schemes)
 {
     std::vector<RunSpec> specs;
-    for (const SchemeConfig &scheme : schemes) {
-        for (GadgetKind kind : allGadgets()) {
-            for (std::uint8_t secret : {verifySecretA, verifySecretB}) {
-                RunSpec s;
-                s.core = core;
-                s.scheme = scheme;
-                s.workload =
-                    gadgetWorkloadName(kind, secret, verifyGadgetSeed);
-                // A gadget run is a complete program, not a windowed
-                // measurement; the window fields stay zero so cells
-                // with equal gadgets share a cache address.
-                s.warmupInsts = 0;
-                s.measureInsts = 0;
-                specs.push_back(std::move(s));
-            }
-        }
-    }
+    for (const SchemeConfig &scheme : schemes)
+        for (GadgetKind kind : allGadgets())
+            for (std::uint8_t secret : {verifySecretA, verifySecretB})
+                specs.push_back(gadgetSpec(kind, core, scheme, secret));
     return specs;
+}
+
+VerifyCell
+foldVerifyPair(const RunOutcome &a, const RunOutcome &b,
+               const SecurityContract &contract,
+               std::optional<ContractPolicy> contract_override)
+{
+    GadgetKind kind_a, kind_b;
+    std::uint8_t secret_a = 0, secret_b = 0;
+    std::uint64_t seed_a = 0, seed_b = 0;
+    if (!parseGadgetWorkload(a.workload, kind_a, secret_a, seed_a)
+        || !parseGadgetWorkload(b.workload, kind_b, secret_b, seed_b)) {
+        sb_fatal("non-gadget outcome in battery fold: '", a.workload,
+                 "' / '", b.workload, "'");
+    }
+    sb_assert(kind_a == kind_b && a.scheme == b.scheme
+                  && seed_a == seed_b && secret_a != secret_b,
+              "battery pair mismatch: ", a.workload, " vs ", b.workload);
+
+    VerifyCell cell;
+    cell.gadget = gadgetName(kind_a);
+    cell.core = a.coreName;
+    cell.scheme = a.scheme;
+    cell.contract = contract;
+    cell.judgedPolicy = contract.policy;
+    if (contract_override && contract.policy != ContractPolicy::None)
+        cell.judgedPolicy = *contract_override;
+    cell.crossDomain = gadgetIsCrossDomain(kind_a);
+
+    // A run supervision cut short stopped mid-program: its receivers
+    // and trace are no evidence either way.
+    cell.unfinished = !outcomeIsCacheable(a) || !outcomeIsCacheable(b);
+    if (cell.unfinished)
+        return cell;
+
+    const AttackResult ra = attackResult(a);
+    const AttackResult rb = attackResult(b);
+    cell.leaked = ra.leaked || rb.leaked;
+    cell.armed = ra.leaked && rb.leaked;
+    cell.diverged = ra.traceHash != rb.traceHash
+                    || ra.traceLength != rb.traceLength
+                    || ra.cycles != rb.cycles;
+    cell.transmitViolations =
+        std::max(ra.transmitViolations, rb.transmitViolations);
+    cell.consumeViolations =
+        std::max(ra.consumeViolations, rb.consumeViolations);
+    cell.timingByteA = ra.timingByte;
+    cell.timingByteB = rb.timingByte;
+    cell.cyclesA = ra.cycles;
+    cell.cyclesB = rb.cycles;
+    cell.sandboxViolations =
+        std::max(ra.sandboxViolations, rb.sandboxViolations);
+    cell.ctViolations = std::max(ra.ctViolations, rb.ctViolations);
+    cell.firstSandboxViolation = ra.firstSandboxViolation.valid()
+                                     ? ra.firstSandboxViolation
+                                     : rb.firstSandboxViolation;
+    cell.firstCtViolation = ra.firstCtViolation.valid()
+                                ? ra.firstCtViolation
+                                : rb.firstCtViolation;
+    cell.crossTenantViolations =
+        std::max(ra.crossTenantViolations, rb.crossTenantViolations);
+    cell.firstCrossTenantViolation =
+        ra.firstCrossTenantViolation.valid()
+            ? ra.firstCrossTenantViolation
+            : rb.firstCrossTenantViolation;
+    cell.contextSwitches = std::max(ra.contextSwitches, rb.contextSwitches);
+    cell.expectClosed = cell.crossDomain
+                        && cell.judgedPolicy == ContractPolicy::None
+                        && ra.flushOnSwitch;
+    return cell;
 }
 
 VerifyMatrix
@@ -230,89 +443,12 @@ foldVerifyOutcomes(const std::vector<RunOutcome> &outcomes,
               "battery outcomes must come in secret pairs");
     VerifyMatrix matrix;
     for (std::size_t i = 0; i + 1 < outcomes.size(); i += 2) {
-        const RunOutcome &a = outcomes[i];
-        const RunOutcome &b = outcomes[i + 1];
-
-        GadgetKind kind_a, kind_b;
-        std::uint8_t secret_a = 0, secret_b = 0;
-        std::uint64_t seed_a = 0, seed_b = 0;
-        if (!parseGadgetWorkload(a.workload, kind_a, secret_a, seed_a)
-            || !parseGadgetWorkload(b.workload, kind_b, secret_b,
-                                    seed_b)) {
-            sb_fatal("non-gadget outcome in battery fold: '",
-                     a.workload, "' / '", b.workload, "'");
-        }
-        sb_assert(kind_a == kind_b && a.scheme == b.scheme
-                      && seed_a == seed_b && secret_a != secret_b,
-                  "battery pair mismatch: ", a.workload, " vs ",
-                  b.workload);
-
-        VerifyCell cell;
-        cell.gadget = gadgetName(kind_a);
-        cell.core = a.coreName;
-        cell.scheme = a.scheme;
         SchemeConfig scfg;
-        scfg.scheme = a.scheme;
-        cell.contract = makeScheme(scfg)->contract();
-        cell.judgedPolicy = cell.contract.policy;
-        if (contract_override
-            && cell.contract.policy != ContractPolicy::None) {
-            cell.judgedPolicy = *contract_override;
-        }
-
-        const bool leaked_a = a.stat("gadget_leaked") != 0;
-        const bool leaked_b = b.stat("gadget_leaked") != 0;
-        cell.leaked = leaked_a || leaked_b;
-        cell.armed = leaked_a && leaked_b;
-        cell.diverged =
-            a.stat("gadget_trace_hash") != b.stat("gadget_trace_hash")
-            || a.stat("gadget_trace_len") != b.stat("gadget_trace_len")
-            || a.cycles != b.cycles;
-        cell.transmitViolations =
-            std::max(a.transmitViolations, b.transmitViolations);
-        cell.consumeViolations =
-            std::max(a.consumeViolations, b.consumeViolations);
-        cell.timingByteA =
-            static_cast<int>(a.stat("gadget_timing_byte")) - 1;
-        cell.timingByteB =
-            static_cast<int>(b.stat("gadget_timing_byte")) - 1;
-        cell.cyclesA = a.cycles;
-        cell.cyclesB = b.cycles;
-        cell.sandboxViolations = std::max(a.stat("gadget_sandbox_viol"),
-                                          b.stat("gadget_sandbox_viol"));
-        cell.ctViolations = std::max(a.stat("gadget_ct_viol"),
-                                     b.stat("gadget_ct_viol"));
-        auto first = [](const RunOutcome &o, const char *prefix) {
-            const std::string p = prefix;
-            ContractViolation v;
-            if (o.stat(p + "_valid") != 0) {
-                v.cycle = o.stat(p + "_cycle");
-                v.seq = o.stat(p + "_seq");
-                v.pc = static_cast<std::uint32_t>(o.stat(p + "_pc"));
-            }
-            return v;
-        };
-        const ContractViolation sa = first(a, "gadget_first_sandbox");
-        cell.firstSandboxViolation =
-            sa.valid() ? sa : first(b, "gadget_first_sandbox");
-        const ContractViolation ca = first(a, "gadget_first_ct");
-        cell.firstCtViolation =
-            ca.valid() ? ca : first(b, "gadget_first_ct");
-        cell.crossTenantViolations =
-            std::max(a.stat("gadget_cross_viol"),
-                     b.stat("gadget_cross_viol"));
-        const ContractViolation xa = first(a, "gadget_first_cross");
-        cell.firstCrossTenantViolation =
-            xa.valid() ? xa : first(b, "gadget_first_cross");
-        cell.contextSwitches =
-            std::max(a.stat("gadget_context_switches"),
-                     b.stat("gadget_context_switches"));
-        cell.crossDomain = gadgetIsCrossDomain(kind_a);
-        cell.expectClosed =
-            cell.crossDomain
-            && cell.judgedPolicy == ContractPolicy::None
-            && a.stat("gadget_flush_on_switch") != 0;
-        matrix.cells.push_back(std::move(cell));
+        scfg.scheme = outcomes[i].scheme;
+        matrix.cells.push_back(
+            foldVerifyPair(outcomes[i], outcomes[i + 1],
+                           makeScheme(scfg)->contract(),
+                           contract_override));
     }
     return matrix;
 }
@@ -374,6 +510,8 @@ toJson(const VerifyMatrix &matrix)
         c.set("expect_closed", Json::boolean(cell.expectClosed));
         c.set("cross_tenant_leak",
               Json::boolean(cell.crossDomain && cell.leaked));
+        if (cell.unfinished)
+            c.set("unfinished", Json::boolean(true));
         c.set("pass", Json::boolean(cell.pass()));
         cells.push(std::move(c));
     }
@@ -418,7 +556,9 @@ printVerifyMatrix(const VerifyMatrix &matrix, std::FILE *out)
                std::to_string(cell.consumeViolations),
                std::to_string(cell.sandboxViolations),
                std::to_string(cell.ctViolations), xtenant, repro,
-               cell.pass() ? "pass" : "FAIL"});
+               cell.unfinished ? "CUT SHORT"
+               : cell.pass()   ? "pass"
+                               : "FAIL"});
     }
     std::fprintf(out, "%s\n", t.render().c_str());
     std::fprintf(out,
@@ -449,21 +589,11 @@ registerSecurityScenarios(ScenarioRegistry &registry)
         // core with the flush-predictors-on-switch policy: the fold
         // flips those cells to expect-closed, proving the software-
         // visible context-switch hygiene alone severs the channel.
-        SchemeConfig baseline;
         for (GadgetKind kind : {GadgetKind::SpectreV2CrossDomain,
-                                GadgetKind::SpectreV1Swapgs}) {
-            for (std::uint8_t secret : {verifySecretA,
-                                        verifySecretB}) {
-                RunSpec spec;
-                spec.core = CoreConfig::megaFlush();
-                spec.scheme = baseline;
-                spec.workload = gadgetWorkloadName(kind, secret,
-                                                   verifyGadgetSeed);
-                spec.warmupInsts = 0;
-                spec.measureInsts = 0;
-                specs.push_back(std::move(spec));
-            }
-        }
+                                GadgetKind::SpectreV1Swapgs})
+            for (std::uint8_t secret : {verifySecretA, verifySecretB})
+                specs.push_back(gadgetSpec(kind, CoreConfig::megaFlush(),
+                                           SchemeConfig{}, secret));
         return specs;
     };
     s.report = [](const std::vector<RunOutcome> &outcomes,
@@ -555,7 +685,9 @@ foldMitigationOutcomes(Mitigation m,
         cell.policy = v.contract.policy;
         cell.target = cell.policy == ContractPolicy::None
                       && mitigationCloses(m, kind);
-        cell.closed = !v.leaked && !v.firstCtViolation.valid();
+        // A cut-short mitigated cell never counts as closed.
+        cell.closed = !v.unfinished && !v.leaked
+                      && !v.firstCtViolation.valid();
         cell.armed = v.armed;
         cell.schemePass = v.pass();
         cell.cyclesBase = b.cyclesA;

@@ -72,13 +72,65 @@ bool parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
                          std::uint8_t &secret, std::uint64_t &seed);
 
 /**
- * Execute one gadget cell (ExperimentRunner::runOne dispatches here
- * for gadget workloads). The attack receivers' results and the
- * observation-trace digest land in RunOutcome::stats under
- * "gadget_*" keys; warmup/measure counts are ignored (a gadget run
- * is a complete program, not a windowed measurement).
+ * The RunSpec of one gadget run: @p kind leaking @p secret on @p core
+ * under @p scheme. A gadget run is a complete program, not a windowed
+ * measurement, so the window fields stay zero and runs of equal
+ * gadgets share a cache address.
  */
-RunOutcome runGadgetCell(const RunSpec &spec);
+RunSpec gadgetSpec(GadgetKind kind, const CoreConfig &core,
+                   const SchemeConfig &scheme, std::uint8_t secret,
+                   std::uint64_t seed = verifyGadgetSeed);
+
+/**
+ * Read-side view of a gadget cell's RunOutcome. A gadget cell runs its
+ * program whole (RunOutcome::cycles is the whole run; instructions
+ * stays 0) and writes the receivers' verdicts, the contract shadow's
+ * and the committed-load observation-trace digest under "gadget_*"
+ * stats keys.
+ */
+struct AttackResult
+{
+    /** Byte recovered via the timing probe, -1 if no clear signal. */
+    int timingByte = -1;
+    /** Byte recovered via the cache-residency oracle, -1 if none. */
+    int oracleByte = -1;
+    /** True if either receiver recovered the actual secret. */
+    bool leaked = false;
+    /** Contract shadow engine counts (contract_shadow.hh): transmit
+     *  = a transmitter executed on an STT-tainted operand; consume =
+     *  an instruction consumed a still-speculative load's value;
+     *  sandboxing = a transmitter executed on a transiently-acquired
+     *  secret; constant-time = a secret reached a transmitter at all. */
+    std::uint64_t transmitViolations = 0;
+    std::uint64_t consumeViolations = 0;
+    std::uint64_t sandboxViolations = 0;
+    std::uint64_t ctViolations = 0;
+    /** Transmits of a secret owned by a different tenant than the
+     *  transmitting instruction's (protection-domain model). */
+    std::uint64_t crossTenantViolations = 0;
+    /** Pinpointed first violation of each contract (invalid seq if
+     *  the contract was never violated). */
+    ContractViolation firstSandboxViolation;
+    ContractViolation firstCtViolation;
+    ContractViolation firstCrossTenantViolation;
+    /** Context switches the core performed during the run. */
+    std::uint64_t contextSwitches = 0;
+    /** The core flushed predictors on every context switch. */
+    bool flushOnSwitch = false;
+    /** Median / minimum probe gaps (diagnostics). */
+    double medianGap = 0.0;
+    double minGap = 0.0;
+    /** FNV-1a digest + length of the committed-load observation trace
+     *  (Core::observationTrace()); the differential checker compares
+     *  these across secret-flipped paired runs. */
+    std::uint64_t traceHash = 0;
+    std::uint64_t traceLength = 0;
+    /** Total simulated cycles (also part of the observable surface). */
+    std::uint64_t cycles = 0;
+};
+
+/** Decode a gadget cell's @p outcome. */
+AttackResult attackResult(const RunOutcome &outcome);
 
 /** Does @p kind leak across a protection-domain boundary (observer
  *  tenant != secret-owner tenant)? Static property of the kind. */
@@ -137,6 +189,9 @@ struct VerifyCell
      *  (flush-predictors-on-switch) is expected to close: the verdict
      *  flips from must-demonstrably-leak to must-not-leak. */
     bool expectClosed = false;
+    /** Supervision cut a paired run short (outcomeIsCacheable() is
+     *  false): no leak or divergence verdict, and never a pass. */
+    bool unfinished = false;
 
     /**
      * Contract check under judgedPolicy: a scheme with a declared
@@ -177,11 +232,21 @@ verifyBatterySpecs(const CoreConfig &core,
                    const std::vector<SchemeConfig> &schemes);
 
 /**
- * Fold engine outcomes (in verifyBatterySpecs() order) into cells.
- * @p contract_override, when set, replaces the judged policy of every
- * cell whose scheme declares a contract (None cells keep their
- * armed-proof role) — the `sbsim verify --contract` hook.
+ * Fold one secret pair (@p a, @p b: the same gadget, scheme and seed
+ * under two secrets) into a cell judged against @p contract — the
+ * scheme's declared one in the battery, an injected scheme's in tests.
+ * @p contract_override, when set, replaces the judged policy unless
+ * @p contract declares none (the unsafe baseline keeps its armed-proof
+ * role) — the `sbsim verify --contract` hook.
  */
+VerifyCell
+foldVerifyPair(const RunOutcome &a, const RunOutcome &b,
+               const SecurityContract &contract,
+               std::optional<ContractPolicy> contract_override =
+                   std::nullopt);
+
+/** Fold engine outcomes (in verifyBatterySpecs() order) into cells,
+ *  each judged against its scheme's declared contract. */
 VerifyMatrix
 foldVerifyOutcomes(const std::vector<RunOutcome> &outcomes,
                    std::optional<ContractPolicy> contract_override =

@@ -133,16 +133,18 @@ struct DeadlockScheme : sb::SecureScheme
 
 TEST(InjectedFault, DeadlockSchemeTripsTheSoftWatchdog)
 {
-    sb::GeneratorParams gen;
-    gen.seed = 7;
-    const sb::Program program = sb::generateProgram(gen);
-
-    sb::SchemeConfig scfg; // Reported as Baseline; the scheme is ours.
-    const sb::ConformanceCell cell = sb::runConformanceCell(
-        program, sb::CoreConfig::mega(), scfg,
-        std::make_unique<DeadlockScheme>(), 4'000'000);
+    // Reported as Baseline; the scheme is ours.
+    sb::RunSpec spec;
+    spec.workload = sb::fuzzWorkloadName(sb::OpMixProfile::Mixed, 7, 32);
+    spec.maxCycles = 4'000'000;
+    const sb::RunOutcome out = sb::ExperimentRunner::runOne(
+        spec, std::make_unique<DeadlockScheme>());
+    const sb::ConformanceCell cell = sb::conformanceCell(out);
     EXPECT_TRUE(cell.watchdogTripped);
     EXPECT_FALSE(cell.halted);
+    // A deadlock is the oracle's verdict, not a supervision artifact:
+    // it stays cacheable so the failing seed replays from the cache.
+    EXPECT_TRUE(sb::outcomeIsCacheable(out));
 }
 
 TEST(InjectedFault, FoldReportsDivergenceWithRepro)

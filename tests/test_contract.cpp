@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/core.hh"
-#include "harness/attack.hh"
 #include "harness/conformance.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
@@ -48,17 +47,29 @@ v1Gadget()
                                   sb::verifyGadgetSeed);
 }
 
+/** The v1 gadget leaking @p secret on the mega core. */
+sb::RunSpec
+v1Spec(std::uint8_t secret, sb::Scheme scheme = sb::Scheme::Baseline)
+{
+    sb::SchemeConfig scfg;
+    scfg.scheme = scheme;
+    return sb::gadgetSpec(sb::GadgetKind::SpectreV1,
+                          sb::CoreConfig::mega(), scfg, secret);
+}
+
 TEST(ContractShadow, PinpointsTheLeakySchemesFirstViolation)
 {
     const auto gadget = v1Gadget();
     ASSERT_GT(gadget.transmitPc, 0u);
 
-    const auto res = sb::runGadgetAttack(
-        gadget, sb::CoreConfig::mega(), sb::SchemeConfig{},
-        std::make_unique<LeakyDummyScheme>(), sb::verifySecretA);
+    const auto a = sb::ExperimentRunner::runOne(
+        v1Spec(sb::verifySecretA), std::make_unique<LeakyDummyScheme>());
+    const auto b = sb::ExperimentRunner::runOne(
+        v1Spec(sb::verifySecretB), std::make_unique<LeakyDummyScheme>());
 
     // The do-nothing scheme leaks (differential verdict) and the
     // shadow engine pinpoints the transmit site of the gadget.
+    const sb::AttackResult res = sb::attackResult(a);
     EXPECT_TRUE(res.leaked);
     EXPECT_GT(res.sandboxViolations, 0u);
     ASSERT_TRUE(res.firstSandboxViolation.valid());
@@ -66,17 +77,13 @@ TEST(ContractShadow, PinpointsTheLeakySchemesFirstViolation)
     ASSERT_TRUE(res.firstCtViolation.valid());
     EXPECT_EQ(res.firstCtViolation.pc, gadget.transmitPc);
 
-    // Folded the way the battery folds, the shadow verdict agrees
-    // with the differential one: the cell fails its declared contract.
-    sb::VerifyCell cell;
-    cell.gadget = "spectre-v1";
-    cell.contract = LeakyDummyScheme().contract();
-    cell.judgedPolicy = cell.contract.policy;
-    cell.leaked = res.leaked;
-    cell.armed = res.leaked;
-    cell.transmitViolations = res.transmitViolations;
-    cell.sandboxViolations = res.sandboxViolations;
-    cell.firstSandboxViolation = res.firstSandboxViolation;
+    // Folded by the battery's own pair fold, the shadow verdict
+    // agrees with the differential one: the cell fails its declared
+    // contract, with the pinpointed repro attached.
+    const sb::VerifyCell cell =
+        sb::foldVerifyPair(a, b, LeakyDummyScheme().contract());
+    EXPECT_GT(cell.sandboxViolations, 0u);
+    EXPECT_EQ(cell.firstSandboxViolation.pc, gadget.transmitPc);
     EXPECT_FALSE(cell.pass());
 }
 
@@ -118,11 +125,8 @@ TEST(ContractShadow, BaselineViolatesConstantTimeDeclaredSchemesDoNot)
 {
     const auto gadget = v1Gadget();
     const auto run = [](sb::Scheme s) {
-        sb::SchemeConfig scfg;
-        scfg.scheme = s;
-        return sb::runGadget(sb::GadgetKind::SpectreV1,
-                             sb::CoreConfig::mega(), scfg,
-                             sb::verifySecretA, sb::verifyGadgetSeed);
+        return sb::attackResult(
+            sb::ExperimentRunner::runOne(v1Spec(sb::verifySecretA, s)));
     };
 
     const auto base = run(sb::Scheme::Baseline);
@@ -178,8 +182,9 @@ TEST(ContractShadow, FuzzCellSeesSecretsOnTheBaseline)
     spec.workload =
         sb::fuzzWorkloadName(sb::OpMixProfile::Mixed, 0xC0FFEE, 32);
     spec.maxCycles = 4'000'000;
-    const auto out = sb::ExperimentRunner::runOne(spec);
-    EXPECT_GT(out.stat("fuzz_ct_viol"), 0u);
+    EXPECT_GT(
+        sb::conformanceCell(sb::ExperimentRunner::runOne(spec)).ctViolations,
+        0u);
 }
 
 TEST(ContractShadow, SbInvariantsForcesTheChecksOn)

@@ -19,13 +19,19 @@
 namespace
 {
 
-/** One conformance cell (invariants and contract shadow forced on). */
+/** One fuzz cell of @p gen's program (invariants and contract shadow
+ *  forced on). */
 sb::ConformanceCell
-runCell(const sb::Program &program, const sb::CoreConfig &core,
+runCell(const sb::GeneratorParams &gen, const sb::CoreConfig &core,
         const sb::SchemeConfig &scfg)
 {
-    return sb::runConformanceCell(program, core, scfg,
-                                  sb::makeScheme(scfg), 4'000'000);
+    sb::RunSpec spec;
+    spec.core = core;
+    spec.scheme = scfg;
+    spec.workload =
+        sb::fuzzWorkloadName(gen.profile, gen.seed, gen.outerIterations);
+    spec.maxCycles = 4'000'000;
+    return sb::conformanceCell(sb::ExperimentRunner::runOne(spec));
 }
 
 // Every profile, several seeds: the full roster, the two-taint
@@ -58,16 +64,15 @@ TEST_P(StructuredSweep, TwoTaintStoresMatchBaseline)
     sb::GeneratorParams gen;
     gen.seed = 2000 + GetParam();
     gen.profile = sb::OpMixProfile::MemHeavy; // Stress partial issue.
-    const sb::Program program = sb::generateProgram(gen);
 
     const auto base =
-        runCell(program, sb::CoreConfig::mega(), sb::SchemeConfig{});
+        runCell(gen, sb::CoreConfig::mega(), sb::SchemeConfig{});
     ASSERT_TRUE(base.halted) << "seed " << gen.seed;
 
     sb::SchemeConfig two_taint;
     two_taint.scheme = sb::Scheme::SttRename;
     two_taint.twoTaintStores = true;
-    const auto got = runCell(program, sb::CoreConfig::mega(), two_taint);
+    const auto got = runCell(gen, sb::CoreConfig::mega(), two_taint);
     EXPECT_TRUE(got.halted) << "seed " << gen.seed;
     EXPECT_TRUE(got.architecturallyEqual(base)) << "seed " << gen.seed;
     EXPECT_EQ(got.transmitViolations, 0u) << "seed " << gen.seed;
@@ -80,12 +85,11 @@ TEST_P(StructuredSweep, NarrowConfigMatchesWide)
     sb::GeneratorParams gen;
     gen.seed = 3000 + GetParam();
     gen.profile = profiles[GetParam() % profiles.size()];
-    const sb::Program program = sb::generateProgram(gen);
 
     sb::SchemeConfig scfg;
     scfg.scheme = sb::Scheme::SttIssue;
-    const auto wide = runCell(program, sb::CoreConfig::mega(), scfg);
-    const auto narrow = runCell(program, sb::CoreConfig::small(), scfg);
+    const auto wide = runCell(gen, sb::CoreConfig::mega(), scfg);
+    const auto narrow = runCell(gen, sb::CoreConfig::small(), scfg);
     ASSERT_TRUE(wide.halted && narrow.halted) << "seed " << gen.seed;
     EXPECT_TRUE(wide.architecturallyEqual(narrow)) << "seed " << gen.seed;
 }

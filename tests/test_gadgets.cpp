@@ -9,11 +9,19 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/attack.hh"
+#include "harness/verify.hh"
 #include "secure/factory.hh"
 
 namespace
 {
+
+sb::AttackResult
+attack(sb::GadgetKind kind, const sb::SchemeConfig &scheme,
+       std::uint8_t secret, std::uint64_t seed = sb::verifyGadgetSeed)
+{
+    return sb::attackResult(sb::ExperimentRunner::runOne(sb::gadgetSpec(
+        kind, sb::CoreConfig::mega(), scheme, secret, seed)));
+}
 
 std::string
 paramName(sb::GadgetKind gadget, sb::Scheme scheme)
@@ -36,8 +44,7 @@ TEST_P(GadgetBatteryTest, MatchesSchemeSecurityContract)
     const auto [gadget, scheme] = GetParam();
     sb::SchemeConfig scfg;
     scfg.scheme = scheme;
-    const auto res =
-        sb::runGadget(gadget, sb::CoreConfig::mega(), scfg, 0xA7);
+    const auto res = attack(gadget, scfg, 0xA7);
 
     const auto impl = sb::makeScheme(scfg);
     if (impl->contract().obligesTransmitterSafety) {
@@ -100,8 +107,7 @@ TEST(GadgetBattery, NdaStrictBlocksEveryGadget)
     for (const auto kind : sb::allGadgets()) {
         sb::SchemeConfig scfg;
         scfg.scheme = sb::Scheme::NdaStrict;
-        const auto res =
-            sb::runGadget(kind, sb::CoreConfig::mega(), scfg, 0x3C);
+        const auto res = attack(kind, scfg, 0x3C);
         EXPECT_FALSE(res.leaked) << sb::gadgetName(kind);
         EXPECT_EQ(res.oracleByte, -1) << sb::gadgetName(kind);
     }
@@ -113,8 +119,7 @@ TEST(GadgetBattery, BaselineLeaksAlternativeSecrets)
     // that only ever flags one magic slot.
     for (const auto kind : sb::allGadgets()) {
         sb::SchemeConfig scfg;
-        const auto res = sb::runGadget(kind, sb::CoreConfig::mega(),
-                                       scfg, 0x3C, 77);
+        const auto res = attack(kind, scfg, 0x3C, 77);
         EXPECT_TRUE(res.leaked) << sb::gadgetName(kind);
         EXPECT_EQ(res.oracleByte, 0x3C) << sb::gadgetName(kind);
     }

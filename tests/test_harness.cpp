@@ -1,8 +1,9 @@
 /**
  * @file
- * Harness tests: the experiment runner must be deterministic and
- * thread-count independent; the aggregation must implement the
- * paper's SPEC-mean method; trend fits must be exact on lines.
+ * Harness tests: the experiment runner must be deterministic (thread-
+ * count independence is the engine's, test_engine.cpp); the
+ * aggregation must implement the paper's SPEC-mean method; trend fits
+ * must be exact on lines.
  */
 
 #include <gtest/gtest.h>
@@ -38,23 +39,6 @@ TEST(Runner, SingleRunIsDeterministic)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.stats, b.stats);
-}
-
-TEST(Runner, ParallelMatchesSerial)
-{
-    std::vector<sb::RunSpec> specs;
-    for (const char *b : {"557.xz", "541.leela", "503.bwaves"})
-        specs.push_back(quickSpec(b, sb::Scheme::SttIssue));
-
-    const sb::ExperimentRunner serial(1);
-    const sb::ExperimentRunner parallel(8);
-    const auto rs = serial.runAll(specs);
-    const auto rp = parallel.runAll(specs);
-    ASSERT_EQ(rs.size(), rp.size());
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-        EXPECT_EQ(rs[i].cycles, rp[i].cycles) << i;
-        EXPECT_EQ(rs[i].workload, rp[i].workload) << i;
-    }
 }
 
 TEST(Runner, MeasurementWindowExcludesWarmup)

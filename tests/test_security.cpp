@@ -8,16 +8,23 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/attack.hh"
+#include "harness/verify.hh"
 
 namespace
 {
 
+sb::AttackResult
+attackV1(const sb::CoreConfig &core, const sb::SchemeConfig &scheme,
+         std::uint8_t secret, std::uint64_t seed = sb::verifyGadgetSeed)
+{
+    return sb::attackResult(sb::ExperimentRunner::runOne(sb::gadgetSpec(
+        sb::GadgetKind::SpectreV1, core, scheme, secret, seed)));
+}
+
 TEST(SpectreV1, BaselineLeaksTheSecret)
 {
     sb::SchemeConfig scfg;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      0xA7);
+    const auto res = attackV1(sb::CoreConfig::mega(), scfg, 0xA7);
     EXPECT_TRUE(res.leaked);
     EXPECT_EQ(res.oracleByte, 0xA7);
     EXPECT_EQ(res.timingByte, 0xA7);
@@ -32,8 +39,7 @@ TEST_P(SpectreSchemeTest, SchemeBlocksTheLeak)
 {
     sb::SchemeConfig scfg;
     scfg.scheme = GetParam();
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      0xA7);
+    const auto res = attackV1(sb::CoreConfig::mega(), scfg, 0xA7);
     EXPECT_FALSE(res.leaked);
     EXPECT_EQ(res.oracleByte, -1);
     EXPECT_NE(res.timingByte, 0xA7);
@@ -63,8 +69,7 @@ TEST(SpectreV1, DelayOnMissBlocksTheChannelNotTheDataflow)
     // obligesTransmitterSafety).
     sb::SchemeConfig scfg;
     scfg.scheme = sb::Scheme::DelayOnMiss;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      0xA7);
+    const auto res = attackV1(sb::CoreConfig::mega(), scfg, 0xA7);
     EXPECT_FALSE(res.leaked);
     EXPECT_EQ(res.oracleByte, -1);
     EXPECT_NE(res.timingByte, 0xA7);
@@ -78,8 +83,8 @@ TEST_P(SpectreByteTest, BaselineLeaksArbitraryBytes)
 {
     sb::SchemeConfig scfg;
     const auto secret = static_cast<std::uint8_t>(GetParam());
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      secret, 1234 + secret);
+    const auto res =
+        attackV1(sb::CoreConfig::mega(), scfg, secret, 1234 + secret);
     EXPECT_TRUE(res.leaked) << "secret=" << GetParam();
     EXPECT_EQ(res.oracleByte, GetParam());
 }
@@ -91,8 +96,7 @@ INSTANTIATE_TEST_SUITE_P(SecretSweep, SpectreByteTest,
 TEST(SpectreV1, LeaksOnNarrowCoresToo)
 {
     sb::SchemeConfig scfg;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::medium(), scfg,
-                                      0x42);
+    const auto res = attackV1(sb::CoreConfig::medium(), scfg, 0x42);
     EXPECT_TRUE(res.leaked);
 }
 
@@ -100,8 +104,7 @@ TEST(SpectreV1, SttIssueBlocksOnNarrowCores)
 {
     sb::SchemeConfig scfg;
     scfg.scheme = sb::Scheme::SttIssue;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::medium(), scfg,
-                                      0x42);
+    const auto res = attackV1(sb::CoreConfig::medium(), scfg, 0x42);
     EXPECT_FALSE(res.leaked);
     EXPECT_EQ(res.transmitViolations, 0u);
 }
@@ -112,8 +115,7 @@ TEST(SpectreV1, TwoTaintStoresRemainSecure)
     sb::SchemeConfig scfg;
     scfg.scheme = sb::Scheme::SttRename;
     scfg.twoTaintStores = true;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      0x99);
+    const auto res = attackV1(sb::CoreConfig::mega(), scfg, 0x99);
     EXPECT_FALSE(res.leaked);
     EXPECT_EQ(res.transmitViolations, 0u);
 }
@@ -121,8 +123,7 @@ TEST(SpectreV1, TwoTaintStoresRemainSecure)
 TEST(SpectreV1, TimingReceiverSeparatesHitFromMiss)
 {
     sb::SchemeConfig scfg;
-    const auto res = sb::runSpectreV1(sb::CoreConfig::mega(), scfg,
-                                      0x5C);
+    const auto res = attackV1(sb::CoreConfig::mega(), scfg, 0x5C);
     // The hot probe's commit gap must sit far below the miss median.
     EXPECT_GT(res.medianGap, res.minGap * 2.0);
 }

@@ -27,12 +27,15 @@
 #include "common/config.hh"
 #include "common/fault.hh"
 #include "common/signals.hh"
+#include "harness/conformance.hh"
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
 #include "harness/protocol.hh"
 #include "harness/reporting.hh"
 #include "harness/result_cache.hh"
 #include "harness/shard.hh"
+#include "harness/tenant.hh"
+#include "harness/verify.hh"
 
 #ifndef SB_SBSIM_PATH
 #define SB_SBSIM_PATH ""
@@ -444,20 +447,71 @@ TEST(CacheFraming, TwoWriterProcessesLoseNothing)
 
 TEST(CellTimeout, DeadlineOverrunIsMarkedAndUncacheable)
 {
-    const auto spec = quickSpec("557.xz", sb::Scheme::Baseline);
-    sb::RunHooks hooks;
-    hooks.wallDeadlineSec = 1e-6; // Trips at the first deadline check.
-    const auto out = sb::ExperimentRunner::runOne(spec, hooks);
-    EXPECT_EQ(out.stat("watchdog_tripped"), 1u);
-    EXPECT_FALSE(sb::outcomeIsCacheable(out));
+    // One cell of each kind: window, gadget, fuzz, multi-tenant.
+    sb::RunSpec gadget =
+        sb::gadgetSpec(sb::GadgetKind::SpectreV1, sb::CoreConfig::mega(),
+                       sb::SchemeConfig{}, sb::verifySecretA);
+    // Long enough to reach the first deadline check (4096 cycles).
+    sb::RunSpec fuzz;
+    fuzz.workload =
+        sb::fuzzWorkloadName(sb::OpMixProfile::Mixed, 0xC0FFEE, 512);
+    fuzz.maxCycles = sb::FuzzParams{}.maxCycles;
+    sb::RunSpec mt;
+    mt.workload = sb::tenantWorkloadName(sb::ServerMixParams{});
+    mt.warmupInsts = 0;
+    mt.measureInsts = 0;
 
-    // A generous deadline must not perturb the measurement at all.
-    sb::RunHooks lenient;
-    lenient.wallDeadlineSec = 3600;
-    const auto normal = sb::ExperimentRunner::runOne(spec);
-    const auto watched = sb::ExperimentRunner::runOne(spec, lenient);
-    expectSameOutcome(watched, normal);
-    EXPECT_TRUE(sb::outcomeIsCacheable(watched));
+    std::vector<sb::RunOutcome> tripped, normal;
+    for (const sb::RunSpec &spec :
+         {quickSpec("557.xz", sb::Scheme::Baseline), gadget, fuzz, mt}) {
+        sb::RunHooks hooks;
+        hooks.wallDeadlineSec = 1e-6; // Trips at the first deadline check.
+        const auto out = sb::ExperimentRunner::runOne(spec, hooks);
+        EXPECT_EQ(out.stat("watchdog_tripped"), 1u) << spec.workload;
+        EXPECT_FALSE(sb::outcomeIsCacheable(out)) << spec.workload;
+        // A timeout is not the fuzz oracle's (cacheable) deadlock.
+        EXPECT_EQ(out.stat("fuzz_watchdog"), 0u) << spec.workload;
+        tripped.push_back(out);
+
+        // A generous deadline must not perturb the outcome at all.
+        sb::RunHooks lenient;
+        lenient.wallDeadlineSec = 3600;
+        normal.push_back(sb::ExperimentRunner::runOne(spec));
+        const auto watched = sb::ExperimentRunner::runOne(spec, lenient);
+        expectSameOutcome(watched, normal.back());
+        EXPECT_TRUE(sb::outcomeIsCacheable(watched)) << spec.workload;
+    }
+
+    // The gadget trips at the first poll, inside its victim phase,
+    // which steps the core one commit at a time and alone runs past
+    // that cycle: the poll countdown spans those run() calls.
+    EXPECT_EQ(tripped[1].cycles, 4096u);
+
+    // The folds report a cut-short cell as such, never judge its
+    // partial stats: not a leak or a trace divergence...
+    sb::RunSpec gadget_b = gadget;
+    gadget_b.workload = sb::gadgetWorkloadName(
+        sb::GadgetKind::SpectreV1, sb::verifySecretB, sb::verifyGadgetSeed);
+    const sb::VerifyCell pair = sb::foldVerifyPair(
+        tripped[1], sb::ExperimentRunner::runOne(gadget_b),
+        sb::SecurityContract{});
+    EXPECT_TRUE(pair.unfinished);
+    EXPECT_FALSE(pair.leaked || pair.diverged || pair.pass());
+
+    // ...nor a fuzz deadlock whose seed repro would not reproduce.
+    sb::FuzzParams campaign;
+    campaign.programs = 1;
+    std::vector<sb::RunOutcome> cells(sb::allSchemeConfigs().size(),
+                                      tripped[2]);
+    cells.front() = normal[2]; // A healthy Baseline oracle.
+    const sb::FuzzReport report = sb::foldFuzzOutcomes(campaign, cells);
+    ASSERT_EQ(report.failures.size(), cells.size() - 1);
+    for (const sb::FuzzFailure &f : report.failures)
+        EXPECT_EQ(f.kind, "unfinished") << f.detail;
+    cells.front() = tripped[2]; // No oracle: one failure, no verdicts.
+    const sb::FuzzReport no_oracle = sb::foldFuzzOutcomes(campaign, cells);
+    ASSERT_EQ(no_oracle.failures.size(), 1u);
+    EXPECT_EQ(no_oracle.failures.front().kind, "unfinished");
 }
 
 // --- Dispatcher end-to-end against the real worker ---------------------

@@ -11,11 +11,9 @@
 #include "branch/btb.hh"
 #include "branch/tage.hh"
 #include "core/core.hh"
-#include "harness/attack.hh"
 #include "harness/tenant.hh"
 #include "harness/verify.hh"
 #include "isa/program.hh"
-#include "isa/transform.hh"
 #include "secure/factory.hh"
 #include "trace/gadgets.hh"
 #include "trace/server_mix.hh"
@@ -144,7 +142,7 @@ mixOutcome(sb::Scheme scheme, const sb::CoreConfig &core,
     spec.workload = sb::tenantWorkloadName(p);
     spec.warmupInsts = 0;
     spec.measureInsts = 0;
-    return sb::runServerMixCell(spec);
+    return sb::ExperimentRunner::runOne(spec);
 }
 
 TEST(ServerMix, WorkloadNameRoundTripsAndRejectsGarbage)
@@ -255,43 +253,37 @@ TEST(ServerMix, RerunIsDeterministic)
 
 TEST(CrossDomain, V2GadgetLeaksOnKeepAndClosesUnderFlushAndSchemes)
 {
-    const std::uint8_t secret = sb::verifySecretA;
-    const std::uint64_t seed = sb::verifyGadgetSeed;
-    sb::SchemeConfig baseline;
+    const auto attack = [](const sb::CoreConfig &core, sb::Scheme scheme,
+                           sb::Mitigation m = sb::Mitigation::None) {
+        sb::SchemeConfig scfg;
+        scfg.scheme = scheme;
+        sb::RunSpec spec =
+            sb::gadgetSpec(sb::GadgetKind::SpectreV2CrossDomain, core,
+                           scfg, sb::verifySecretA);
+        spec.mitigation.kind = m;
+        return sb::attackResult(sb::ExperimentRunner::runOne(spec));
+    };
 
     // Keep policy: tenant A's BTB training survives the switch and
     // steers tenant B into the gadget.
     const sb::AttackResult keep =
-        sb::runGadget(sb::GadgetKind::SpectreV2CrossDomain,
-                      sb::CoreConfig::mega(), baseline, secret, seed);
+        attack(sb::CoreConfig::mega(), sb::Scheme::Baseline);
     EXPECT_TRUE(keep.leaked);
     EXPECT_GT(keep.contextSwitches, 0u);
 
     // Flush policy: same unprotected core, poisoned entry dies at the
     // switch.
-    const sb::AttackResult flush =
-        sb::runGadget(sb::GadgetKind::SpectreV2CrossDomain,
-                      sb::CoreConfig::megaFlush(), baseline, secret,
-                      seed);
-    EXPECT_FALSE(flush.leaked);
+    EXPECT_FALSE(
+        attack(sb::CoreConfig::megaFlush(), sb::Scheme::Baseline).leaked);
 
     // Retpoline: the indirect branch never consults the BTB at all.
-    const sb::GadgetProgram gadget = sb::buildGadgetProgram(
-        sb::GadgetKind::SpectreV2CrossDomain, secret, seed);
-    const sb::TransformedProgram mitigated =
-        sb::applyMitigation(sb::Mitigation::Retpoline, gadget.program);
-    const sb::AttackResult retp = sb::runGadgetAttack(
-        gadget, sb::CoreConfig::mega(), baseline,
-        sb::makeScheme(baseline), secret, &mitigated);
-    EXPECT_FALSE(retp.leaked);
+    EXPECT_FALSE(attack(sb::CoreConfig::mega(), sb::Scheme::Baseline,
+                        sb::Mitigation::Retpoline)
+                     .leaked);
 
     // A dataflow scheme closes it even with the poisoned BTB kept.
-    sb::SchemeConfig stt;
-    stt.scheme = sb::Scheme::SttRename;
-    const sb::AttackResult hw =
-        sb::runGadget(sb::GadgetKind::SpectreV2CrossDomain,
-                      sb::CoreConfig::mega(), stt, secret, seed);
-    EXPECT_FALSE(hw.leaked);
+    EXPECT_FALSE(
+        attack(sb::CoreConfig::mega(), sb::Scheme::SttRename).leaked);
 }
 
 } // anonymous namespace

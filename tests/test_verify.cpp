@@ -1,15 +1,16 @@
 /**
  * @file
  * Unit tests for the differential leakage verifier: gadget workload
- * encoding, the ExperimentRunner dispatch into the attack harness,
- * battery pairing/folding, and — most importantly — that an
- * intentionally leaky scheme which *claims* safety is caught by the
- * differential check.
+ * encoding, gadget cells through ExperimentRunner::runOne, battery
+ * pairing/folding, and — most importantly — that an intentionally
+ * leaky scheme which *claims* safety is caught by the battery's own
+ * pair fold.
  */
 
 #include <gtest/gtest.h>
 
-#include "harness/attack.hh"
+#include "core/core.hh"
+#include "harness/cell_driver.hh"
 #include "harness/engine.hh"
 #include "harness/verify.hh"
 #include "isa/transform.hh"
@@ -21,14 +22,35 @@ namespace
 sb::RunSpec
 gadgetSpec(sb::GadgetKind kind, std::uint8_t secret, sb::Scheme scheme)
 {
-    sb::RunSpec spec;
-    spec.core = sb::CoreConfig::mega();
-    spec.scheme.scheme = scheme;
-    spec.workload =
-        sb::gadgetWorkloadName(kind, secret, sb::verifyGadgetSeed);
-    spec.warmupInsts = 0;
-    spec.measureInsts = 0;
-    return spec;
+    sb::SchemeConfig scfg;
+    scfg.scheme = scheme;
+    return sb::gadgetSpec(kind, sb::CoreConfig::mega(), scfg, secret);
+}
+
+/** One attack run on the mega core. */
+sb::AttackResult
+attack(const sb::RunSpec &spec)
+{
+    return sb::attackResult(sb::ExperimentRunner::runOne(spec));
+}
+
+/**
+ * The secret-A/secret-B pair of @p kind with a fresh @p Injected
+ * scheme in each run, folded by the battery's pair fold against that
+ * scheme's declared contract.
+ */
+template <typename Injected>
+sb::VerifyCell
+injectedPair(sb::GadgetKind kind)
+{
+    // Reported as Baseline: the scheme is injected.
+    const auto a = sb::ExperimentRunner::runOne(
+        gadgetSpec(kind, sb::verifySecretA, sb::Scheme::Baseline),
+        std::make_unique<Injected>());
+    const auto b = sb::ExperimentRunner::runOne(
+        gadgetSpec(kind, sb::verifySecretB, sb::Scheme::Baseline),
+        std::make_unique<Injected>());
+    return sb::foldVerifyPair(a, b, Injected().contract());
 }
 
 TEST(GadgetWorkloads, EncodingRoundTrips)
@@ -83,12 +105,13 @@ TEST(GadgetWorkloads, SpecKeySeparatesSecretsAndGadgets)
     EXPECT_NE(a.specKey(), mask.specKey());
 }
 
-TEST(GadgetCells, RunnerDispatchesIntoAttackHarness)
+TEST(GadgetCells, RunOneRunsTheAttack)
 {
     const auto spec = gadgetSpec(sb::GadgetKind::SpectreV1,
                                  sb::verifySecretA, sb::Scheme::Baseline);
     const auto out = sb::ExperimentRunner::runOne(spec);
     EXPECT_EQ(out.workload, spec.workload);
+    // The cached encoding attackResult() decodes (bytes stored +1).
     EXPECT_EQ(out.stat("gadget_leaked"), 1u);
     EXPECT_EQ(out.stat("gadget_oracle_byte"),
               std::uint64_t(sb::verifySecretA) + 1);
@@ -172,42 +195,15 @@ class LeakyDummyScheme : public sb::SecureScheme
 
 TEST(Differential, LeakyDummySchemeIsCaught)
 {
-    sb::SchemeConfig scfg; // Baseline knobs; the scheme is injected.
-    const auto core_cfg = sb::CoreConfig::mega();
-
-    const auto gadget_a = sb::buildGadgetProgram(
-        sb::GadgetKind::SpectreV1, sb::verifySecretA,
-        sb::verifyGadgetSeed);
-    const auto gadget_b = sb::buildGadgetProgram(
-        sb::GadgetKind::SpectreV1, sb::verifySecretB,
-        sb::verifyGadgetSeed);
-
-    const auto res_a = sb::runGadgetAttack(
-        gadget_a, core_cfg, scfg, std::make_unique<LeakyDummyScheme>(),
-        sb::verifySecretA);
-    const auto res_b = sb::runGadgetAttack(
-        gadget_b, core_cfg, scfg, std::make_unique<LeakyDummyScheme>(),
-        sb::verifySecretB);
+    const sb::VerifyCell cell =
+        injectedPair<LeakyDummyScheme>(sb::GadgetKind::SpectreV1);
 
     // The do-nothing scheme leaks, and the paired observation traces
     // diverge: the differential signal fires with no knowledge of the
     // receivers at all.
-    EXPECT_TRUE(res_a.leaked);
-    EXPECT_TRUE(res_b.leaked);
-    EXPECT_NE(res_a.traceHash, res_b.traceHash);
-
-    sb::VerifyCell cell;
-    cell.gadget = "spectre-v1";
-    cell.scheme = sb::Scheme::Baseline;
-    cell.contract = LeakyDummyScheme().contract();
-    cell.judgedPolicy = cell.contract.policy;
-    cell.leaked = res_a.leaked || res_b.leaked;
-    cell.armed = res_a.leaked && res_b.leaked;
-    cell.diverged = res_a.traceHash != res_b.traceHash
-                    || res_a.traceLength != res_b.traceLength
-                    || res_a.cycles != res_b.cycles;
-    cell.transmitViolations = std::max(res_a.transmitViolations,
-                                       res_b.transmitViolations);
+    EXPECT_TRUE(cell.armed);
+    EXPECT_TRUE(cell.diverged);
+    EXPECT_GT(cell.transmitViolations, 0u);
     EXPECT_FALSE(cell.pass()) << "a leaky scheme claiming safety "
                                  "must fail verification";
 }
@@ -216,10 +212,10 @@ TEST(GadgetCells, NewRosterSchemesBlockTheBattery)
 {
     // DelayAll satisfies the full dataflow contract: no leak, no
     // violations of either obligation.
-    const auto delay_all = sb::ExperimentRunner::runOne(gadgetSpec(
+    const auto delay_all = attack(gadgetSpec(
         sb::GadgetKind::SpectreV1, sb::verifySecretA,
         sb::Scheme::DelayAll));
-    EXPECT_EQ(delay_all.stat("gadget_leaked"), 0u);
+    EXPECT_FALSE(delay_all.leaked);
     EXPECT_EQ(delay_all.transmitViolations, 0u);
     EXPECT_EQ(delay_all.consumeViolations, 0u);
 
@@ -227,10 +223,10 @@ TEST(GadgetCells, NewRosterSchemesBlockTheBattery)
     // tainted transmitters legitimately execute on L1 hits — the
     // shadow's nonzero transmit count is the signature of the
     // leak-freedom-only contract.
-    const auto dom = sb::ExperimentRunner::runOne(gadgetSpec(
+    const auto dom = attack(gadgetSpec(
         sb::GadgetKind::SpectreV1, sb::verifySecretA,
         sb::Scheme::DelayOnMiss));
-    EXPECT_EQ(dom.stat("gadget_leaked"), 0u);
+    EXPECT_FALSE(dom.leaked);
     EXPECT_GT(dom.transmitViolations, 0u);
 }
 
@@ -239,15 +235,11 @@ TEST(Differential, DomPairedTracesAreEquivalent)
     // The leak-freedom contract DoM claims is exactly this: paired
     // secret-flipped runs must be observationally identical even
     // though the shadow records transmitter violations.
-    sb::SchemeConfig scfg;
-    scfg.scheme = sb::Scheme::DelayOnMiss;
     for (const auto kind : sb::allGadgets()) {
-        const auto res_a =
-            sb::runGadget(kind, sb::CoreConfig::mega(), scfg,
-                          sb::verifySecretA, sb::verifyGadgetSeed);
-        const auto res_b =
-            sb::runGadget(kind, sb::CoreConfig::mega(), scfg,
-                          sb::verifySecretB, sb::verifyGadgetSeed);
+        const auto res_a = attack(
+            gadgetSpec(kind, sb::verifySecretA, sb::Scheme::DelayOnMiss));
+        const auto res_b = attack(
+            gadgetSpec(kind, sb::verifySecretB, sb::Scheme::DelayOnMiss));
         EXPECT_EQ(res_a.traceHash, res_b.traceHash)
             << sb::gadgetName(kind);
         EXPECT_EQ(res_a.cycles, res_b.cycles) << sb::gadgetName(kind);
@@ -273,36 +265,10 @@ class LeakyObservationalScheme : public sb::SecureScheme
 
 TEST(Differential, LeakyLeakFreedomClaimantIsCaught)
 {
-    sb::SchemeConfig scfg;
-    const auto core_cfg = sb::CoreConfig::mega();
-
-    const auto gadget_a = sb::buildGadgetProgram(
-        sb::GadgetKind::SpectreV1, sb::verifySecretA,
-        sb::verifyGadgetSeed);
-    const auto gadget_b = sb::buildGadgetProgram(
-        sb::GadgetKind::SpectreV1, sb::verifySecretB,
-        sb::verifyGadgetSeed);
-
-    const auto res_a = sb::runGadgetAttack(
-        gadget_a, core_cfg, scfg,
-        std::make_unique<LeakyObservationalScheme>(),
-        sb::verifySecretA);
-    const auto res_b = sb::runGadgetAttack(
-        gadget_b, core_cfg, scfg,
-        std::make_unique<LeakyObservationalScheme>(),
-        sb::verifySecretB);
-
-    sb::VerifyCell cell;
-    cell.gadget = "spectre-v1";
-    cell.scheme = sb::Scheme::Baseline;
     // Declares nothing stronger than observational leak freedom.
-    cell.contract = sb::SecurityContract::sandboxing();
-    cell.judgedPolicy = cell.contract.policy;
-    cell.leaked = res_a.leaked || res_b.leaked;
-    cell.armed = res_a.leaked && res_b.leaked;
-    cell.diverged = res_a.traceHash != res_b.traceHash
-                    || res_a.traceLength != res_b.traceLength
-                    || res_a.cycles != res_b.cycles;
+    const sb::VerifyCell cell =
+        injectedPair<LeakyObservationalScheme>(sb::GadgetKind::SpectreV1);
+    EXPECT_EQ(cell.judgedPolicy, sb::ContractPolicy::Sandboxing);
     EXPECT_TRUE(cell.leaked);
     EXPECT_TRUE(cell.diverged);
     EXPECT_FALSE(cell.pass()) << "a leaky scheme claiming only leak "
@@ -382,14 +348,9 @@ sb::AttackResult
 runMitigated(sb::GadgetKind kind, sb::Mitigation m,
              std::uint8_t secret)
 {
-    const sb::GadgetProgram gadget =
-        sb::buildGadgetProgram(kind, secret, sb::verifyGadgetSeed);
-    const sb::TransformedProgram mitigated =
-        sb::applyMitigation(m, gadget.program);
-    sb::SchemeConfig scfg; // Unprotected Baseline.
-    return sb::runGadgetAttack(gadget, sb::CoreConfig::mega(), scfg,
-                               sb::makeScheme(scfg), secret,
-                               &mitigated);
+    sb::RunSpec spec = gadgetSpec(kind, secret, sb::Scheme::Baseline);
+    spec.mitigation.kind = m;
+    return attack(spec);
 }
 
 TEST(MitigationClosure, ClosureMapMatchesTheDesign)
@@ -441,7 +402,6 @@ TEST(MitigationClosure, TargetGadgetsFlipToClosedOnBaseline)
         {sb::Mitigation::Retpoline,
          sb::GadgetKind::SpectreV2CrossDomain},
     };
-    sb::SchemeConfig scfg;
     for (const auto &t : targets) {
         ASSERT_TRUE(sb::mitigationCloses(t.m, t.g));
         const std::string label = std::string(sb::mitigationName(t.m))
@@ -449,9 +409,8 @@ TEST(MitigationClosure, TargetGadgetsFlipToClosedOnBaseline)
 
         // Unmitigated Baseline: demonstrably armed, with the contract
         // shadow engine's pinpointed (cycle, seq, pc) leak record.
-        const auto bare =
-            sb::runGadget(t.g, sb::CoreConfig::mega(), scfg,
-                          sb::verifySecretA, sb::verifyGadgetSeed);
+        const auto bare = attack(
+            gadgetSpec(t.g, sb::verifySecretA, sb::Scheme::Baseline));
         ASSERT_TRUE(bare.leaked) << label;
         ASSERT_TRUE(bare.firstCtViolation.valid()) << label;
 
@@ -510,17 +469,38 @@ TEST(MitigationClosure, WeakenedSlhIsStillCaught)
     EXPECT_EQ(weak.stats.instrumentedBranches,
               honest.stats.instrumentedBranches);
 
-    sb::SchemeConfig scfg;
-    const auto res = sb::runGadgetAttack(
-        gadget, sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
-        sb::verifySecretA, &weak);
+    // No RunSpec names a broken pass, so drive the gadget cell by hand
+    // on the transformed program (unprotected Baseline), with commits
+    // mapped back through origin() exactly as runOne maps them.
+    const auto attack_through = [](const sb::TransformedProgram &t) {
+        const sb::RunSpec spec =
+            gadgetSpec(sb::GadgetKind::SpectreV1, sb::verifySecretA,
+                       sb::Scheme::Baseline);
+        const std::unique_ptr<sb::CellDriver> cell =
+            sb::makeGadgetCell(spec);
+        sb::Core core(spec.core, spec.scheme, sb::makeScheme(spec.scheme),
+                      t.program);
+        core.setContractShadowEnabled(true);
+        core.setCommitHook([&t, &cell](const sb::DynInst &inst,
+                                       sb::Cycle at) {
+            const std::int64_t pc = t.origin(inst.pc);
+            if (pc >= 0)
+                cell->onCommit(inst, static_cast<std::uint32_t>(pc), at);
+        });
+        sb::RunOutcome out = sb::outcomeHeader(spec);
+        cell->drive(core, out);
+        return sb::attackResult(out);
+    };
+
+    // The receivers recover the secret, and the shadow pinpoints the
+    // gadget's own transmit...
+    const sb::AttackResult res = attack_through(weak);
     EXPECT_TRUE(res.leaked);
-    EXPECT_TRUE(res.firstCtViolation.valid());
+    ASSERT_TRUE(res.firstCtViolation.valid());
+    EXPECT_EQ(weak.origin(res.firstCtViolation.pc), gadget.transmitPc);
 
     // ...while the honest mask closes the same gadget.
-    const auto closed = sb::runGadgetAttack(
-        gadget, sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
-        sb::verifySecretA, &honest);
+    const sb::AttackResult closed = attack_through(honest);
     EXPECT_FALSE(closed.leaked);
     EXPECT_FALSE(closed.firstCtViolation.valid());
 }
@@ -570,16 +550,12 @@ TEST(Differential, SecureSchemeTracesAreEquivalent)
     // Positive control for the equivalence check: under STT-Rename
     // the paired traces must be bit-identical, so the differential
     // checker's pass is meaningful (not just an insensitive hash).
-    sb::SchemeConfig scfg;
-    scfg.scheme = sb::Scheme::SttRename;
-    const auto res_a =
-        sb::runGadget(sb::GadgetKind::SpectreV2Indirect,
-                      sb::CoreConfig::mega(), scfg, sb::verifySecretA,
-                      sb::verifyGadgetSeed);
-    const auto res_b =
-        sb::runGadget(sb::GadgetKind::SpectreV2Indirect,
-                      sb::CoreConfig::mega(), scfg, sb::verifySecretB,
-                      sb::verifyGadgetSeed);
+    const auto res_a = attack(gadgetSpec(sb::GadgetKind::SpectreV2Indirect,
+                                         sb::verifySecretA,
+                                         sb::Scheme::SttRename));
+    const auto res_b = attack(gadgetSpec(sb::GadgetKind::SpectreV2Indirect,
+                                         sb::verifySecretB,
+                                         sb::Scheme::SttRename));
     EXPECT_EQ(res_a.traceHash, res_b.traceHash);
     EXPECT_EQ(res_a.traceLength, res_b.traceLength);
     EXPECT_EQ(res_a.cycles, res_b.cycles);
