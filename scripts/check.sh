@@ -16,8 +16,9 @@
 #                              # mitigated conformance slice
 #   scripts/check.sh --docs    # Also run the markdown docs link check
 #   scripts/check.sh --shards  # Also run the shard-tier smoke
-#                              # (cold sharded run == in-process run,
-#                              # and a crash storm that must converge)
+#                              # (cold sharded run == in-process run
+#                              # over every cell kind, and a crash
+#                              # storm that must converge)
 #   scripts/check.sh --tenants # Also run the multi-tenant server mix
 #                              # and gate on its cross-tenant verdict
 #
@@ -189,19 +190,32 @@ if [ "$run_bench" = 1 ]; then
 fi
 
 if [ "$run_shards" = 1 ]; then
-    # Shard-tier smoke: a COLD sharded run (fresh cache, real
-    # `sbsim serve` workers) must produce byte-identical outcome
-    # dumps to an in-process run of the same scenario. This is the
-    # end-to-end distributed-correctness gate; the fault-injection
-    # paths are covered by tests/test_shard.cpp in the suite above.
+    # Shard-tier smoke: a COLD sharded run (fresh cache, forked
+    # workers) must produce byte-identical outcome dumps to an
+    # in-process run, over one scenario per cell kind: table1 (window),
+    # security (gadget), conformance (fuzz) and multi_tenant (mt, plus
+    # its summary). This is the end-to-end distributed-correctness
+    # gate; the fault-injection paths are covered by
+    # tests/test_shard.cpp in the suite above.
     shard_tmp=$(mktemp -d)
-    if (cd "$build_dir" \
-        && ./sbsim run table1 --shards 2 \
-             --cache-dir "$shard_tmp/cache" --json > /dev/null \
-        && mv SBSIM_table1.json "$shard_tmp/sharded.json" \
-        && ./sbsim run table1 --no-cache --json > /dev/null \
-        && mv SBSIM_table1.json "$shard_tmp/inproc.json" \
-        && diff "$shard_tmp/sharded.json" "$shard_tmp/inproc.json"); then
+    shard_ok=1
+    for mode in sharded inproc; do
+        if [ "$mode" = sharded ]; then
+            flags=(--shards 2 --cache-dir "$shard_tmp/cache")
+        else
+            flags=(--no-cache --jobs 4)
+        fi
+        mkdir -p "$shard_tmp/$mode"
+        (cd "$build_dir" \
+         && ./sbsim run table1 security conformance multi_tenant \
+              "${flags[@]}" --json > /dev/null \
+         && mv SBSIM_table1.json SBSIM_security.json \
+               SBSIM_conformance.json SBSIM_multi_tenant.json \
+               SBSIM_multi_tenant_summary.json "$shard_tmp/$mode/") \
+            || shard_ok=0
+    done
+    if [ "$shard_ok" = 1 ] \
+       && diff -r "$shard_tmp/sharded" "$shard_tmp/inproc"; then
         echo "shard smoke: sharded == in-process (byte-identical)"
     else
         echo "FAIL: sharded run diverged from in-process run" >&2
@@ -228,31 +242,11 @@ if [ "$run_tenants" = 1 ]; then
     # Multi-tenant gate: the consolidated-server mix across the
     # scheme roster x switch policies. --no-cache like the battery: a
     # cached verdict must never green-light a broken scheme. The
-    # verdict itself lives in the JSON: Baseline must show a
-    # cross-tenant transmit (the battery is armed) and every dataflow
-    # scheme must show none; DoM is sandboxing-only and exempt.
+    # report's verdict is the exit code: Baseline must show a
+    # cross-tenant transmit (the battery is armed), no scheme with a
+    # dataflow obligation may, and a cut-short row fails it.
     if (cd "$build_dir" \
-        && ./sbsim run multi_tenant --no-cache > /dev/null) \
-       && python3 - "$build_dir/SBSIM_multi_tenant_summary.json" <<'EOF'
-import json, sys
-cells = json.load(open(sys.argv[1]))["cells"]
-dataflow = {"STT-Rename", "STT-Issue", "NDA", "NDA-Strict", "DelayAll"}
-baseline_leaks = any(c["cross_tenant_violations"] > 0
-                     for c in cells if c["scheme"] == "Baseline")
-dataflow_leaks = [c for c in cells
-                  if c["scheme"] in dataflow
-                  and c["cross_tenant_violations"] > 0]
-ok = baseline_leaks and not dataflow_leaks
-if not baseline_leaks:
-    print("tenant gate: Baseline showed no cross-tenant transmit "
-          "(battery disarmed)", file=sys.stderr)
-for c in dataflow_leaks:
-    print(f"tenant gate: {c['scheme']} leaked "
-          f"({c['cross_tenant_violations']} violations)",
-          file=sys.stderr)
-sys.exit(0 if ok else 1)
-EOF
-    then
+        && ./sbsim run multi_tenant --no-cache > /dev/null); then
         echo "multi-tenant report: $build_dir/SBSIM_multi_tenant_summary.json"
     else
         echo "FAIL: multi-tenant cross-domain gate" >&2

@@ -111,7 +111,7 @@ faultsArmed()
 }
 
 void
-faultResetForTesting()
+faultReset()
 {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_parsed = false;

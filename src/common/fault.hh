@@ -18,9 +18,9 @@
  *                   crashes the worker that executes it (a poisoned
  *                   cell: fails on every attempt, on every worker)
  *
- * Counters are per-process: a respawned worker re-reads SB_FAULT and
- * starts counting from zero. With SB_FAULT unset every hook is a
- * no-op costing one branch.
+ * Counters are per-process: every shard worker, a fork of the
+ * dispatcher, re-reads SB_FAULT (faultReset) and starts counting from
+ * zero. With SB_FAULT unset every hook is a no-op costing one branch.
  */
 
 #ifndef SB_COMMON_FAULT_HH
@@ -47,8 +47,9 @@ bool faultPoisoned(const std::string &workload);
  *  logging). */
 bool faultsArmed();
 
-/** Re-read SB_FAULT and reset all counters (tests only). */
-void faultResetForTesting();
+/** Re-read SB_FAULT and reset all counters: a forked shard worker
+ *  starts from zero, and tests re-arm faults with it. */
+void faultReset();
 
 } // namespace sb
 

@@ -231,21 +231,4 @@ ContractShadow::onArchTransmit(std::uint32_t pc, bool secret_operand)
         firstCt = {0, 0, pc};
 }
 
-void
-ContractShadow::reset()
-{
-    for (auto &r : regs)
-        r = Label{};
-    pendingLoads.clear();
-    storeData.clear();
-    sandboxViol = 0;
-    ctViol = 0;
-    crossTenantViol = 0;
-    transmitViol = 0;
-    consumeViol = 0;
-    firstSandbox = ContractViolation{};
-    firstCt = ContractViolation{};
-    firstCrossTenant = ContractViolation{};
-}
-
 } // namespace sb

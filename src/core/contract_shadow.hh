@@ -177,8 +177,6 @@ class ContractShadow
         return firstCrossTenant;
     }
 
-    void reset();
-
   private:
     static Addr alignWord(Addr addr) { return addr & ~Addr(7); }
 

@@ -384,8 +384,8 @@ Core::tick()
     // Monotonicity of the *published* visibility point across ticks.
     // The tracker's own update() hard-asserts the per-step invariant
     // (and would abort before this observer sees it); this check
-    // covers what that assert cannot — a reset() slipped into a live
-    // run, or a future tracker rewrite publishing stale values.
+    // covers what that assert cannot — tracker state rebuilt
+    // mid-run, or a future tracker rewrite publishing stale values.
     if (inv.on())
         inv.onVisibilityPoint(shadows.visibilityPoint());
 

@@ -131,9 +131,6 @@ class SecureScheme
         return SecurityContract::none();
     }
 
-    /** Reset all scheme state (between runs). */
-    virtual void reset() {}
-
   protected:
     Core *coreRef = nullptr;
 };

@@ -63,14 +63,4 @@ ShadowTracker::update(SeqNum next_seq, std::vector<InstHandle> &now_safe)
     }
 }
 
-void
-ShadowTracker::reset()
-{
-    branches.clear();
-    stores.clear();
-    specLoads.clear();
-    vp = 0;
-    vpPrev = 0;
-}
-
 } // namespace sb

@@ -65,9 +65,6 @@ class ShadowTracker
     /** Count of live speculative loads (diagnostics). */
     std::size_t speculativeLoads() const { return specLoads.size(); }
 
-    /** Drop all state (full reset). */
-    void reset();
-
   private:
     struct Entry
     {

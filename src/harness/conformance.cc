@@ -489,7 +489,7 @@ printFuzzReport(const FuzzReport &report, std::FILE *out)
                  report.failures.size());
 }
 
-void
+bool
 printContractReport(const FuzzParams &params,
                     const std::vector<RunOutcome> &outcomes,
                     std::FILE *out)
@@ -550,6 +550,7 @@ printContractReport(const FuzzParams &params,
     }
     std::fprintf(out, "verdict: %s\n",
                  contract_failures == 0 ? "PASS" : "FAIL");
+    return contract_failures == 0;
 }
 
 void
@@ -561,8 +562,10 @@ registerConformanceScenarios(ScenarioRegistry &registry)
     s.specs = [] { return fuzzSpecs(scenarioParams()); };
     s.report = [](const std::vector<RunOutcome> &outcomes,
                   std::FILE *out) {
-        printFuzzReport(foldFuzzOutcomes(scenarioParams(), outcomes),
-                        out);
+        const FuzzReport report =
+            foldFuzzOutcomes(scenarioParams(), outcomes);
+        printFuzzReport(report, out);
+        return report.ok();
     };
     registry.add(std::move(s));
 
@@ -576,7 +579,7 @@ registerConformanceScenarios(ScenarioRegistry &registry)
     c.specs = [] { return fuzzSpecs(scenarioParams()); };
     c.report = [](const std::vector<RunOutcome> &outcomes,
                   std::FILE *out) {
-        printContractReport(scenarioParams(), outcomes, out);
+        return printContractReport(scenarioParams(), outcomes, out);
     };
     registry.add(std::move(c));
 }

@@ -199,8 +199,9 @@ void printFuzzReport(const FuzzReport &report, std::FILE *out);
 void registerConformanceScenarios(ScenarioRegistry &registry);
 
 /** The contract_check report: per-scheme shadow-violation totals
- *  plus every "contract" failure with its repro. */
-void printContractReport(const FuzzParams &params,
+ *  plus every "contract" (or cut-short) failure with its repro.
+ *  Returns the printed verdict: true when there is none. */
+bool printContractReport(const FuzzParams &params,
                          const std::vector<RunOutcome> &outcomes,
                          std::FILE *out);
 

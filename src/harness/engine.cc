@@ -161,15 +161,10 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
     // Simulate the remainder: sharded worker processes when
     // requested, the persistent in-process pool otherwise.
     std::vector<RunOutcome> ran(toRun.size());
-    const bool useShards = opt.shards > 0 && !opt.sbsimPath.empty();
-    if (opt.shards > 0 && opt.sbsimPath.empty())
-        sb_warn("engine: shards requested but no worker binary "
-                "configured; running in-process");
-    if (!toRun.empty() && useShards) {
+    if (!toRun.empty() && opt.shards > 0) {
         ShardOptions shardOpt;
         shardOpt.shards = opt.shards;
         shardOpt.cacheDir = diskCache ? opt.cacheDir : std::string();
-        shardOpt.workerPath = opt.sbsimPath;
         shardOpt.cellTimeoutSec = opt.cellTimeoutSec;
         ShardDispatcher dispatcher(std::move(shardOpt));
         ran = dispatcher.run(toRun, toRunKeys);
@@ -187,7 +182,6 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
         accounting.shardCrashes += report.crashes;
         accounting.shardHangs += report.hangs;
         accounting.shardRetries += report.retries;
-        accounting.shardStolen += report.stolen;
         accounting.shardDegraded |= report.degraded;
         accounting.interrupted |= report.interrupted;
         accounting.quarantinedKeys.insert(

@@ -50,7 +50,6 @@ struct EngineStats
     std::uint64_t shardCrashes = 0;   ///< Worker exits / broken streams.
     std::uint64_t shardHangs = 0;     ///< Kill-deadline SIGKILLs.
     std::uint64_t shardRetries = 0;   ///< Cells re-dispatched.
-    std::uint64_t shardStolen = 0;    ///< Cells run off their home shard.
     std::uint64_t interruptedCells = 0; ///< Cells stubbed by SIGINT/TERM.
     bool shardDegraded = false; ///< Batch fell back to in-process.
     bool interrupted = false;   ///< A batch was cut short by a signal.
@@ -68,16 +67,15 @@ class ExperimentEngine
         unsigned jobs = 0;
         /** Result-cache directory; empty disables the disk cache. */
         std::string cacheDir;
-        /** Worker processes for the sharded tier; 0 = in-process
-         *  threads only (the default). */
+        /** Worker processes for the sharded tier (forks of this
+         *  process; see harness/shard.hh); 0 = in-process threads
+         *  only (the default). A sharded engine never starts its
+         *  thread pool. */
         unsigned shards = 0;
         /** Per-cell wall-clock budget in seconds; 0 = unlimited.
          *  Overruns come back marked stats["watchdog_tripped"] and
          *  are not cached. */
         double cellTimeoutSec = 0;
-        /** The sbsim binary to exec as `sbsim serve` workers;
-         *  required when shards > 0. */
-        std::string sbsimPath;
     };
 
     ExperimentEngine();

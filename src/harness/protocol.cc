@@ -52,46 +52,6 @@ writeAll(int fd, const char *data, std::size_t size)
     return true;
 }
 
-// Typed field extraction: strict (missing or mistyped fields fail the
-// whole message) because both ends run the same binary — any mismatch
-// means a corrupt stream or a version skew, and silence would turn it
-// into a wrong simulation.
-bool
-getUnsigned(const Json &json, const char *key, unsigned &out)
-{
-    if (!json.has(key) || json.at(key).kind() != Json::Kind::Uint)
-        return false;
-    out = static_cast<unsigned>(json.at(key).asUint());
-    return true;
-}
-
-bool
-getU64(const Json &json, const char *key, std::uint64_t &out)
-{
-    if (!json.has(key) || json.at(key).kind() != Json::Kind::Uint)
-        return false;
-    out = json.at(key).asUint();
-    return true;
-}
-
-bool
-getBool(const Json &json, const char *key, bool &out)
-{
-    if (!json.has(key) || json.at(key).kind() != Json::Kind::Bool)
-        return false;
-    out = json.at(key).asBool();
-    return true;
-}
-
-bool
-getString(const Json &json, const char *key, std::string &out)
-{
-    if (!json.has(key) || json.at(key).kind() != Json::Kind::String)
-        return false;
-    out = json.at(key).asString();
-    return true;
-}
-
 } // anonymous namespace
 
 bool
@@ -177,174 +137,6 @@ FrameReader::next(std::string &payload)
     return true;
 }
 
-// --- Spec serialization -------------------------------------------------
-
-Json
-toJson(const CacheConfig &config)
-{
-    Json j = Json::object();
-    j.set("size", Json::num(std::uint64_t(config.sizeBytes)));
-    j.set("assoc", Json::num(std::uint64_t(config.assoc)));
-    j.set("line", Json::num(std::uint64_t(config.lineBytes)));
-    j.set("lat", Json::num(std::uint64_t(config.latency)));
-    j.set("mshrs", Json::num(std::uint64_t(config.mshrs)));
-    j.set("pf", Json::boolean(config.stridePrefetcher));
-    j.set("pfdeg", Json::num(std::uint64_t(config.prefetchDegree)));
-    return j;
-}
-
-bool
-cacheConfigFromJson(const Json &json, CacheConfig &out)
-{
-    if (!json.isObject())
-        return false;
-    CacheConfig c;
-    if (!getUnsigned(json, "size", c.sizeBytes)
-        || !getUnsigned(json, "assoc", c.assoc)
-        || !getUnsigned(json, "line", c.lineBytes)
-        || !getUnsigned(json, "lat", c.latency)
-        || !getUnsigned(json, "mshrs", c.mshrs)
-        || !getBool(json, "pf", c.stridePrefetcher)
-        || !getUnsigned(json, "pfdeg", c.prefetchDegree))
-        return false;
-    out = c;
-    return true;
-}
-
-Json
-toJson(const CoreConfig &config)
-{
-    Json j = Json::object();
-    j.set("name", Json::str(config.name));
-    j.set("fw", Json::num(std::uint64_t(config.fetchWidth)));
-    j.set("fbuf", Json::num(std::uint64_t(config.fetchBufferEntries)));
-    j.set("cw", Json::num(std::uint64_t(config.coreWidth)));
-    j.set("iw", Json::num(std::uint64_t(config.issueWidth)));
-    j.set("memp", Json::num(std::uint64_t(config.memPorts)));
-    j.set("fpp", Json::num(std::uint64_t(config.fpPorts)));
-    j.set("rob", Json::num(std::uint64_t(config.robEntries)));
-    j.set("iq", Json::num(std::uint64_t(config.iqEntries)));
-    j.set("ldq", Json::num(std::uint64_t(config.ldqEntries)));
-    j.set("stq", Json::num(std::uint64_t(config.stqEntries)));
-    j.set("pregs", Json::num(std::uint64_t(config.numPhysRegs)));
-    j.set("br", Json::num(std::uint64_t(config.maxBranches)));
-    j.set("alu", Json::num(std::uint64_t(config.aluLatency)));
-    j.set("mul", Json::num(std::uint64_t(config.mulLatency)));
-    j.set("div", Json::num(std::uint64_t(config.divLatency)));
-    j.set("fp", Json::num(std::uint64_t(config.fpLatency)));
-    j.set("fpdiv", Json::num(std::uint64_t(config.fpDivLatency)));
-    j.set("brlat",
-          Json::num(std::uint64_t(config.branchResolveLatency)));
-    j.set("l1d", toJson(config.l1d));
-    j.set("l2", toJson(config.l2));
-    j.set("mem", Json::num(std::uint64_t(config.memLatency)));
-    j.set("specsched", Json::boolean(config.speculativeScheduling));
-    j.set("festages", Json::num(std::uint64_t(config.frontendStages)));
-    j.set("swflush", Json::boolean(config.flushPredictorsOnSwitch));
-    j.set("swpen",
-          Json::num(std::uint64_t(config.contextSwitchPenalty)));
-    return j;
-}
-
-bool
-coreConfigFromJson(const Json &json, CoreConfig &out)
-{
-    if (!json.isObject())
-        return false;
-    CoreConfig c;
-    if (!getString(json, "name", c.name)
-        || !getUnsigned(json, "fw", c.fetchWidth)
-        || !getUnsigned(json, "fbuf", c.fetchBufferEntries)
-        || !getUnsigned(json, "cw", c.coreWidth)
-        || !getUnsigned(json, "iw", c.issueWidth)
-        || !getUnsigned(json, "memp", c.memPorts)
-        || !getUnsigned(json, "fpp", c.fpPorts)
-        || !getUnsigned(json, "rob", c.robEntries)
-        || !getUnsigned(json, "iq", c.iqEntries)
-        || !getUnsigned(json, "ldq", c.ldqEntries)
-        || !getUnsigned(json, "stq", c.stqEntries)
-        || !getUnsigned(json, "pregs", c.numPhysRegs)
-        || !getUnsigned(json, "br", c.maxBranches)
-        || !getUnsigned(json, "alu", c.aluLatency)
-        || !getUnsigned(json, "mul", c.mulLatency)
-        || !getUnsigned(json, "div", c.divLatency)
-        || !getUnsigned(json, "fp", c.fpLatency)
-        || !getUnsigned(json, "fpdiv", c.fpDivLatency)
-        || !getUnsigned(json, "brlat", c.branchResolveLatency)
-        || !json.has("l1d") || !cacheConfigFromJson(json.at("l1d"), c.l1d)
-        || !json.has("l2") || !cacheConfigFromJson(json.at("l2"), c.l2)
-        || !getUnsigned(json, "mem", c.memLatency)
-        || !getBool(json, "specsched", c.speculativeScheduling)
-        || !getUnsigned(json, "festages", c.frontendStages)
-        || !getBool(json, "swflush", c.flushPredictorsOnSwitch)
-        || !getUnsigned(json, "swpen", c.contextSwitchPenalty))
-        return false;
-    out = c;
-    return true;
-}
-
-Json
-toJson(const SchemeConfig &config)
-{
-    Json j = Json::object();
-    j.set("scheme", Json::str(schemeName(config.scheme)));
-    j.set("2taint", Json::boolean(config.twoTaintStores));
-    j.set("ndaspec",
-          Json::boolean(config.ndaKeepSpeculativeScheduling));
-    return j;
-}
-
-bool
-schemeConfigFromJson(const Json &json, SchemeConfig &out)
-{
-    if (!json.isObject())
-        return false;
-    SchemeConfig c;
-    std::string name;
-    if (!getString(json, "scheme", name)
-        || !schemeFromName(name, c.scheme)
-        || !getBool(json, "2taint", c.twoTaintStores)
-        || !getBool(json, "ndaspec", c.ndaKeepSpeculativeScheduling))
-        return false;
-    out = c;
-    return true;
-}
-
-Json
-toJson(const RunSpec &spec)
-{
-    Json j = Json::object();
-    j.set("core", toJson(spec.core));
-    j.set("scheme", toJson(spec.scheme));
-    j.set("workload", Json::str(spec.workload));
-    j.set("mitigation", Json::str(mitigationName(spec.mitigation.kind)));
-    j.set("warmup", Json::num(spec.warmupInsts));
-    j.set("measure", Json::num(spec.measureInsts));
-    j.set("maxcycles", Json::num(spec.maxCycles));
-    return j;
-}
-
-bool
-runSpecFromJson(const Json &json, RunSpec &out)
-{
-    if (!json.isObject())
-        return false;
-    RunSpec s;
-    std::string mitigation;
-    if (!json.has("core") || !coreConfigFromJson(json.at("core"), s.core)
-        || !json.has("scheme")
-        || !schemeConfigFromJson(json.at("scheme"), s.scheme)
-        || !getString(json, "workload", s.workload)
-        || !getString(json, "mitigation", mitigation)
-        || !mitigationFromName(mitigation, s.mitigation.kind)
-        || !getU64(json, "warmup", s.warmupInsts)
-        || !getU64(json, "measure", s.measureInsts)
-        || !getU64(json, "maxcycles", s.maxCycles))
-        return false;
-    out = s;
-    return true;
-}
-
 // --- Messages -----------------------------------------------------------
 
 Json
@@ -352,21 +144,15 @@ makeHelloMsg()
 {
     Json j = Json::object();
     j.set("cmd", Json::str("hello"));
-    j.set("pid", Json::num(std::uint64_t(::getpid())));
-    j.set("proto", Json::num(std::uint64_t(shardProtocolVersion)));
     return j;
 }
 
 Json
-makeRunCmd(std::uint64_t id, const std::string &key,
-           const RunSpec &spec, std::uint64_t timeoutMs)
+makeRunCmd(std::uint64_t id)
 {
     Json j = Json::object();
     j.set("cmd", Json::str("run"));
     j.set("id", Json::num(id));
-    j.set("key", Json::str(key));
-    j.set("timeout_ms", Json::num(timeoutMs));
-    j.set("spec", toJson(spec));
     return j;
 }
 

@@ -2,28 +2,25 @@
  * @file
  * Wire protocol of the sharded experiment tier.
  *
- * A dispatcher (`sbsim run --shards N`) and a worker (`sbsim serve`)
- * exchange length-prefixed JSON frames over a pipe or socketpair:
- * each frame is a 4-byte little-endian payload length followed by
- * exactly that many bytes of JSON text. Framing is independent of
- * JSON so a reader never has to scan for message boundaries, a
- * half-written frame from a crashed peer is detected by length (not
- * by parse luck), and the unparsed tail survives in the reader for
- * the next read.
+ * The dispatcher (`sbsim run --shards N`) and each worker it forked
+ * (harness/shard.hh) exchange length-prefixed JSON frames over a
+ * socketpair: each frame is a 4-byte little-endian payload length
+ * followed by exactly that many bytes of JSON text. Framing is
+ * independent of JSON so a reader never has to scan for message
+ * boundaries, a half-written frame from a crashed peer is detected by
+ * length (not by parse luck), and the unparsed tail survives in the
+ * reader for the next read.
  *
  * Messages (the `cmd` field discriminates):
- *   worker -> dispatcher  {"cmd":"hello","pid":P,"proto":V}
- *   dispatcher -> worker  {"cmd":"run","id":I,"key":K,
- *                          "timeout_ms":T,"spec":{...}}
+ *   worker -> dispatcher  {"cmd":"hello"}
+ *   dispatcher -> worker  {"cmd":"run","id":I}
  *   worker -> dispatcher  {"cmd":"done","id":I,"cached":B,
  *                          "outcome":{...}}
  *   dispatcher -> worker  {"cmd":"shutdown"}
  *
- * The spec travels as a full field-by-field serialization of
- * RunSpec (core geometry, scheme knobs, workload, windows), so a
- * worker reconstructs exactly the cell the dispatcher addressed —
- * round-trip fidelity is pinned by tests against
- * RunSpec::canonical(), which by contract covers every field.
+ * A worker is a fork of the dispatcher and holds the batch it was
+ * forked with, so `run` names a cell by its index I in that batch;
+ * only the outcome travels as data.
  */
 
 #ifndef SB_HARNESS_PROTOCOL_HH
@@ -37,10 +34,6 @@
 
 namespace sb
 {
-
-/** Protocol version, carried in the hello message. A dispatcher
- *  refuses a worker answering with a different version. */
-constexpr unsigned shardProtocolVersion = 2;
 
 /** Upper bound on one frame; larger lengths mean a corrupt stream. */
 constexpr std::uint32_t maxFrameBytes = 64u << 20;
@@ -92,23 +85,10 @@ class FrameReader
     bool corruptFlag = false;
 };
 
-// --- Spec / outcome serialization --------------------------------------
-
-Json toJson(const CacheConfig &config);
-Json toJson(const CoreConfig &config);
-Json toJson(const SchemeConfig &config);
-Json toJson(const RunSpec &spec);
-
-bool cacheConfigFromJson(const Json &json, CacheConfig &out);
-bool coreConfigFromJson(const Json &json, CoreConfig &out);
-bool schemeConfigFromJson(const Json &json, SchemeConfig &out);
-bool runSpecFromJson(const Json &json, RunSpec &out);
-
 // --- Message builders ---------------------------------------------------
 
 Json makeHelloMsg();
-Json makeRunCmd(std::uint64_t id, const std::string &key,
-                const RunSpec &spec, std::uint64_t timeoutMs);
+Json makeRunCmd(std::uint64_t id);
 Json makeDoneMsg(std::uint64_t id, const RunOutcome &outcome,
                  bool cached);
 Json makeShutdownCmd();

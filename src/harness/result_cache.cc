@@ -85,61 +85,45 @@ frameCacheRecord(const std::string &key, const RunOutcome &outcome)
 
 bool
 parseCacheLine(const std::string &line, std::string &key,
-               RunOutcome &out, bool &legacy)
+               RunOutcome &out)
 {
-    legacy = false;
     static const std::string framedPrefix = "{\"len\":";
-    if (line.compare(0, framedPrefix.size(), framedPrefix) == 0) {
-        std::size_t pos = framedPrefix.size();
-        std::size_t len = 0;
-        const std::size_t lenStart = pos;
-        while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
-            len = len * 10 + static_cast<std::size_t>(line[pos++] - '0');
-        if (pos == lenStart)
-            return false;
-        static const std::string sumTag = ",\"sum\":\"";
-        if (line.compare(pos, sumTag.size(), sumTag) != 0)
-            return false;
-        pos += sumTag.size();
-        if (pos + 16 > line.size())
-            return false;
-        const std::string sum = line.substr(pos, 16);
-        pos += 16;
-        static const std::string recTag = "\",\"rec\":";
-        if (line.compare(pos, recTag.size(), recTag) != 0)
-            return false;
-        pos += recTag.size();
-        // The payload must span exactly len bytes and leave only the
-        // closing brace: a torn tail or a spliced next record fails
-        // here before any checksum work.
-        if (line.size() != pos + len + 1 || line.back() != '}')
-            return false;
-        const std::string payload = line.substr(pos, len);
-        if (hex16(fnv1aString(fnv1aBasis, payload)) != sum)
-            return false;
-        Json rec;
-        if (!Json::parse(payload, rec) || !rec.isObject()
-            || !rec.has("key")
-            || rec.at("key").kind() != Json::Kind::String
-            || !rec.has("outcome")
-            || !outcomeFromJson(rec.at("outcome"), out))
-            return false;
-        key = rec.at("key").asString();
-        return true;
-    }
-
-    // Legacy frameless line: {"key":...,"outcome":...}. Accepted so
-    // an existing cache survives the framing migration; the caller
-    // compacts it into framed form.
-    Json entry;
-    if (!Json::parse(line, entry) || !entry.isObject()
-        || !entry.has("key")
-        || entry.at("key").kind() != Json::Kind::String
-        || !entry.has("outcome")
-        || !outcomeFromJson(entry.at("outcome"), out))
+    if (line.compare(0, framedPrefix.size(), framedPrefix) != 0)
         return false;
-    key = entry.at("key").asString();
-    legacy = true;
+    std::size_t pos = framedPrefix.size();
+    std::size_t len = 0;
+    const std::size_t lenStart = pos;
+    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
+        len = len * 10 + static_cast<std::size_t>(line[pos++] - '0');
+    if (pos == lenStart)
+        return false;
+    static const std::string sumTag = ",\"sum\":\"";
+    if (line.compare(pos, sumTag.size(), sumTag) != 0)
+        return false;
+    pos += sumTag.size();
+    if (pos + 16 > line.size())
+        return false;
+    const std::string sum = line.substr(pos, 16);
+    pos += 16;
+    static const std::string recTag = "\",\"rec\":";
+    if (line.compare(pos, recTag.size(), recTag) != 0)
+        return false;
+    pos += recTag.size();
+    // The payload must span exactly len bytes and leave only the
+    // closing brace: a torn tail or a spliced next record fails here
+    // before any checksum work.
+    if (line.size() != pos + len + 1 || line.back() != '}')
+        return false;
+    const std::string payload = line.substr(pos, len);
+    if (hex16(fnv1aString(fnv1aBasis, payload)) != sum)
+        return false;
+    Json rec;
+    if (!Json::parse(payload, rec) || !rec.isObject() || !rec.has("key")
+        || rec.at("key").kind() != Json::Kind::String
+        || !rec.has("outcome")
+        || !outcomeFromJson(rec.at("outcome"), out))
+        return false;
+    key = rec.at("key").asString();
     return true;
 }
 
@@ -181,7 +165,6 @@ ResultCache::loadAndRepair()
         return;
     }
 
-    std::size_t legacyCount = 0;
     {
         std::ifstream in(filePath);
         std::string line;
@@ -190,26 +173,21 @@ ResultCache::loadAndRepair()
                 continue;
             std::string key;
             RunOutcome outcome;
-            bool legacy = false;
-            if (!parseCacheLine(line, key, outcome, legacy)) {
+            if (!parseCacheLine(line, key, outcome)) {
                 ++damaged;
                 continue;
             }
-            if (legacy)
-                ++legacyCount;
             entries[key] = std::move(outcome);
         }
     }
 
-    if (damaged || legacyCount) {
-        if (damaged)
-            sb_warn("result cache ", filePath, ": skipped ", damaged,
-                    " damaged record(s), compacting");
-        // Rewrite the file from the records that verified, in framed
-        // form, so damage (and the legacy format) is shed once
-        // instead of being re-skipped on every load. The exclusive
-        // lock is already held; write-then-rename keeps the file
-        // whole if we die mid-compaction.
+    if (damaged) {
+        sb_warn("result cache ", filePath, ": skipped ", damaged,
+                " damaged record(s), compacting");
+        // Rewrite the file from the records that verified, so damage
+        // is shed once instead of being re-skipped on every load. The
+        // exclusive lock is already held; write-then-rename keeps the
+        // file whole if we die mid-compaction.
         const std::string tmp = filePath + ".compact";
         std::string blob;
         for (const auto &kv : entries) {

@@ -12,10 +12,8 @@
  * as written and the checksum covers those same bytes. On load a
  * record is accepted only when the length matches and the payload
  * bytes hash to the checksum, so a torn tail (killed writer), a
- * spliced line, or bit rot degrades to a skipped record — never a
- * wrong result. Legacy frameless lines ({"key":...,"outcome":...})
- * are still readable and are rewritten in framed form by the next
- * compaction.
+ * spliced line, bit rot, or a line in any other format degrades to a
+ * skipped record — never a wrong result.
  *
  * Concurrency protocol (N processes sharing one cache directory):
  *  - every append opens the data file fresh (O_APPEND) and writes the
@@ -51,13 +49,12 @@ std::string frameCacheRecord(const std::string &key,
                              const RunOutcome &outcome);
 
 /**
- * Parse one cache line into (@p key, @p out). Accepts framed records
- * whose length and checksum verify, plus legacy frameless lines
- * (@p legacy is set so callers can trigger a migrating compaction).
- * Returns false on damage of any kind.
+ * Parse one cache line into (@p key, @p out). Accepts only framed
+ * records whose length and checksum verify; returns false on damage
+ * of any kind.
  */
 bool parseCacheLine(const std::string &line, std::string &key,
-                    RunOutcome &out, bool &legacy);
+                    RunOutcome &out);
 
 class ResultCache
 {

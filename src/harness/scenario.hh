@@ -36,9 +36,11 @@ struct Scenario
 
     /**
      * Render the report to @p out; @p outcomes matches the order of
-     * specs() element-for-element.
+     * specs() element-for-element. Returns the report's verdict:
+     * false when any check it prints failed (sbsim then exits 1);
+     * figures and tables, which judge nothing, return true.
      */
-    std::function<void(const std::vector<RunOutcome> &outcomes,
+    std::function<bool(const std::vector<RunOutcome> &outcomes,
                        std::FILE *out)>
         report;
 };

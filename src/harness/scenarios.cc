@@ -75,6 +75,7 @@ table1Scenario()
         t.row(paper_row);
 
         std::fprintf(out, "%s\n", t.render().c_str());
+        return true;
     };
     return s;
 }
@@ -151,6 +152,7 @@ fig1Scenario()
             std::fprintf(out, "           NDA   |%-40s|\n",
                          bar(ys[Scheme::Nda][i]).c_str());
         }
+        return true;
     };
     return s;
 }
@@ -209,6 +211,7 @@ fig6Scenario()
             std::fprintf(out, "  %-16s NDA   |%-40s|\n", "",
                          bar(nda.perBench.at(name) / b).c_str());
         }
+        return true;
     };
     return s;
 }
@@ -268,6 +271,7 @@ fig7Scenario()
                      "(Table 5): Medium 7.3/6.4/10.7%%, Large "
                      "11.3/10.0/18.6%%, Mega 17.6/15.8/22.4%% for "
                      "STT-Rename/STT-Issue/NDA.\n");
+        return true;
     };
     return s;
 }
@@ -330,6 +334,7 @@ fig8Scenario()
         std::fprintf(out,
                      "\nShape check: relative IPC must fall as "
                      "absolute IPC rises (negative slopes above).\n");
+        return true;
     };
     return s;
 }
@@ -391,6 +396,7 @@ fig9Scenario()
                          b.bypassNetwork, b.criticalPath,
                          b.frequencyMhz);
         }
+        return true;
     };
     return s;
 }
@@ -443,6 +449,7 @@ fig10Scenario()
         std::fprintf(out,
                      "\nShape check: NDA ~flat at 1.0; STT-Rename "
                      "slope most negative (paper Sec. 8.3).\n");
+        return true;
     };
     return s;
 }
@@ -501,6 +508,7 @@ table3Scenario()
         std::fprintf(out,
                      "Performance = (suite-mean IPC relative to "
                      "baseline) x (relative synthesis frequency).\n");
+        return true;
     };
     return s;
 }
@@ -555,6 +563,7 @@ table4Scenario()
                      "  NDA-Strict  LUTs=%.3f FFs=%.3f Power=%.3f\n",
                      strict.luts, strict.ffs,
                      PowerModel::relative(mega, Scheme::NdaStrict));
+        return true;
     };
     return s;
 }
@@ -622,6 +631,7 @@ table5Scenario()
                      "yield a higher\nbaseline IPC; the gem5-NDA "
                      "configuration lands between Medium and Large "
                      "with a milder NDA loss.\n");
+        return true;
     };
     return s;
 }
@@ -695,6 +705,7 @@ ablationL1hitScenario()
                      "Conclusion (paper Sec. 5.1): the IPC benefit of "
                      "keeping the logic is marginal for NDA, while "
                      "removing it simplifies timing.\n");
+        return true;
     };
     return s;
 }
@@ -769,6 +780,7 @@ ablationStoresScenario()
                      "the forwarding errors of NDA on exchange2 (abs "
                      "IPC 1.44 vs 1.77);\nthe two-taint optimization "
                      "and STT-Issue both eliminate the error storm.\n");
+        return true;
     };
     return s;
 }
@@ -839,6 +851,7 @@ schemeCompareScenario()
                      "sits between the\nselective schemes and DelayAll "
                      "on miss-heavy workloads but near baseline on "
                      "L1-resident ones.\n");
+        return true;
     };
     return s;
 }

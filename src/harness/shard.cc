@@ -10,15 +10,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <memory>
 
-#include "common/hash.hh"
+#include "common/fault.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/signals.hh"
 #include "harness/protocol.hh"
 #include "harness/reporting.hh"
+#include "harness/result_cache.hh"
 
 namespace sb
 {
@@ -31,7 +34,7 @@ using TimePoint = Clock::time_point;
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-/** Grace for a fresh worker to say hello (covers exec + cache load). */
+/** Grace for a fresh worker to say hello (covers its cache load). */
 constexpr int helloTimeoutMs = 20000;
 
 /** Kill deadline when no cell timeout is configured: generous enough
@@ -50,6 +53,111 @@ toMsClamped(TimePoint deadline, TimePoint now)
     return static_cast<int>(std::min<long long>(ms, 500));
 }
 
+/** Worker exit code for a protocol/stream failure (vs 0 for a clean
+ *  shutdown or EOF). */
+constexpr int workerStreamError = 3;
+
+/** SB_FAULT=crash exit code; distinctive in waitpid status. */
+constexpr int workerFaultExit = 70;
+
+/**
+ * The body of a forked worker: announce readiness on @p fd, then
+ * answer each `run` frame (a cell index into @p specs) with a `done`
+ * frame until EOF or shutdown. Returns the exit code; the caller
+ * _exits with it.
+ */
+int
+serveCells(int fd, const std::vector<RunSpec> &specs,
+           const std::vector<std::string> &keys,
+           const ShardOptions &opt)
+{
+    // What a fresh process would have: the dispatcher supervises, so
+    // an operator's ^C to the process group ends a worker outright;
+    // SB_FAULT counts from zero in every worker generation; and the
+    // cache is opened anew, since the flock on an inherited lock file
+    // would be shared with the dispatcher and every sibling. SIGPIPE
+    // stays ignored (the dispatcher set it), so a dispatcher gone
+    // mid-reply is an EPIPE, not a death while holding the lock.
+    ::signal(SIGINT, SIG_DFL);
+    ::signal(SIGTERM, SIG_DFL);
+    faultReset();
+    std::unique_ptr<ResultCache> cache;
+    if (!opt.cacheDir.empty()) {
+        cache = std::make_unique<ResultCache>(opt.cacheDir);
+        if (!cache->ok())
+            cache.reset(); // Already warned; run uncached.
+    }
+
+    if (!writeFrame(fd, makeHelloMsg().dump()))
+        return workerStreamError;
+
+    std::string payload;
+    while (true) {
+        // Block indefinitely: an idle worker costs nothing, and a
+        // dying dispatcher delivers EOF which ends the loop.
+        const RecvStatus status = readFrame(fd, payload, -1);
+        if (status == RecvStatus::Closed)
+            return 0; // Dispatcher went away; nothing left to serve.
+        if (status != RecvStatus::Ok)
+            return workerStreamError;
+
+        Json msg;
+        if (!Json::parse(payload, msg))
+            return workerStreamError;
+        const std::string cmd = messageCmd(msg);
+        if (cmd == "shutdown")
+            return 0;
+        if (cmd != "run" || !msg.has("id")
+            || msg.at("id").kind() != Json::Kind::Uint
+            || msg.at("id").asUint() >= specs.size())
+            return workerStreamError;
+        const std::uint64_t id = msg.at("id").asUint();
+        const RunSpec &spec = specs[id];
+        const std::string &key = keys[id];
+
+        // Injected fault: a poisoned cell crashes every worker that
+        // touches it, on every attempt — the quarantine trigger.
+        if (faultPoisoned(spec.workload))
+            _exit(workerFaultExit);
+
+        RunOutcome outcome;
+        bool cached = false;
+        if (cache && !key.empty() && cache->lookup(key, outcome)
+            && outcome.workload == spec.workload
+            && outcome.coreName == spec.core.name
+            && outcome.scheme == spec.scheme.scheme) {
+            cached = true;
+        } else {
+            RunHooks hooks;
+            // The dispatcher's kill deadline backs this up; the
+            // worker-side deadline lets a slow cell end cleanly with
+            // a watchdog outcome instead of a SIGKILL.
+            hooks.wallDeadlineSec = opt.cellTimeoutSec;
+            outcome = ExperimentRunner::runOne(spec, hooks);
+            if (cache && !key.empty() && outcomeIsCacheable(outcome)) {
+                // Persist before replying: a crash in the gap costs
+                // nothing (the retry is served from the cache), while
+                // the reverse order could lose a computed cell.
+                cache->store(key, outcome);
+                cached = true;
+            }
+        }
+
+        // Injected faults at the reply boundary: the work (and any
+        // cache store) is done, the dispatcher never hears about it.
+        if (faultPoint("crash"))
+            _exit(workerFaultExit);
+        if (faultPoint("hang")) {
+            sb_warn("SB_FAULT hang: shard worker wedging");
+            while (true)
+                ::pause();
+        }
+
+        if (!writeFrame(fd, makeDoneMsg(id, outcome, cached).dump()))
+            return workerStreamError;
+    }
+}
+
 } // anonymous namespace
 
 unsigned
@@ -62,17 +170,6 @@ backoffDelayMs(unsigned attempt, unsigned baseMs, unsigned capMs)
         delay *= 2;
     return static_cast<unsigned>(
         std::min<std::uint64_t>(delay, capMs));
-}
-
-std::vector<unsigned>
-partitionByKey(const std::vector<std::string> &keys, unsigned shards)
-{
-    sb_assert(shards > 0, "partitionByKey: zero shards");
-    std::vector<unsigned> home(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        home[i] = static_cast<unsigned>(
-            fnv1aString(fnv1aBasis, keys[i]) % shards);
-    return home;
 }
 
 // --- Dispatcher internals ----------------------------------------------
@@ -93,7 +190,7 @@ struct ShardDispatcher::Worker
     State state = State::Dead;
     TimePoint deadline{};        ///< Hello or kill deadline.
     std::size_t cell = npos;     ///< In-flight cell (Busy).
-    unsigned shard = 0;          ///< Home shard (= slot index).
+    unsigned slot = 0;           ///< Index in workers (diagnostics).
     unsigned cellsSinceSpawn = 0;
     unsigned barrenSpawns = 0;   ///< Consecutive spawns with no work done.
 };
@@ -102,7 +199,7 @@ struct ShardDispatcher::Batch
 {
     enum class CellState
     {
-        Pending, ///< Queued on a shard.
+        Pending, ///< In the pending FIFO.
         Delayed, ///< Failed; waiting out its backoff.
         Running, ///< In flight on a worker.
         Done,    ///< Resolved (result, quarantine stub, or interrupt).
@@ -114,7 +211,7 @@ struct ShardDispatcher::Batch
     std::vector<CellState> state;
     std::vector<unsigned> attempts;
     std::vector<TimePoint> notBefore;
-    std::vector<std::deque<std::size_t>> queues; ///< Per-shard FIFO.
+    std::deque<std::size_t> pending; ///< Cells ready to dispatch.
     std::size_t remaining = 0;
 };
 
@@ -136,19 +233,22 @@ ShardDispatcher::~ShardDispatcher()
 }
 
 void
-ShardDispatcher::spawnWorker(Worker &worker)
+ShardDispatcher::spawnWorker(Worker &worker, const Batch &batch)
 {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
         sb_warn("shard: socketpair failed (", std::strerror(errno),
-                "); abandoning slot ", worker.shard);
+                "); abandoning slot ", worker.slot);
         worker.state = Worker::State::Dead;
         return;
     }
+    // Flush before forking, or a child that ends in std::exit (an
+    // sb_fatal) would write the dispatcher's buffered output again.
+    std::fflush(nullptr);
     const pid_t pid = ::fork();
     if (pid < 0) {
         sb_warn("shard: fork failed (", std::strerror(errno),
-                "); abandoning slot ", worker.shard);
+                "); abandoning slot ", worker.slot);
         ::close(sv[0]);
         ::close(sv[1]);
         worker.state = Worker::State::Dead;
@@ -157,31 +257,21 @@ ShardDispatcher::spawnWorker(Worker &worker)
     if (pid == 0) {
         // Child. Drop every parent-side descriptor we inherited so a
         // sibling's EOF detection is not defeated by our copy of its
-        // stream, then exec the worker with its end of the pair.
+        // stream, serve the inherited batch, and never return into
+        // the dispatcher's frames.
         ::close(sv[0]);
         for (const Worker &other : workers)
             if (other.fd >= 0)
                 ::close(other.fd);
-        std::vector<std::string> args = opt.workerArgv;
-        if (args.empty()) {
-            args = {opt.workerPath, "serve", "--fd",
-                    std::to_string(sv[1])};
-            if (!opt.cacheDir.empty()) {
-                args.push_back("--cache-dir");
-                args.push_back(opt.cacheDir);
-            }
+        int code = workerStreamError; // Also for anything thrown.
+        try {
+            code = serveCells(sv[1], *batch.specs, *batch.keys, opt);
+        } catch (...) {
         }
-        std::vector<char *> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string &arg : args)
-            argv.push_back(arg.data());
-        argv.push_back(nullptr);
-        ::execv(argv[0], argv.data());
-        _exit(127);
+        _exit(code);
     }
     ::close(sv[1]);
     ::fcntl(sv[0], F_SETFL, O_NONBLOCK);
-    ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
     worker.pid = pid;
     worker.fd = sv[0];
     worker.reader = FrameReader{};
@@ -301,52 +391,28 @@ ShardDispatcher::onWorkerDeath(Worker &worker, Batch &batch, bool hang)
     worker.barrenSpawns =
         worker.cellsSinceSpawn == 0 ? worker.barrenSpawns + 1 : 0;
     if (worker.barrenSpawns >= opt.maxBarrenSpawns) {
-        sb_warn("shard: slot ", worker.shard, " abandoned after ",
+        sb_warn("shard: slot ", worker.slot, " abandoned after ",
                 worker.barrenSpawns,
                 " consecutive spawns with no completed cell");
         worker.state = Worker::State::Dead;
         return;
     }
-    spawnWorker(worker);
+    spawnWorker(worker, batch);
 }
 
 void
 ShardDispatcher::assignWork(Worker &worker, Batch &batch)
 {
-    // Home shard first; steal from the tail of the longest queue when
-    // it runs dry, so one shard of slow cells cannot strand the rest.
-    std::deque<std::size_t> *queue = &batch.queues[worker.shard];
-    bool steal = false;
-    if (queue->empty()) {
-        std::size_t best = 0;
-        for (std::size_t q = 1; q < batch.queues.size(); ++q)
-            if (batch.queues[q].size() > batch.queues[best].size())
-                best = q;
-        if (batch.queues[best].empty())
-            return; // Nothing runnable anywhere right now.
-        queue = &batch.queues[best];
-        steal = best != worker.shard;
-    }
+    if (batch.pending.empty())
+        return; // Nothing runnable right now.
+    const std::size_t cell = batch.pending.front();
+    batch.pending.pop_front();
 
-    const std::size_t cell = steal ? queue->back() : queue->front();
-    if (steal) {
-        queue->pop_back();
-        ++rep.stolen;
-    } else {
-        queue->pop_front();
-    }
-
-    const std::uint64_t timeoutMs =
-        opt.cellTimeoutSec > 0
-            ? static_cast<std::uint64_t>(opt.cellTimeoutSec * 1000.0)
-            : 0;
-    const Json cmd = makeRunCmd(cell, (*batch.keys)[cell],
-                                (*batch.specs)[cell], timeoutMs);
-    if (!writeFrame(worker.fd, cmd.dump())) {
+    if (!writeFrame(worker.fd, makeRunCmd(cell).dump())) {
         // The worker died between frames; requeue the cell untouched
         // (this is a worker failure, not a cell failure) and handle
         // the death.
-        queue->push_front(cell);
+        batch.pending.push_front(cell);
         onWorkerDeath(worker, batch, false);
         return;
     }
@@ -389,11 +455,8 @@ ShardDispatcher::handleFrames(Worker &worker, Batch &batch)
             return false;
         const std::string cmd = messageCmd(msg);
         if (cmd == "hello") {
-            if (worker.state != Worker::State::Spawning
-                || !msg.has("proto")
-                || msg.at("proto").kind() != Json::Kind::Uint
-                || msg.at("proto").asUint() != shardProtocolVersion) {
-                sb_warn("shard: bad hello from slot ", worker.shard);
+            if (worker.state != Worker::State::Spawning) {
+                sb_warn("shard: unexpected hello from slot ", worker.slot);
                 return false;
             }
             worker.state = Worker::State::Idle;
@@ -422,7 +485,7 @@ ShardDispatcher::handleFrames(Worker &worker, Batch &batch)
             continue;
         }
         sb_warn("shard: unexpected '", cmd, "' from slot ",
-                worker.shard);
+                worker.slot);
         return false;
     }
     return !worker.reader.corrupt();
@@ -469,18 +532,16 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
     if (specs.empty())
         return {};
 
-    const unsigned shards = static_cast<unsigned>(std::min<std::size_t>(
-        std::max(1u, opt.shards), specs.size()));
-    batch.queues.resize(shards);
-    const std::vector<unsigned> home = partitionByKey(keys, shards);
     for (std::size_t i = 0; i < specs.size(); ++i)
-        batch.queues[home[i]].push_back(i);
+        batch.pending.push_back(i);
 
+    const unsigned slots = static_cast<unsigned>(std::min<std::size_t>(
+        std::max(1u, opt.shards), specs.size()));
     workers.clear();
-    workers.resize(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-        workers[s].shard = s;
-        spawnWorker(workers[s]);
+    workers.resize(slots);
+    for (unsigned s = 0; s < slots; ++s) {
+        workers[s].slot = s;
+        spawnWorker(workers[s], batch);
     }
 
     std::vector<pollfd> pfds;
@@ -499,7 +560,7 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
                 continue;
             if (batch.notBefore[cell] <= now) {
                 batch.state[cell] = Batch::CellState::Pending;
-                batch.queues[home[cell] % shards].push_back(cell);
+                batch.pending.push_back(cell);
             } else {
                 nextEvent = std::min(nextEvent, batch.notBefore[cell]);
             }
@@ -559,7 +620,7 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
                 || worker.state == Worker::State::Idle
                 || worker.deadline > after)
                 continue;
-            sb_warn("shard: slot ", worker.shard,
+            sb_warn("shard: slot ", worker.slot,
                     worker.state == Worker::State::Spawning
                         ? " never said hello"
                         : " missed its cell deadline",

@@ -1,16 +1,25 @@
 /**
  * @file
  * Shard dispatcher: fault-tolerant multi-process execution of a cell
- * batch across supervised `sbsim serve` workers.
+ * batch across supervised worker processes.
  *
- * The dispatcher partitions cells across N shards by specKey (stable
- * content addressing, so the same cell always homes to the same
- * shard and its worker's warm cache), spawns one worker process per
- * shard over a socketpair, and multiplexes all of them from a single
- * poll() loop. Scheduling is work-stealing: an idle worker drains
- * its home shard first, then steals from the tail of the longest
- * remaining queue, so a shard of slow cells cannot strand the rest
- * of the machine.
+ * Each worker is a fork() of the dispatcher, with no exec: it
+ * inherits the batch, so a `run` frame names a cell by its index and
+ * the child simulates the RunSpec it already holds. The dispatcher
+ * talks to every worker over its own socketpair and multiplexes all
+ * of them from a single poll() loop; idle workers take cells from
+ * one FIFO of pending cells (every cell that reaches the dispatcher
+ * is a cache miss and unique in its batch, so no cell has a better
+ * home than another).
+ *
+ * A child keeps what a fresh process would have given it: default
+ * SIGINT/SIGTERM dispositions, SB_FAULT re-read with its counters at
+ * zero, and a ResultCache of its own on the shared directory (flock
+ * locks belong to the open file, which fork shares, so an inherited
+ * cache would not exclude the siblings). It never returns into the
+ * caller: it ends in _exit. Because run() forks, it must not be
+ * entered while another thread is simulating; the engine never
+ * starts its thread pool in shard mode.
  *
  * Supervision and failure semantics:
  *  - a worker that exits, breaks its stream, or never says hello is
@@ -23,8 +32,9 @@
  *    report's poisoned-cell list instead of aborting the batch;
  *  - a slot whose respawns keep dying without completing a single
  *    cell is abandoned; when every slot is abandoned the dispatcher
- *    DEGRADES to in-process execution of the remaining cells, so a
- *    broken worker binary can slow a batch down but never fail it;
+ *    DEGRADES to in-process execution of the remaining cells, so
+ *    workers that never finish a cell can slow a batch down but
+ *    never fail it;
  *  - SIGINT/SIGTERM (common/signals.hh) stops dispatch, terminates
  *    and reaps workers, and returns partial results with the
  *    unfinished cells marked stats["interrupted"] = 1.
@@ -54,28 +64,13 @@ namespace sb
 unsigned backoffDelayMs(unsigned attempt, unsigned baseMs,
                         unsigned capMs);
 
-/**
- * Home shard of each cell: FNV-1a of its key, modulo @p shards.
- * Deterministic across processes and runs.
- */
-std::vector<unsigned> partitionByKey(const std::vector<std::string> &keys,
-                                     unsigned shards);
-
 struct ShardOptions
 {
-    /** Worker processes (= shards). */
+    /** Worker processes. */
     unsigned shards = 2;
-    /** Shared result-cache directory passed to workers; empty runs
-     *  the workers uncached. */
+    /** Shared result-cache directory the workers store into; empty
+     *  runs the workers uncached. */
     std::string cacheDir;
-    /** Worker binary (the sbsim executable). */
-    std::string workerPath;
-    /**
-     * Full worker argv override for tests (e.g. a fake worker that
-     * always dies). Empty = `<workerPath> serve --fd <n>
-     * [--cache-dir <dir>]`.
-     */
-    std::vector<std::string> workerArgv;
     /** Per-cell wall-clock budget in seconds; 0 = a generous default.
      *  Workers get it as their deadline; the dispatcher kills at a
      *  slightly larger deadline (the backstop for wedged workers). */
@@ -98,7 +93,6 @@ struct ShardReport
     std::uint64_t crashes = 0;   ///< Worker exits / broken streams.
     std::uint64_t hangs = 0;     ///< Kill-deadline SIGKILLs.
     std::uint64_t retries = 0;   ///< Cells re-dispatched after failure.
-    std::uint64_t stolen = 0;    ///< Cells run off their home shard.
     std::uint64_t inProcess = 0; ///< Cells run by the dispatcher itself.
     bool degraded = false;       ///< Every slot abandoned; ran in-process.
     bool interrupted = false;    ///< Stopped by SIGINT/SIGTERM.
@@ -119,7 +113,8 @@ class ShardDispatcher
      * Execute every cell; results match the input order. @p keys
      * parallels @p specs (a cell's cache address, or "" for
      * uncacheable cells). Quarantined / interrupted cells come back
-     * as stub outcomes with the corresponding marker stat.
+     * as stub outcomes with the corresponding marker stat. Forks
+     * the workers: no other thread may be simulating meanwhile.
      */
     std::vector<RunOutcome> run(const std::vector<RunSpec> &specs,
                                 const std::vector<std::string> &keys);
@@ -137,7 +132,7 @@ class ShardDispatcher
     struct Worker;
     struct Batch;
 
-    void spawnWorker(Worker &worker);
+    void spawnWorker(Worker &worker, const Batch &batch);
     void killWorker(Worker &worker);
     void reapWorker(Worker &worker);
     void shutdownWorkers();

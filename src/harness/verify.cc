@@ -598,7 +598,9 @@ registerSecurityScenarios(ScenarioRegistry &registry)
     };
     s.report = [](const std::vector<RunOutcome> &outcomes,
                   std::FILE *out) {
-        printVerifyMatrix(foldVerifyOutcomes(outcomes), out);
+        const VerifyMatrix matrix = foldVerifyOutcomes(outcomes);
+        printVerifyMatrix(matrix, out);
+        return matrix.ok();
     };
     registry.add(std::move(s));
 }
@@ -804,7 +806,7 @@ mitigationGridSpecs()
     return specs;
 }
 
-void
+bool
 mitigationGridReport(const std::vector<RunOutcome> &outcomes,
                      std::FILE *out)
 {
@@ -821,14 +823,17 @@ mitigationGridReport(const std::vector<RunOutcome> &outcomes,
     std::fprintf(out, "=== Mitigation grid: (software mitigation x "
                       "hardware scheme) co-study ===\n\n");
     const std::vector<Mitigation> &roster = allMitigations();
+    bool ok = true;
     for (std::size_t mi = 1; mi < roster.size(); ++mi) {
         std::vector<RunOutcome> fold;
         fold.insert(fold.end(), outcomes.begin(),
                     outcomes.begin() + battery);
         fold.insert(fold.end(), outcomes.begin() + mi * block,
                     outcomes.begin() + mi * block + battery);
-        printMitigationReport(foldMitigationOutcomes(roster[mi], fold),
-                              out);
+        const MitigationReport report =
+            foldMitigationOutcomes(roster[mi], fold);
+        printMitigationReport(report, out);
+        ok = ok && report.ok();
         std::fprintf(out, "\n");
     }
 
@@ -881,6 +886,7 @@ mitigationGridReport(const std::vector<RunOutcome> &outcomes,
                       "kernels, mega core, vs the same scheme "
                       "unmitigated):\n%s\n",
                  per_scheme, t.render().c_str());
+    return ok;
 }
 
 } // anonymous namespace

@@ -61,7 +61,6 @@ class DomScheme : public SecureScheme
     bool delayLoadMiss(InstHandle h, const DynInst &load) override;
     void tick() override;
     void onSquash(SeqNum youngest_surviving) override;
-    void reset() override { parked.clear(); }
 
     /** Loads currently parked on a speculative miss (for tests). */
     std::size_t parkedLoads() const { return parked.size(); }

@@ -45,7 +45,6 @@ class NdaScheme : public SecureScheme
                         Cycle ready_at) override;
     void tick() override;
     void onSquash(SeqNum youngest_surviving) override;
-    void reset() override { pending.clear(); }
 
     bool
     allowsSpeculativeScheduling() const override

@@ -13,13 +13,6 @@ SttIssueScheme::attach(Core &core)
     taintTable.assign(core.config().numPhysRegs, invalidSeqNum);
 }
 
-void
-SttIssueScheme::reset()
-{
-    for (auto &t : taintTable)
-        t = invalidSeqNum;
-}
-
 bool
 SttIssueScheme::selectVeto(const DynInst &inst, bool /* addr_half */)
 {

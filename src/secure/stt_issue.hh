@@ -50,7 +50,6 @@ class SttIssueScheme : public SecureScheme
     void attach(Core &core) override;
     bool selectVeto(const DynInst &inst, bool addr_half) override;
     bool onSelect(DynInst &inst, bool addr_half) override;
-    void reset() override;
 
     /** Current taint of a physical register (for tests). */
     YRoT physTaint(PhysReg reg) const { return taintTable[reg]; }

@@ -51,7 +51,6 @@ class SttRenameScheme : public SecureScheme
     void onRenameGroup(const std::vector<DynInst *> &group) override;
     bool selectVeto(const DynInst &inst, bool addr_half) override;
     void onSquashWalk(const DynInst &inst) override;
-    void reset() override { taintRat.fill(invalidSeqNum); }
 
     /** Current taint of an architectural register (for tests). */
     YRoT archTaint(ArchReg reg) const { return taintRat[reg]; }

@@ -24,6 +24,7 @@
 #include "harness/conformance.hh"
 #include "harness/engine.hh"
 #include "harness/result_cache.hh"
+#include "harness/scenario.hh"
 #include "isa/generator.hh"
 #include "secure/factory.hh"
 
@@ -193,6 +194,46 @@ TEST(InjectedFault, FoldReportsDeadlockAndInvariantTrips)
     ASSERT_EQ(report.failures.size(), 2u);
     EXPECT_EQ(report.failures[0].kind, "deadlock");
     EXPECT_EQ(report.failures[1].kind, "invariant");
+}
+
+TEST(InjectedFault, ScenarioReportsReturnTheirPrintedVerdict)
+{
+    // sbsim's exit code is the AND of the printed verdicts, so each
+    // report must return false exactly when it prints a failure.
+    const auto &registry = sb::ScenarioRegistry::instance();
+    const sb::Scenario *conformance = registry.find("conformance");
+    const sb::Scenario *contract = registry.find("contract_check");
+    ASSERT_TRUE(conformance && contract);
+    sb::ExperimentEngine::Options opt;
+    opt.jobs = 2;
+    sb::ExperimentEngine engine(opt);
+    const std::vector<sb::RunOutcome> outcomes =
+        engine.run(conformance->specs());
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    EXPECT_TRUE(conformance->report(outcomes, sink));
+    EXPECT_TRUE(contract->report(outcomes, sink));
+
+    // A corrupted register digest fails conformance, not the contract
+    // lens (which prints only contract failures).
+    std::vector<sb::RunOutcome> diverged = outcomes;
+    diverged.back().stats["fuzz_reg_hash"] ^= 1;
+    EXPECT_FALSE(conformance->report(diverged, sink));
+    EXPECT_TRUE(contract->report(diverged, sink));
+
+    // A shadow violation under a transmitter-safe contract fails both.
+    const std::vector<sb::SchemeConfig> schemes = sb::allSchemeConfigs();
+    std::size_t stt = schemes.size();
+    for (std::size_t i = 0; i < schemes.size(); ++i)
+        if (sb::makeScheme(schemes[i])->contract().policy
+            == sb::ContractPolicy::TransmitterSafe)
+            stt = std::min(stt, i);
+    ASSERT_LT(stt, schemes.size());
+    std::vector<sb::RunOutcome> leaked = outcomes;
+    leaked[stt].stats["fuzz_sandbox_viol"] = 1;
+    EXPECT_FALSE(conformance->report(leaked, sink));
+    EXPECT_FALSE(contract->report(leaked, sink));
+    std::fclose(sink);
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,13 @@
 /**
  * @file
- * Shard-tier tests: wire-protocol framing and round-trip fidelity,
- * the crash-safe result-cache framing (torn tails, corrupt records,
- * two concurrent writer processes), the per-cell wall-clock deadline,
- * and the supervised dispatcher end-to-end against the real
- * `sbsim serve` worker binary under deterministic SB_FAULT injection:
- * crashes, hangs, poisoned cells, a worker binary that can never
- * serve, and SIGINT-driven graceful interruption. The load-bearing
- * property throughout: whatever is killed, aggregates stay
- * bit-identical to an in-process run.
+ * Shard-tier tests: wire-protocol framing, the crash-safe
+ * result-cache framing (torn tails, corrupt records, two concurrent
+ * writer processes), the per-cell wall-clock deadline, and the
+ * supervised dispatcher end-to-end with its forked workers under
+ * deterministic SB_FAULT injection: crashes, hangs, poisoned cells,
+ * workers that never finish a cell, and SIGINT-driven graceful
+ * interruption. The load-bearing property throughout: whatever is
+ * killed, aggregates stay bit-identical to an in-process run.
  */
 
 #include <gtest/gtest.h>
@@ -36,10 +35,6 @@
 #include "harness/shard.hh"
 #include "harness/tenant.hh"
 #include "harness/verify.hh"
-
-#ifndef SB_SBSIM_PATH
-#define SB_SBSIM_PATH ""
-#endif
 
 namespace
 {
@@ -111,12 +106,12 @@ class ScopedFault
     explicit ScopedFault(const char *value)
     {
         ::setenv("SB_FAULT", value, 1);
-        sb::faultResetForTesting();
+        sb::faultReset();
     }
     ~ScopedFault()
     {
         ::unsetenv("SB_FAULT");
-        sb::faultResetForTesting();
+        sb::faultReset();
     }
 };
 
@@ -126,7 +121,6 @@ shardOpts(unsigned shards, const std::string &cacheDir)
     sb::ShardOptions opt;
     opt.shards = shards;
     opt.cacheDir = cacheDir;
-    opt.workerPath = SB_SBSIM_PATH;
     return opt;
 }
 
@@ -136,7 +130,7 @@ TEST(Protocol, FrameRoundTripOverPipe)
 {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
-    const std::string payload = "{\"cmd\":\"hello\",\"proto\":1}";
+    const std::string payload = "{\"cmd\":\"hello\"}";
     ASSERT_TRUE(sb::writeFrame(fds[1], payload));
     std::string got;
     ASSERT_EQ(sb::readFrame(fds[0], got, 1000), sb::RecvStatus::Ok);
@@ -187,43 +181,6 @@ TEST(Protocol, OversizedFrameLengthMarksStreamCorrupt)
     EXPECT_TRUE(reader.corrupt());
 }
 
-TEST(Protocol, RunSpecSurvivesJsonRoundTripForEveryPresetAndScheme)
-{
-    // The dispatcher addresses cells by specKey; a worker must
-    // reconstruct the exact cell or the cache fills with mislabeled
-    // results. canonical() covers every field by contract, so
-    // canonical equality is the strongest available check.
-    for (const sb::CoreConfig &core : sb::CoreConfig::boomPresets()) {
-        for (const sb::SchemeConfig &scheme : sb::allSchemeConfigs()) {
-            for (const sb::Mitigation m : sb::allMitigations()) {
-                sb::RunSpec spec;
-                spec.core = core;
-                spec.scheme = scheme;
-                spec.workload = "557.xz";
-                spec.warmupInsts = 123;
-                spec.measureInsts = 4567;
-                spec.maxCycles = 89012;
-                spec.mitigation.kind = m;
-
-                sb::RunSpec back;
-                ASSERT_TRUE(sb::runSpecFromJson(sb::toJson(spec), back));
-                EXPECT_EQ(back.canonical(), spec.canonical());
-                EXPECT_EQ(back.specKey(), spec.specKey());
-            }
-        }
-    }
-
-    // A frame missing the mitigation field is from a pre-v2 worker:
-    // the parse must fail loudly, not default the field (the cache
-    // would fill with mislabeled cells).
-    sb::RunSpec spec;
-    spec.workload = "557.xz";
-    sb::Json j = sb::toJson(spec);
-    j.set("mitigation", sb::Json::str("not-a-mitigation"));
-    sb::RunSpec back;
-    EXPECT_FALSE(sb::runSpecFromJson(j, back));
-}
-
 TEST(Protocol, DoneMessageRoundTripsOutcome)
 {
     sb::RunOutcome out;
@@ -265,21 +222,6 @@ TEST(ShardPolicy, BackoffDoublesAndCaps)
     EXPECT_EQ(sb::backoffDelayMs(3, 0, 2000), 0u);
 }
 
-TEST(ShardPolicy, PartitionIsDeterministicAndInRange)
-{
-    const std::vector<std::string> keys = {"a", "b", "c", "a", "d",
-                                           "e", "f", "a"};
-    const auto home = sb::partitionByKey(keys, 3);
-    ASSERT_EQ(home.size(), keys.size());
-    for (const unsigned h : home)
-        EXPECT_LT(h, 3u);
-    // Same key, same shard: a cell always lands near its cached
-    // sibling (and the partition is stable across processes).
-    EXPECT_EQ(home[0], home[3]);
-    EXPECT_EQ(home[0], home[7]);
-    EXPECT_EQ(home, sb::partitionByKey(keys, 3));
-}
-
 // --- Cache framing and crash safety ------------------------------------
 
 TEST(CacheFraming, FramedRecordRoundTripsAndRejectsBitRot)
@@ -297,20 +239,24 @@ TEST(CacheFraming, FramedRecordRoundTripsAndRejectsBitRot)
     const std::string line = sb::frameCacheRecord("deadbeef01234567", out);
     std::string key;
     sb::RunOutcome back;
-    bool legacy = true;
-    ASSERT_TRUE(sb::parseCacheLine(line, key, back, legacy));
-    EXPECT_FALSE(legacy);
+    ASSERT_TRUE(sb::parseCacheLine(line, key, back));
     EXPECT_EQ(key, "deadbeef01234567");
     expectSameOutcome(back, out);
 
     // Any single flipped payload byte must fail the checksum.
     std::string rotted = line;
     rotted[line.size() / 2] ^= 0x20;
-    EXPECT_FALSE(sb::parseCacheLine(rotted, key, back, legacy));
+    EXPECT_FALSE(sb::parseCacheLine(rotted, key, back));
 
     // A truncated tail (killed writer) must be rejected by length.
-    EXPECT_FALSE(sb::parseCacheLine(line.substr(0, line.size() - 5),
-                                    key, back, legacy));
+    EXPECT_FALSE(
+        sb::parseCacheLine(line.substr(0, line.size() - 5), key, back));
+
+    // An unframed record is damage too, not a result.
+    sb::Json bare = sb::Json::object();
+    bare.set("key", sb::Json::str("deadbeef01234567"));
+    bare.set("outcome", sb::toJson(out));
+    EXPECT_FALSE(sb::parseCacheLine(bare.dump(), key, back));
 }
 
 TEST(CacheFraming, TornTailIsRecoveredAndRepaired)
@@ -514,7 +460,7 @@ TEST(CellTimeout, DeadlineOverrunIsMarkedAndUncacheable)
     EXPECT_EQ(no_oracle.failures.front().kind, "unfinished");
 }
 
-// --- Dispatcher end-to-end against the real worker ---------------------
+// --- Dispatcher end-to-end with forked workers -------------------------
 
 TEST(ShardDispatcher, MatchesInProcessBitExact)
 {
@@ -539,6 +485,34 @@ TEST(ShardDispatcher, MatchesInProcessBitExact)
         EXPECT_TRUE(persisted);
     sb::ResultCache cache(dir);
     EXPECT_EQ(cache.size(), specs.size());
+}
+
+TEST(ShardDispatcher, FastForwardCellMatchesRunOneAndItsCacheEntry)
+{
+    // Fast-forward (core.warmupInsts) is part of the cell's key: a
+    // worker must run exactly the cell the dispatcher addressed and
+    // store it under that key, or a later in-process run is served a
+    // result simulated without fast-forward.
+    sb::RunSpec spec = quickSpec("557.xz", sb::Scheme::Baseline);
+    spec.core.warmupInsts = 20000;
+    const std::vector<sb::RunSpec> specs = {spec};
+    const sb::RunOutcome expected = sb::ExperimentRunner::runOne(spec);
+
+    const std::string dir = freshDir("sb_shard_ffwd");
+    sb::ShardDispatcher dispatcher(shardOpts(1, dir));
+    const auto results = dispatcher.run(specs, keysOf(specs));
+    ASSERT_EQ(results.size(), 1u);
+    expectSameOutcome(results[0], expected);
+    EXPECT_TRUE(dispatcher.persistedByWorker()[0]);
+
+    sb::ExperimentEngine::Options opt;
+    opt.jobs = 1;
+    opt.cacheDir = dir;
+    sb::ExperimentEngine engine(opt);
+    const auto served = engine.run(specs);
+    EXPECT_EQ(engine.stats().cacheHits, 1u);
+    ASSERT_EQ(served.size(), 1u);
+    expectSameOutcome(served[0], expected);
 }
 
 TEST(ShardDispatcher, WorkersKilledMidBatchStillBitExact)
@@ -627,17 +601,19 @@ TEST(ShardDispatcher, PoisonedCellIsQuarantinedNotFatal)
     }
 }
 
-TEST(ShardDispatcher, UselessWorkerBinaryDegradesToInProcess)
+TEST(ShardDispatcher, WorkersThatNeverFinishACellDegradeToInProcess)
 {
-    // A worker that can never serve (exits 1 immediately, no hello):
-    // every slot is abandoned after its barren respawns and the
-    // dispatcher must finish the batch itself, bit-exactly.
+    // Every worker dies before its first reply: each slot is
+    // abandoned after its barren respawns and the dispatcher must
+    // finish the batch itself, bit-exactly. Attempts are uncapped so
+    // quarantine cannot take a cell away from the in-process tail.
+    ScopedFault fault("crash:1");
     const auto specs = std::vector<sb::RunSpec>{
         quickSpec("557.xz", sb::Scheme::Baseline),
         quickSpec("541.leela", sb::Scheme::Nda),
     };
     sb::ShardOptions opt = shardOpts(2, "");
-    opt.workerArgv = {"/bin/false"};
+    opt.maxAttemptsPerCell = 1000;
     opt.maxBarrenSpawns = 2;
     opt.backoffBaseMs = 1;
     sb::ShardDispatcher dispatcher(opt);
@@ -670,7 +646,6 @@ TEST(EngineShards, ShardedEngineMatchesInProcessEngine)
     shardedOpt.jobs = 2;
     shardedOpt.cacheDir = dir;
     shardedOpt.shards = 2;
-    shardedOpt.sbsimPath = SB_SBSIM_PATH;
     sb::ExperimentEngine sharded(shardedOpt);
     const auto got = sharded.run(specs);
 

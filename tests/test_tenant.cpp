@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "branch/btb.hh"
 #include "branch/tage.hh"
 #include "core/core.hh"
+#include "harness/engine.hh"
+#include "harness/scenario.hh"
 #include "harness/tenant.hh"
 #include "harness/verify.hh"
 #include "isa/program.hh"
@@ -222,6 +227,49 @@ TEST(ServerMix, HostileTenantLeaksOnBaselineOnly)
                   0u)
             << sb::schemeName(scheme);
     }
+}
+
+TEST(ServerMix, ScenarioReportReturnsItsVerdict)
+{
+    // The multi_tenant report's verdict gates sbsim's exit code:
+    // Baseline must leak across tenants, no dataflow scheme may, and a
+    // cut-short row withholds the verdict, which fails it.
+    const sb::Scenario *s =
+        sb::ScenarioRegistry::instance().find("multi_tenant");
+    ASSERT_NE(s, nullptr);
+    sb::ExperimentEngine::Options opt;
+    opt.jobs = 2;
+    sb::ExperimentEngine engine(opt);
+    const std::vector<sb::RunOutcome> outcomes = engine.run(s->specs());
+
+    std::vector<sb::RunOutcome> leaky = outcomes;
+    std::vector<sb::RunOutcome> disarmed = outcomes;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].scheme == sb::Scheme::SttRename)
+            leaky[i].stats["mt_cross_viol"] = 1;
+        if (outcomes[i].scheme == sb::Scheme::Baseline)
+            disarmed[i].stats["mt_cross_viol"] = 0;
+    }
+    std::vector<sb::RunOutcome> cut = outcomes;
+    cut.back().stats["watchdog_tripped"] = 1;
+
+    // The report also writes its summary JSON into the working
+    // directory; keep that out of the build tree.
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(::testing::TempDir());
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    const bool real = s->report(outcomes, sink);
+    const bool leak = s->report(leaky, sink);
+    const bool unarmed = s->report(disarmed, sink);
+    const bool cutShort = s->report(cut, sink);
+    std::fclose(sink);
+    std::filesystem::current_path(cwd);
+
+    EXPECT_TRUE(real);
+    EXPECT_FALSE(leak);
+    EXPECT_FALSE(unarmed);
+    EXPECT_FALSE(cutShort);
 }
 
 TEST(ServerMix, BenignMixShowsNoCrossTenantViolations)

@@ -7,7 +7,6 @@
  *   sbsim all [opts]                 # the whole reproduction
  *   sbsim verify [opts]              # security battery -> leak matrix
  *   sbsim fuzz [opts]                # differential conformance fuzz
- *   sbsim serve [--fd N]             # shard worker daemon (internal)
  *
  * Common options, accepted identically by run/all/verify/fuzz (one
  * shared parser — parseCommonOpt — so the verbs cannot drift):
@@ -18,7 +17,7 @@
  *
  * run/all options:
  *   --shards N      run cells on N supervised worker processes
- *                   (`sbsim serve` children; crashes and hangs are
+ *                   (forks of this one; crashes and hangs are
  *                   retried with backoff, poisoned cells quarantined,
  *                   and the tier degrades to in-process execution if
  *                   no worker survives)
@@ -43,9 +42,7 @@
  *
  * SIGINT/SIGTERM stop dispatch gracefully: in-flight work is cut
  * short, finished cells stay in the cache, the partial grid summary
- * still prints, and the process exits 128+signal. `sbsim serve` is
- * the worker end of the shard protocol (harness/protocol.hh); it is
- * spawned by the dispatcher and is not meant for interactive use.
+ * still prints, and the process exits 128+signal.
  *
  * Fuzz options (sbsim fuzz only):
  *   --programs N    random programs per campaign (default 50)
@@ -60,6 +57,9 @@
  * All requested scenarios are collected into one ExperimentEngine
  * batch, so overlapping grid cells are simulated once (in-batch
  * dedup) and persist across invocations (content-addressed cache).
+ * run/all exit 1 when any scenario's printed verdict fails (the
+ * security battery, conformance, contract_check, mitigation_grid,
+ * multi_tenant) or a cell was quarantined.
  * `sbsim all` additionally writes BENCH_gridspeed.json with the grid
  * throughput accounting (cells requested / simulated / deduped /
  * cached, wall-clock) so the perf trajectory tracks grid cost next
@@ -82,9 +82,6 @@
  * --no-cache, like the security battery).
  */
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -100,7 +97,6 @@
 #include "harness/result_cache.hh"
 #include "harness/reporting.hh"
 #include "harness/scenario.hh"
-#include "harness/serve.hh"
 #include "harness/verify.hh"
 
 namespace
@@ -119,11 +115,10 @@ usage(const char *argv0)
                  "               [--mitigation slh|fence|retpoline]\n"
                  "       %s fuzz [common] [--programs N] [--seed S]"
                  " [--profile P] [--core C] [--mitigation M]\n"
-                 "       %s serve [--fd N] [--cache-dir D]\n"
                  "common options (identical for run/all/verify/fuzz):\n"
                  "       [--jobs N] [--cache-dir D] [--no-cache]"
                  " [--json]\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0);
+                 argv0, argv0, argv0, argv0, argv0);
     return 2;
 }
 
@@ -206,57 +201,6 @@ parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
     return 0;
 }
 
-/** The path the dispatcher should exec as workers: this very binary. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
-int
-serveCommand(int argc, char **argv)
-{
-    sb::ServeOptions options;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fd" || arg == "--cache-dir") {
-            if (++i >= argc)
-                return usage(argv[0]);
-        }
-        if (arg == "--fd") {
-            char *end = nullptr;
-            errno = 0;
-            const long v = std::strtol(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || errno != 0 || v < 0) {
-                std::fprintf(stderr,
-                             "--fd wants a nonnegative descriptor\n");
-                return 2;
-            }
-            // One bidirectional descriptor (the dispatcher's
-            // socketpair end) carries both directions.
-            options.inFd = static_cast<int>(v);
-            options.outFd = static_cast<int>(v);
-        } else if (arg == "--cache-dir") {
-            options.cacheDir = argv[i];
-        } else {
-            std::fprintf(stderr, "unknown serve option '%s'\n",
-                         arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    // A dispatcher that dies mid-reply must surface as EPIPE, not
-    // SIGPIPE-kill the worker while it holds the cache lock.
-    ::signal(SIGPIPE, SIG_IGN);
-    return sb::serveMain(options);
-}
-
 int
 listScenarios()
 {
@@ -326,7 +270,6 @@ writeGridspeedJson(const std::vector<std::string> &scenarios,
     doc.set("worker_crashes", sb::Json::num(st.shardCrashes));
     doc.set("worker_hangs", sb::Json::num(st.shardHangs));
     doc.set("cell_retries", sb::Json::num(st.shardRetries));
-    doc.set("cells_stolen", sb::Json::num(st.shardStolen));
 
     std::FILE *f = std::fopen("BENCH_gridspeed.json", "w");
     if (!f) {
@@ -522,12 +465,10 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     if (command == "list")
         return listScenarios();
-    if (command == "serve")
-        return serveCommand(argc, argv);
     // Graceful interrupt for every simulating verb: finish nothing
     // new, keep what is done, print the partial summary, exit
-    // 128+signal. Workers (`serve`) keep default dispositions so the
-    // dispatcher's supervision semantics stay observable.
+    // 128+signal. Shard workers restore the default dispositions so
+    // the dispatcher's supervision semantics stay observable.
     sb::installSignalHandlers();
     if (command == "fuzz")
         return fuzzMain(argc, argv);
@@ -665,8 +606,6 @@ main(int argc, char **argv)
                            : std::string();
     options.shards = shards;
     options.cellTimeoutSec = cell_timeout;
-    if (shards > 0)
-        options.sbsimPath = selfExePath(argv[0]);
     sb::ExperimentEngine engine(options);
 
     std::printf("sbsim: %zu scenario(s), %zu cells, %u jobs, cache %s",
@@ -677,32 +616,28 @@ main(int argc, char **argv)
     std::printf("\n");
     const auto results = engine.run(specs);
 
-    bool verify_ok = true;
+    // Every printed verdict gates the exit code, however it was
+    // reached: a report that prints "verdict: FAIL" must not exit 0.
+    std::vector<std::string> failed;
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const std::vector<sb::RunOutcome> slice(
             results.begin() + offsets[i],
             results.begin() + offsets[i + 1]);
         std::printf("\n");
-        if (command == "verify" || scenarios[i]->name == "security") {
-            // Security outcomes always gate the exit code, however
-            // they were reached (`verify`, `run security`, `all`):
-            // a leak matrix printed with "verdict: FAIL" must not
-            // exit 0. The dedicated verify command writes the folded
-            // matrix JSON; the generic paths keep the raw outcome
-            // dump (same as every other scenario).
+        if (command == "verify") {
+            // Only verify judges under a --contract override and
+            // writes the folded matrix instead of the outcome dump.
             const sb::VerifyMatrix matrix =
                 sb::foldVerifyOutcomes(slice, contract_override);
             sb::printVerifyMatrix(matrix, stdout);
-            verify_ok = verify_ok && matrix.ok();
-            if (common.emitJson) {
-                if (command == "verify")
-                    writeVerifyJson(matrix);
-                else
-                    writeOutcomesJson(scenarios[i]->name, slice);
-            }
+            if (!matrix.ok())
+                failed.push_back(scenarios[i]->name);
+            if (common.emitJson)
+                writeVerifyJson(matrix);
             continue;
         }
-        scenarios[i]->report(slice, stdout);
+        if (!scenarios[i]->report(slice, stdout))
+            failed.push_back(scenarios[i]->name);
         if (common.emitJson)
             writeOutcomesJson(scenarios[i]->name, slice);
     }
@@ -725,12 +660,11 @@ main(int argc, char **argv)
                     engine.cache()->size());
     if (shards > 0) {
         std::printf("shard workers:     %llu spawned (crashes %llu, "
-                    "hangs %llu, retries %llu, stolen %llu)\n",
+                    "hangs %llu, retries %llu)\n",
                     static_cast<unsigned long long>(st.workersSpawned),
                     static_cast<unsigned long long>(st.shardCrashes),
                     static_cast<unsigned long long>(st.shardHangs),
-                    static_cast<unsigned long long>(st.shardRetries),
-                    static_cast<unsigned long long>(st.shardStolen));
+                    static_cast<unsigned long long>(st.shardRetries));
         if (st.shardDegraded)
             std::printf("shard tier:        degraded; remainder ran "
                         "in-process\n");
@@ -749,11 +683,15 @@ main(int argc, char **argv)
         const int sig = sb::interruptSignal();
         return sig > 0 ? 128 + sig : 130;
     }
-    if (!verify_ok) {
+    if (command == "verify" && !failed.empty()) {
         std::fprintf(stderr,
                      "sbsim verify: security contract violated\n");
         return 1;
     }
+    for (const std::string &name : failed)
+        std::fprintf(stderr, "sbsim: %s verdict FAIL\n", name.c_str());
+    if (!failed.empty())
+        return 1;
     if (!st.quarantinedKeys.empty()) {
         std::fprintf(stderr,
                      "sbsim: %zu cell(s) quarantined; results "
