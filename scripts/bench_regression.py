@@ -10,7 +10,12 @@ against the committed baselines.
 Compares BENCH_simspeed.json (per-scheme simulated MIPS) against the
 committed baseline and exits nonzero when any scheme regressed by more
 than the tolerance (default 20%, override with --tolerance or the
-SB_BENCH_TOLERANCE environment variable). BENCH_gridspeed.json is
+SB_BENCH_TOLERANCE environment variable). It also gates the artifact's
+parity signature: each scheme's simulated cycles and instructions must
+equal the baseline's exactly, because pure performance work may change
+how fast the simulator runs but never what it simulates. The
+signature is only comparable at the baseline's instruction budget, so
+a --quick artifact skips that check and says so. BENCH_gridspeed.json is
 diffed informationally: its cell accounting (requested / simulated /
 dedup / cache) is deterministic and drift there means the scenario
 grid itself changed, but its wall-clock depends on cache warmth so it
@@ -101,6 +106,37 @@ def diff_simspeed(baseline, current, tolerance, min_speedup=None,
     return failures
 
 
+def diff_signature(baseline, current):
+    """Per-scheme cycles and instructions must equal the baseline's."""
+    base_n = baseline.get("insts_per_workload")
+    cur_n = current.get("insts_per_workload")
+    print(f"\n--- {SIMSPEED} parity signature "
+          f"(gate: cycles and instructions identical) ---")
+    if base_n != cur_n:
+        print(f"skipped: the artifact ran {cur_n} instructions per "
+              f"workload, the baseline {base_n} (a --quick run?)")
+        return []
+    cur_schemes = {s["name"]: s for s in current.get("schemes", [])}
+    failures = []
+    print(f"{'scheme':<12} {'base cycles':>12} {'now cycles':>12} "
+          f"{'base insts':>11} {'now insts':>11}")
+    for base in baseline.get("schemes", []):
+        name = base["name"]
+        cur = cur_schemes.get(name)
+        if cur is None:
+            continue  # Already a diff_simspeed failure.
+        marker = ""
+        for key in ("cycles", "instructions"):
+            if base.get(key) != cur.get(key):
+                failures.append(f"{name}: {key} {cur.get(key)} vs "
+                                f"baseline {base.get(key)}")
+                marker = "  <-- TIMING MOVED"
+        print(f"{name:<12} {base.get('cycles'):>12} {cur.get('cycles'):>12} "
+              f"{base.get('instructions'):>11} "
+              f"{cur.get('instructions'):>11}{marker}")
+    return failures
+
+
 def diff_gridspeed(baseline, current):
     print(f"\n--- {GRIDSPEED} (informational) ---")
     keys = ["cells_requested", "cells_simulated", "cells_from_dedup",
@@ -161,13 +197,16 @@ def main():
             print(f"updated {args.baseline_dir}/{name}")
         return
 
+    base_simspeed = load(os.path.join(args.baseline_dir, SIMSPEED))
+    cur_simspeed = load(os.path.join(args.build_dir, SIMSPEED))
     failures = diff_simspeed(
-        load(os.path.join(args.baseline_dir, SIMSPEED)),
-        load(os.path.join(args.build_dir, SIMSPEED)),
+        base_simspeed,
+        cur_simspeed,
         args.tolerance,
         min_speedup=args.min_speedup,
         floor_only=args.floor_only,
     )
+    failures += diff_signature(base_simspeed, cur_simspeed)
     if not args.floor_only:
         diff_gridspeed(
             load(os.path.join(args.baseline_dir, GRIDSPEED)),
@@ -175,7 +214,7 @@ def main():
         )
 
     if failures:
-        print("\nFAIL: simulator throughput gate:")
+        print("\nFAIL: simulator throughput / parity gate:")
         for failure in failures:
             print(f"  - {failure}")
         sys.exit(1)

@@ -52,6 +52,9 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
         switchAt[sp.pc] = sp.to;
     for (const TenantEntry &te : prog.tenantEntries)
         tenantEntry[te.tenant] = te.pc;
+    for (const auto &kv : statGroup.counters())
+        counterRefs.push_back(&statGroup.counter(kv.first));
+    counterSnap.resize(counterRefs.size());
     schemePtr->attach(*this);
 }
 
@@ -113,6 +116,7 @@ Core::readArchReg(ArchReg reg) const
 void
 Core::scheduleWakeup(PhysReg preg, Cycle at)
 {
+    tickActive = true;
     applyWakeup(preg, at);
 }
 
@@ -147,14 +151,41 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     // or interrupted cell ends within milliseconds of its deadline.
     const bool supervised = wallDeadlineArmed || interruptibleFlag;
     unsigned untilCheck = untilSupervisionPoll;
+    // Idle skip (see the declaration): `measure` says the last tick
+    // was quiet, so this one's counter changes are the per-cycle
+    // change of the whole quiet stretch.
+    const bool may_skip = !traceHook;
+    bool measure = false;
     while (!haltedFlag && !watchdogTrippedFlag && committedCount < target
            && cycle < limit) {
+        if (measure) {
+            for (std::size_t i = 0; i < counterRefs.size(); ++i)
+                counterSnap[i] = counterRefs[i]->value();
+        }
         tick();
         if (supervised && --untilCheck == 0) {
             untilCheck = 4096;
             if (wallStopRequested())
                 watchdogTrippedFlag = true;
         }
+        if (measure && !tickActive && !watchdogTrippedFlag) {
+            // The supervision poll is a trigger too, so a deadline
+            // trips on the same cycle as in a stepped run.
+            const Cycle next = quietUntil(
+                supervised ? std::min<Cycle>(limit, cycle + untilCheck)
+                           : limit);
+            if (next > cycle + 1) {
+                const Cycle n = next - 1 - cycle;
+                for (std::size_t i = 0; i < counterRefs.size(); ++i)
+                    *counterRefs[i] +=
+                        (counterRefs[i]->value() - counterSnap[i]) * n;
+                cycle += n;
+                skippedCount += n;
+                if (supervised)
+                    untilCheck -= static_cast<unsigned>(n);
+            }
+        }
+        measure = may_skip && !tickActive;
     }
     untilSupervisionPoll = untilCheck;
     // After a halt, keep ticking until committed stores have drained
@@ -204,6 +235,26 @@ Core::setWallDeadline(double seconds)
                        std::chrono::steady_clock::duration>(
                        std::chrono::duration<double>(seconds));
     wallDeadlineArmed = true;
+}
+
+Cycle
+Core::quietUntil(Cycle bound) const
+{
+    // The timed triggers are the pipeline's comparisons against
+    // `cycle`. Divider busy windows need none of their own: each ends
+    // on the cycle of its divide's completion event. Nor do schemes,
+    // which keep no timer that no core event covers
+    // (SecureScheme::tick()): NDA-Strict's broadcast readyAt is the
+    // cycle of a completion event or the one after it, and the tick
+    // after an active tick is never skipped.
+    if (!decodeQueue.empty() && decodeQueue.front().readyAt > cycle)
+        bound = std::min(bound, decodeQueue.front().readyAt);
+    if (fetchStallUntil > cycle)
+        bound = std::min(bound, fetchStallUntil);
+    if (!rob.empty())
+        bound = std::min(bound, lastCommitCycle + stallLimit() + 1);
+    bound = completions.nextDue(cycle, bound);
+    return wakeups.nextDue(cycle, bound);
 }
 
 bool
@@ -365,6 +416,7 @@ Core::tick()
     ++cycle;
     ++st.cycles;
     memPortsUsed = 0;
+    tickActive = false;
     shadows.latchPrev();
 
     commitPhase();
@@ -392,10 +444,8 @@ Core::tick()
     // Forward-progress watchdog: a stuck pipeline is a simulator bug.
     // In soft mode (fuzz harness) the run ends with a liveness flag
     // instead of aborting, so the failing seed can be reported.
-    const Cycle stall_limit =
-        softWatchdogCycles ? softWatchdogCycles : 100000;
     if (!haltedFlag && !rob.empty()
-        && cycle - lastCommitCycle > stall_limit) {
+        && cycle - lastCommitCycle > stallLimit()) {
         if (softWatchdogCycles) {
             watchdogTrippedFlag = true;
             return;
@@ -468,6 +518,7 @@ Core::commitPhase()
 
         rob.pop_front();
         ++n;
+        tickActive = true;
 
         // The record dies with its ROB entry; the store drain below
         // commit works entirely from the SQ entry's cached fields.
@@ -501,6 +552,7 @@ Core::drainStores()
         SqEntry *entry = lsu.drainableStore();
         if (!entry)
             break;
+        tickActive = true;
         MemAccessResult res =
             mem.access(entry->addr, entry->pc, cycle, true);
         if (!res.accepted)
@@ -520,6 +572,7 @@ void
 Core::writebackPhase()
 {
     wakeups.drainDue(cycle, [this](WakeupEvent &ev) {
+        tickActive = true;
         // Stale epoch: the register was re-allocated, so the producer
         // that scheduled this broadcast was squashed.
         if (pregEpoch[ev.preg] != ev.epoch)
@@ -529,6 +582,7 @@ Core::writebackPhase()
     });
 
     completions.drainDue(cycle, [this](CompletionEvent &ev) {
+        tickActive = true;
         DynInst *inst = slab.tryGet(ev.inst);
         if (!inst)
             return; // Squashed (record freed) before completion.
@@ -558,6 +612,8 @@ Core::writebackPhase()
 void
 Core::executePhase()
 {
+    if (!execNow.empty())
+        tickActive = true;
     // Oldest first so an older mispredict squashes younger work
     // before it takes effect. Handles may already be stale here: a
     // context-switch marker committing this cycle squashes every
@@ -768,8 +824,11 @@ Core::executeStoreData(DynInst &inst)
 void
 Core::shadowPhase()
 {
+    const SeqNum vp = shadows.visibilityPoint();
     safeScratch.clear();
     shadows.update(lastRenamedSeq + 1, safeScratch);
+    if (shadows.visibilityPoint() != vp || !safeScratch.empty())
+        tickActive = true;
     // Schemes observe the visibility point directly (and drain their
     // own pending queues in tick()); the contract shadow is handed it
     // at every consume, so it needs no callback either.
@@ -785,6 +844,8 @@ Core::selectPhase()
 {
     // Retry loads stalled on MSHRs or forwarding data first: they
     // already own an issue, only the memory port is re-arbitrated.
+    if (!retryLoads.empty())
+        tickActive = true;
     std::size_t retries = retryLoads.size();
     while (retries-- > 0 && !retryLoads.empty()
            && memPortsUsed < cfg.memPorts) {
@@ -925,6 +986,10 @@ Core::selectPhase()
         fully_issued.push_back(entry->handle);
     }
 
+    // Every issue or kill took a slot; a veto or a busy unit did not
+    // and changes nothing.
+    if (slots != cfg.issueWidth)
+        tickActive = true;
     for (InstHandle h : fully_issued)
         iq.remove(slab.get(h));
 }
@@ -976,6 +1041,7 @@ Core::dispatchPhase()
         iq.insert(h, inst, s1, s2);
         dispatchQueue.pop_front();
         ++n;
+        tickActive = true;
     }
 }
 
@@ -1062,6 +1128,7 @@ Core::renamePhase()
         group.push_back(&inst);
         decodeQueue.pop_front();
         ++n;
+        tickActive = true;
     }
     if (!group.empty())
         schemePtr->onRenameGroup(group);
@@ -1080,6 +1147,7 @@ Core::decodePhase()
         decodeQueue.push_back(slot);
         fetchQueue.pop_front();
         ++n;
+        tickActive = true;
     }
 }
 
@@ -1091,6 +1159,7 @@ Core::fetchPhase()
     unsigned n = 0;
     while (n < cfg.fetchWidth
            && fetchQueue.size() < cfg.fetchBufferEntries) {
+        tickActive = true;
         if (pc >= program->code.size()) {
             // Wrong-path runoff past the program end: wait for the
             // inevitable squash.

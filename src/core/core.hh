@@ -17,7 +17,9 @@
  *
  * Stages are evaluated back-to-front each tick so an instruction
  * advances at most one stage per cycle and same-cycle wakeup/select
- * behaves like hardware.
+ * behaves like hardware. run() jumps over stretches of quiet ticks
+ * (ticks in which no stage does work) with exactly the results of
+ * ticking through them; see run().
  *
  * In-flight instructions live in a fixed-capacity, generation-tagged
  * slab (core/inst_slab.hh); every pipeline structure stores 32-bit
@@ -196,10 +198,23 @@ class Core
     Core(const CoreConfig &config, const SchemeConfig &scheme_config,
          std::unique_ptr<SecureScheme> scheme, const Program &program);
 
-    /** Run until @p max_insts commits, @p max_cycles, or a halt. */
+    /**
+     * Run until @p max_insts commits, @p max_cycles, or a halt.
+     *
+     * Skips idle cycles bit-identically. A quiet tick, one in which
+     * no pipeline phase did work, leaves the core at a fixed point:
+     * every later tick repeats it exactly, stall counters and select
+     * vetoes included, until a timed trigger fires (quietUntil()).
+     * After a quiet tick run() measures each counter's change across
+     * the next one and, if that tick is quiet too, jumps to the cycle
+     * before the trigger, adding change x skipped cycles. Cycles,
+     * counters, commits and observations all match a stepped run.
+     * Never skips with a trace hook attached, and the post-halt store
+     * drain always steps.
+     */
     RunResult run(std::uint64_t max_insts, std::uint64_t max_cycles);
 
-    /** Advance one cycle. */
+    /** Advance exactly one cycle (never skips). */
     void tick();
 
     // --- Accessors ------------------------------------------------------
@@ -208,6 +223,9 @@ class Core
     std::uint64_t committedInstructions() const { return committedCount; }
     /** Instructions executed functionally by fast-forward warmup. */
     std::uint64_t fastForwardedInstructions() const { return ffwdCount; }
+    /** Cycles run() jumped over instead of ticking (idle skip). An
+     *  engine diagnostic: now() and the counters already count them. */
+    std::uint64_t skippedCycles() const { return skippedCount; }
     const CoreConfig &config() const { return cfg; }
     const SchemeConfig &schemeConfig() const { return schemeCfg; }
     StatGroup &stats() { return statGroup; }
@@ -255,7 +273,12 @@ class Core
      * port like an MSHR-rejected retry (scheme tick() runs before the
      * select phase, so a load released there retries the same cycle).
      */
-    void retryLoad(InstHandle load) { retryLoads.push_back(load); }
+    void
+    retryLoad(InstHandle load)
+    {
+        retryLoads.push_back(load);
+        tickActive = true;
+    }
 
     /** Per-commit observer (used by examples, e.g. the attack PoC). */
     using CommitHook = std::function<void(const DynInst &, Cycle)>;
@@ -279,6 +302,9 @@ class Core
      * Pipeline-event observer (the stand-in for the paper's
      * TraceDoctor instrumentation): called with an event name at
      * rename / block / kill / issue / execute / complete / squash.
+     * `block` events fire on every cycle a select veto holds an
+     * instruction back, so while a hook is attached run() steps every
+     * cycle instead of skipping idle ones (skippedCycles() stays put).
      */
     using TraceHook =
         std::function<void(const char *, const DynInst &, Cycle)>;
@@ -416,6 +442,20 @@ class Core
 
     bool speculativeSchedulingEnabled() const;
 
+    /** Commit-less cycles the forward-progress watchdog allows. */
+    Cycle
+    stallLimit() const
+    {
+        return softWatchdogCycles ? softWatchdogCycles : 100000;
+    }
+
+    /**
+     * After a quiet tick: the first cycle after now() whose tick may
+     * differ from it (the earliest timed trigger), or @p bound if no
+     * trigger comes before it.
+     */
+    Cycle quietUntil(Cycle bound) const;
+
     // --- Configuration -----------------------------------------------------
     CoreConfig cfg;
     SchemeConfig schemeCfg;
@@ -528,6 +568,10 @@ class Core
     bool ffwdDone = false;
     Cycle lastCommitCycle = 0;
     Cycle softWatchdogCycles = 0;   ///< 0 = hard panic on stall.
+    /** Set by every phase that does work in the current tick; a tick
+     *  that leaves it clear is quiet (see run()). */
+    bool tickActive = false;
+    std::uint64_t skippedCount = 0; ///< Cycles skipped by run().
     bool watchdogTrippedFlag = false;
     /** Wall-clock supervision (setWallDeadline / setInterruptible);
      *  polled from run(), never from tick(), so the pipeline loop is
@@ -560,6 +604,10 @@ class Core
 
     StatGroup statGroup;
     CoreStats st;           ///< Cached handles into statGroup.
+    /** Every counter in statGroup, and its value before the tick run()
+     *  measures for an idle skip. */
+    std::vector<Counter *> counterRefs;
+    std::vector<std::uint64_t> counterSnap;
     CommitHook commitHook;
     TraceHook traceHook;
     bool observing = false; ///< Record LoadObservations at commit.

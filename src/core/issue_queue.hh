@@ -98,17 +98,7 @@ class IssueQueue
      */
     const std::vector<IqEntry *> &inOrder();
 
-    /**
-     * Zero-materialization age-order walk for the select scan: start
-     * at oldestSlot(), advance with nextSlot(), stop at -1. The links
-     * are stable as long as no insert/remove/squash happens mid-walk
-     * (the core defers removal of issued entries to after the scan).
-     */
-    std::int32_t oldestSlot() const { return ageHead; }
-    std::int32_t nextSlot(std::int32_t idx) const
-    {
-        return slots[idx].ageNext;
-    }
+    /** The entry in slot @p idx (an index from the walk below). */
     IqEntry &entryAt(std::int32_t idx) { return slots[idx]; }
 
     /**

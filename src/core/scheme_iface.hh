@@ -96,7 +96,20 @@ class SecureScheme
      */
     virtual bool delayLoadMiss(InstHandle, const DynInst &) { return false; }
 
-    /** Per-cycle scheme machinery (e.g. draining broadcast queues). */
+    /**
+     * Per-cycle scheme machinery (e.g. draining broadcast queues).
+     *
+     * Timing contract: Core::run() skips the cycles after a quiet one
+     * up to the next core event, so a scheme keeps no timer of its
+     * own that no core event covers. What tick() waits for must be
+     * the visibility point (it only moves on a working cycle) or a
+     * cycle with a core event: NDA-Strict's readyAt is its
+     * instruction's completion cycle or the one after, and the tick
+     * after a working one is never skipped. tick() acts only through
+     * Core::scheduleWakeup() / Core::retryLoad(), which mark the cycle
+     * as working, and selectVeto() must answer from the instruction
+     * and core state alone.
+     */
     virtual void tick() {}
 
     /**

@@ -11,14 +11,17 @@
  * engine. Events beyond the horizon (possible for scheme-owned
  * deferred broadcasts) spill into a rarely-touched overflow vector.
  *
- * Invariant: drainDue(now) is called once per cycle with `now`
- * advancing by exactly 1, so bucket[now & mask] only ever holds
- * events due exactly at `now`.
+ * Invariant: drainDue(now) is called with `now` strictly increasing
+ * and never past a pending event. It may skip cycles, but only ones
+ * whose buckets are empty and that no overflow event is due at
+ * (nextDue() names the first cycle a caller must not skip). So
+ * bucket[now & mask] only ever holds events due exactly at `now`.
  */
 
 #ifndef SB_CORE_TIMING_WHEEL_HH
 #define SB_CORE_TIMING_WHEEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -86,6 +89,27 @@ class TimingWheel
             fn(bucket[i]);
         }
         bucket.clear(); // Keeps capacity: zero steady-state allocation.
+    }
+
+    /**
+     * Earliest cycle after @p now that holds an event, or @p bound if
+     * no event is due before it. Scans at most the buckets between
+     * @p now and @p bound, so a near bound keeps the call cheap.
+     */
+    Cycle
+    nextDue(Cycle now, Cycle bound) const
+    {
+        if (liveEvents == 0)
+            return bound;
+        for (const auto &entry : overflow)
+            bound = std::min(bound, entry.first);
+        if (liveEvents == overflow.size())
+            return bound;
+        const Cycle end = std::min<Cycle>(bound, now + mask + 1);
+        for (Cycle c = now + 1; c < end; ++c)
+            if (!buckets[c & mask].empty())
+                return c;
+        return bound;
     }
 
     void

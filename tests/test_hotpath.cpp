@@ -444,6 +444,47 @@ TEST(TimingWheel, HandlersMayPushFutureEvents)
     EXPECT_EQ(got, (std::vector<int>{1, 2}));
 }
 
+TEST(TimingWheel, NextDueFindsTheEarliestBucketEvent)
+{
+    sb::TimingWheel<int> wheel(64);
+    EXPECT_EQ(wheel.nextDue(10, 500), 500u); // Empty: the bound.
+    wheel.push(40, 10, 1);
+    wheel.push(25, 10, 2);
+    EXPECT_EQ(wheel.nextDue(10, 500), 25u);
+    EXPECT_EQ(wheel.nextDue(24, 500), 25u);
+    // An event at or past the bound is not reported.
+    EXPECT_EQ(wheel.nextDue(10, 25), 25u);
+    EXPECT_EQ(wheel.nextDue(10, 20), 20u);
+}
+
+TEST(TimingWheel, NextDueSeesOverflowEvents)
+{
+    sb::TimingWheel<int> wheel(16); // 32 buckets.
+    wheel.push(1000, 1, 7);
+    EXPECT_EQ(wheel.nextDue(1, 5000), 1000u);
+    EXPECT_EQ(wheel.nextDue(1, 900), 900u);
+    wheel.push(20, 1, 8); // A bucket event ahead of the overflow one.
+    EXPECT_EQ(wheel.nextDue(1, 5000), 20u);
+}
+
+TEST(TimingWheel, DrainAfterSkippedCyclesFiresOnTime)
+{
+    // Jump straight to each nextDue() cycle, as the core's idle skip
+    // does: the overflow event is reaped on the jump and every event
+    // fires exactly once, at its own cycle.
+    sb::TimingWheel<int> wheel(16);
+    wheel.push(1000, 1, 7);
+    wheel.push(20, 1, 8);
+    std::vector<std::pair<sb::Cycle, int>> got;
+    sb::Cycle now = 1;
+    while (!wheel.empty()) {
+        now = wheel.nextDue(now, 1'000'000);
+        wheel.drainDue(now, [&](int v) { got.emplace_back(now, v); });
+    }
+    EXPECT_EQ(got, (std::vector<std::pair<sb::Cycle, int>>{{20, 8},
+                                                           {1000, 7}}));
+}
+
 // --- Stats reset -----------------------------------------------------
 
 TEST(StatGroupReset, ClearsHistogramsAndCounters)
