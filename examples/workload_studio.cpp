@@ -4,7 +4,7 @@
  * inspect its static code, and measure how each secure speculation
  * scheme responds to its character — a playground for exploring the
  * microarchitectural levers (slow branches, dependent loads, tainted
- * store data) described in DESIGN.md.
+ * store data) described in trace/kernels.hh.
  *
  * Usage: workload_studio [kernel]
  *   kernel: stream | chase | chain | branchy | storefwd | hashmix

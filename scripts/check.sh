@@ -5,6 +5,9 @@
 #   scripts/check.sh           # Release build + full test suite
 #   scripts/check.sh --quick   # Fast-label tests only (inner loop)
 #   scripts/check.sh --asan    # Sanitizer build + full test suite
+#   scripts/check.sh --tsan    # ThreadSanitizer build of the threaded
+#                              # suites only (engine pool, shard tier,
+#                              # the per-process stand-in memo)
 #   scripts/check.sh --bench   # Also run sim-speed + the sbsim grid
 #   scripts/check.sh --verify  # Also run the Spectre gadget battery
 #   scripts/check.sh --contracts # Also judge the battery under the
@@ -23,7 +26,8 @@
 #                              # and gate on its cross-tenant verdict
 #
 # SB_JOBS bounds simulation worker threads (tests and sbsim).
-# Flags compose: e.g. `check.sh --asan --verify`.
+# Flags compose: e.g. `check.sh --asan --verify`. --tsan builds no
+# sbsim, so it takes only --quick and --docs beside it.
 #
 # Every optional block runs with its exit status checked explicitly:
 # a failing bench or battery fails the script even as the final
@@ -35,6 +39,7 @@ cd "$(dirname "$0")/.."
 
 build_dir=build
 cmake_flags=()
+build_flags=()
 ctest_flags=()
 run_bench=0
 run_verify=0
@@ -44,11 +49,25 @@ run_mitigations=0
 run_docs=0
 run_shards=0
 run_tenants=0
+run_asan=0
+run_tsan=0
 for arg in "$@"; do
     case "$arg" in
       --asan)
+        run_asan=1
         build_dir=build-asan
         cmake_flags+=(-DSB_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug)
+        ;;
+      --tsan)
+        # Sanitizer flags go through the compiler/linker variables, not
+        # a project option: only these three suites are built and run.
+        run_tsan=1
+        build_dir=build-tsan
+        cmake_flags+=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                      "-DCMAKE_CXX_FLAGS=-fsanitize=thread -g"
+                      "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread")
+        build_flags+=(--target test_engine test_shard test_workloads)
+        ctest_flags+=(-R '^(test_engine|test_shard|test_workloads)$')
         ;;
       --quick)
         # Inner-loop slice: only tests labelled `fast` (see the label
@@ -80,7 +99,7 @@ for arg in "$@"; do
         run_tenants=1
         ;;
       *)
-        echo "usage: $0 [--asan] [--quick] [--bench] [--verify]" \
+        echo "usage: $0 [--asan | --tsan] [--quick] [--bench] [--verify]" \
              "[--contracts] [--fuzz] [--mitigations] [--docs]" \
              "[--shards] [--tenants]" >&2
         exit 2
@@ -88,10 +107,18 @@ for arg in "$@"; do
     esac
 done
 
+sbsim_gates=$((run_bench + run_verify + run_contracts + run_fuzz
+               + run_mitigations + run_shards + run_tenants))
+if [ "$run_tsan" = 1 ] && { [ "$run_asan" = 1 ] || [ "$sbsim_gates" != 0 ]; }; then
+    echo "usage: $0 --tsan [--quick] [--docs] (--tsan builds only" \
+         "test_engine, test_shard and test_workloads)" >&2
+    exit 2
+fi
+
 jobs=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "$build_dir" -S . "${cmake_flags[@]}"
-cmake --build "$build_dir" -j "$jobs"
+cmake --build "$build_dir" -j "$jobs" "${build_flags[@]}"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
       "${ctest_flags[@]}"
 

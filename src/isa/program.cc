@@ -8,23 +8,41 @@
 namespace sb
 {
 
+namespace
+{
+
+std::size_t
+probeStart(Addr addr, std::size_t mask)
+{
+    // splitmix64-style multiply-shift on the word index.
+    return static_cast<std::size_t>(
+               ((addr >> 3) * 0x9e3779b97f4a7c15ULL) >> 24)
+           & mask;
+}
+
+} // anonymous namespace
+
 const MemoryImage::Slot *
-MemoryImage::findSlot(Addr aligned) const
+MemoryImage::Table::probe(Addr aligned) const
+{
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = probeStart(aligned, mask);
+    while (slots[i].addr != emptySlot && slots[i].addr != aligned)
+        i = (i + 1) & mask;
+    return &slots[i];
+}
+
+const MemoryImage::Slot *
+MemoryImage::Table::find(Addr aligned) const
 {
     if (slots.empty())
         return nullptr;
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = probeStart(aligned, mask);
-    while (slots[i].addr != emptySlot) {
-        if (slots[i].addr == aligned)
-            return &slots[i];
-        i = (i + 1) & mask;
-    }
-    return &slots[i]; // First empty slot on the probe path.
+    const Slot *s = probe(aligned);
+    return s->addr == aligned ? s : nullptr;
 }
 
 void
-MemoryImage::grow(std::size_t min_capacity)
+MemoryImage::Table::grow(std::size_t min_capacity)
 {
     std::size_t cap = 64;
     while (cap < min_capacity)
@@ -43,30 +61,53 @@ MemoryImage::grow(std::size_t min_capacity)
     }
 }
 
-void
-MemoryImage::write(Addr addr, Word value)
+bool
+MemoryImage::Table::put(Addr aligned, Word value)
 {
     // Keep the load factor under ~70% (count is pre-incremented for
     // the possible insert).
     if ((count + 1) * 10 >= slots.size() * 7)
         grow(2 * slots.size() + ((count + 1) * 2));
 
-    const Addr a = align(addr);
-    Slot *s = const_cast<Slot *>(findSlot(a));
-    if (s->addr == emptySlot) {
-        s->addr = a;
+    Slot *s = const_cast<Slot *>(probe(aligned));
+    const bool inserted = s->addr == emptySlot;
+    if (inserted) {
+        s->addr = aligned;
         ++count;
     }
     s->value = value;
+    return inserted;
+}
+
+void
+MemoryImage::freeze()
+{
+    // An image that already has a base (a built image handed back to
+    // a builder) keeps both layers; that stays correct, its copies
+    // just duplicate the write layer.
+    if (base || top.count == 0)
+        return;
+    base = std::make_shared<const Table>(std::move(top));
+    top = Table{};
+}
+
+void
+MemoryImage::write(Addr addr, Word value)
+{
+    const Addr a = align(addr);
+    if (top.put(a, value) && base && base->find(a))
+        ++shadowed;
 }
 
 Word
 MemoryImage::read(Addr addr) const
 {
     const Addr a = align(addr);
-    const Slot *s = findSlot(a);
-    if (s && s->addr == a)
+    if (const Slot *s = top.find(a))
         return s->value;
+    if (base)
+        if (const Slot *s = base->find(a))
+            return s->value;
     return backgroundValue(a);
 }
 
@@ -74,8 +115,7 @@ bool
 MemoryImage::contains(Addr addr) const
 {
     const Addr a = align(addr);
-    const Slot *s = findSlot(a);
-    return s && s->addr == a;
+    return top.find(a) || (base && base->find(a));
 }
 
 Word
@@ -84,17 +124,23 @@ MemoryImage::fingerprint() const
     // Hash each (addr, value) pair independently and combine with a
     // commutative fold, so the table's slot order (which differs with
     // capacity and insertion history) cannot leak into the digest.
+    // A base entry the write layer shadows is folded once, with its
+    // written value.
     Word sum = 0x9ae16a3b2f90404fULL;
     Word mix = 0;
-    for (const Slot &s : slots) {
-        if (s.addr == emptySlot)
-            continue;
-        const Word h =
-            fnv1aWord(fnv1aWord(fnv1aBasis, s.addr), s.value);
+    auto fold = [&](const Slot &s) {
+        const Word h = fnv1aWord(fnv1aWord(fnv1aBasis, s.addr), s.value);
         sum += h;
         mix ^= h;
-    }
-    return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + count;
+    };
+    if (base)
+        for (const Slot &s : base->slots)
+            if (s.addr != emptySlot && !top.find(s.addr))
+                fold(s);
+    for (const Slot &s : top.slots)
+        if (s.addr != emptySlot)
+            fold(s);
+    return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + size();
 }
 
 Word
@@ -412,6 +458,7 @@ ProgramBuilder::build(std::string name)
     }
     Program p;
     p.code = std::move(code);
+    mem.freeze();
     p.memory = std::move(mem);
     p.name = std::move(name);
     p.secretRegions = std::move(secrets);

@@ -12,6 +12,7 @@
 #define SB_ISA_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,15 @@ namespace sb
 /**
  * Sparse functional memory image. Word-granular (8 bytes), addresses
  * are rounded down to the containing word.
+ *
+ * Copy-on-write: ProgramBuilder::build() freezes the image it built
+ * into an immutable base that every copy shares, so copying a
+ * Program, a Workload or the image itself (each Core's working
+ * memory) costs only the private write layer on top, which is empty
+ * straight after a build. Writes land in that layer alone; reads
+ * look in it first, then in the base. size() and fingerprint() cover
+ * the union, the write layer shadowing the base, so they equal those
+ * of one flat image given the same writes.
  */
 class MemoryImage
 {
@@ -37,7 +47,11 @@ class MemoryImage
     /** True if the word was explicitly written. */
     bool contains(Addr addr) const;
 
-    std::size_t size() const { return count; }
+    std::size_t
+    size() const
+    {
+        return (base ? base->count : 0) + top.count - shadowed;
+    }
 
     /**
      * Order-independent content hash over every explicitly written
@@ -52,14 +66,9 @@ class MemoryImage
     static Word backgroundValue(Addr addr);
 
   private:
+    friend class ProgramBuilder;
+
     /**
-     * Flat open-addressing table (linear probe, power-of-two size).
-     * The image only ever inserts — no deletions, no tombstones —
-     * which makes this layout exact and keeps the three hot
-     * operations (the per-committed-store write, the load-miss read,
-     * and the whole-image copy into each Core's working memory) a
-     * probe or a memcpy instead of node-based hashing.
-     *
      * Stored addresses are 8-aligned, so an odd address can serve as
      * the empty-slot sentinel.
      */
@@ -71,22 +80,39 @@ class MemoryImage
 
     static constexpr Addr emptySlot = 1;
 
+    /**
+     * Flat open-addressing table (linear probe, power-of-two size).
+     * A table only ever inserts — no deletions, no tombstones —
+     * which makes this layout exact and keeps the two hot operations
+     * (the per-committed-store write and the load-miss read) a probe
+     * instead of node-based hashing.
+     */
+    struct Table
+    {
+        std::vector<Slot> slots; ///< Empty until the first put.
+        std::size_t count = 0;
+
+        /** The slot holding @p aligned, or nullptr. */
+        const Slot *find(Addr aligned) const;
+
+        /** Insert or overwrite; true if @p aligned was new. */
+        bool put(Addr aligned, Word value);
+
+      private:
+        /** The slot holding @p aligned, else the first empty slot on
+         *  its probe path (slots must be non-empty). */
+        const Slot *probe(Addr aligned) const;
+        void grow(std::size_t min_capacity);
+    };
+
     static Addr align(Addr addr) { return addr & ~Addr(7); }
 
-    static std::size_t
-    probeStart(Addr addr, std::size_t mask)
-    {
-        // splitmix64-style multiply-shift on the word index.
-        return static_cast<std::size_t>(
-                   ((addr >> 3) * 0x9e3779b97f4a7c15ULL) >> 24)
-               & mask;
-    }
+    /** Make the write layer the shared base (build() only). */
+    void freeze();
 
-    const Slot *findSlot(Addr aligned) const;
-    void grow(std::size_t min_capacity);
-
-    std::vector<Slot> slots; ///< Empty until the first write.
-    std::size_t count = 0;
+    std::shared_ptr<const Table> base; ///< Shared by every copy.
+    Table top;                         ///< This copy's own writes.
+    std::size_t shadowed = 0; ///< Entries of `top` also in `base`.
 };
 
 /**

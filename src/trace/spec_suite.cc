@@ -1,5 +1,8 @@
 #include "trace/spec_suite.hh"
 
+#include <map>
+#include <mutex>
+
 #include "common/logging.hh"
 #include "trace/kernels.hh"
 
@@ -19,8 +22,11 @@ SpecSuite::benchmarkNames()
     };
 }
 
-Workload
-SpecSuite::make(const std::string &name)
+namespace
+{
+
+Program
+buildStandIn(const std::string &name)
 {
     Program p;
 
@@ -245,11 +251,24 @@ SpecSuite::make(const std::string &name)
     } else {
         sb_fatal("unknown SPEC2017 stand-in: ", name);
     }
+    return p;
+}
 
-    Workload w;
-    w.name = name;
-    w.program = std::move(p);
-    return w;
+} // anonymous namespace
+
+Workload
+SpecSuite::make(const std::string &name)
+{
+    // Built once per process, on first use: a copy shares the frozen
+    // data image and duplicates only the code. One lock around the
+    // build too, so concurrent first requests build once.
+    static std::mutex mutex;
+    static std::map<std::string, Workload> built;
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = built.find(name);
+    if (it == built.end())
+        it = built.emplace(name, Workload{name, buildStandIn(name)}).first;
+    return it->second;
 }
 
 std::vector<Workload>

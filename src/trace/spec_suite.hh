@@ -5,9 +5,10 @@
  * One synthetic workload per benchmark the paper evaluates (Figure 6).
  * The real suite cannot be redistributed or run on this substrate, so
  * each benchmark is mapped to a kernel whose microarchitectural
- * character matches the behaviour the paper reports for it (see
- * DESIGN.md "Substitutions"). Parameters were calibrated against the
- * paper's per-benchmark normalised IPC.
+ * character matches the behaviour the paper reports for it (the
+ * levers each kernel exposes are described in trace/kernels.hh).
+ * Parameters were calibrated against the paper's per-benchmark
+ * normalised IPC.
  */
 
 #ifndef SB_TRACE_SPEC_SUITE_HH
@@ -35,7 +36,11 @@ class SpecSuite
     /** Names in the paper's presentation order (Figure 6). */
     static std::vector<std::string> benchmarkNames();
 
-    /** Build the stand-in for one benchmark (fatal on unknown name). */
+    /**
+     * The stand-in for one benchmark (fatal on unknown name). Each is
+     * built once per process, on first use; every call returns a
+     * copy that shares the built data image (see MemoryImage).
+     */
     static Workload make(const std::string &name);
 
     /** Build every benchmark. */

@@ -9,6 +9,7 @@
 
 #include "common/config.hh"
 #include "core/core.hh"
+#include "isa/generator.hh"
 #include "isa/program.hh"
 #include "secure/factory.hh"
 
@@ -207,6 +208,32 @@ TEST_P(CoreExecTest, DeterministicCycleCount)
     const auto r2 = runToHalt(p, *c2);
     EXPECT_EQ(r1.cycles, r2.cycles);
     EXPECT_EQ(r1.instructions, r2.instructions);
+}
+
+TEST_P(CoreExecTest, CoresOnOneProgramKeepPrivateMemory)
+{
+    // Every Core's working memory shares the program's frozen image;
+    // one Core's committed stores must reach neither the program nor
+    // a second Core built on it.
+    sb::GeneratorParams gp;
+    gp.seed = 17;
+    gp.profile = sb::OpMixProfile::MemHeavy;
+    const sb::Program p = sb::generateProgram(gp);
+    const sb::Word image = p.memory.fingerprint();
+
+    auto c1 = makeCore(p);
+    auto c2 = makeCore(p);
+    const auto r1 = runToHalt(p, *c1);
+    ASSERT_TRUE(r1.halted);
+    EXPECT_NE(c1->memoryImage().fingerprint(), image);
+    EXPECT_EQ(p.memory.fingerprint(), image);
+    EXPECT_EQ(c2->memoryImage().fingerprint(), image);
+
+    const auto r2 = runToHalt(p, *c2);
+    EXPECT_EQ(r2.cycles, r1.cycles);
+    EXPECT_EQ(c2->memoryImage().fingerprint(),
+              c1->memoryImage().fingerprint());
+    EXPECT_EQ(p.memory.fingerprint(), image);
 }
 
 TEST_P(CoreExecTest, RunsOnEverySmallConfigToo)

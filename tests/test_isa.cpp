@@ -131,6 +131,72 @@ TEST(MemoryImage, BackgroundIsDeterministicAndVaried)
     EXPECT_NE(a.read(0x5000), a.read(0x5008));
 }
 
+TEST(MemoryImage, BuiltImageIsSharedButNeverAliased)
+{
+    // A built image is frozen and shared by every copy; a write to one
+    // copy must stay invisible to the original and to other copies.
+    constexpr sb::Addr base = 0x10000;
+    constexpr unsigned words = 300;
+    sb::ProgramBuilder b;
+    for (unsigned w = 0; w < words; ++w)
+        b.memory().write(base + 8 * w, 1000 + w);
+    b.halt();
+    const sb::Program p = b.build();
+
+    struct View
+    {
+        std::vector<sb::Word> reads;
+        std::vector<bool> contains;
+        std::size_t size;
+        sb::Word fingerprint;
+        bool operator==(const View &o) const
+        {
+            return reads == o.reads && contains == o.contains
+                   && size == o.size && fingerprint == o.fingerprint;
+        }
+    };
+    // Every base word plus the same span again past its end.
+    auto view = [&](const sb::MemoryImage &m) {
+        View v;
+        for (unsigned w = 0; w < 2 * words; ++w) {
+            v.reads.push_back(m.read(base + 8 * w));
+            v.contains.push_back(m.contains(base + 8 * w));
+        }
+        v.size = m.size();
+        v.fingerprint = m.fingerprint();
+        return v;
+    };
+    const View before = view(p.memory);
+    ASSERT_EQ(before.size, words);
+
+    sb::MemoryImage written = p.memory;
+    const sb::MemoryImage untouched = p.memory;
+    written.write(base + 8 * 7, 0xdead);     // New value for a base word.
+    written.write(base + 8 * 9, 1000 + 9);   // A base word's own value.
+    written.write(base + 8 * words, 0xbeef); // Two new words.
+    written.write(base + 8 * (words + 1), 0xcafe);
+
+    EXPECT_TRUE(view(p.memory) == before);
+    EXPECT_TRUE(view(untouched) == before);
+    EXPECT_EQ(written.read(base + 8 * 7), 0xdeadu);
+    EXPECT_EQ(written.read(base + 8 * words), 0xbeefu);
+    EXPECT_EQ(p.memory.read(base + 8 * 7), 1000u + 7);
+    EXPECT_FALSE(p.memory.contains(base + 8 * words));
+
+    // A never-frozen image given the same writes in another order.
+    sb::MemoryImage flat;
+    flat.write(base + 8 * (words + 1), 0xcafe);
+    flat.write(base + 8 * words, 0xbeef);
+    flat.write(base + 8 * 7, 0xdead);
+    for (unsigned w = words; w-- > 0;)
+        if (w != 7)
+            flat.write(base + 8 * w, 1000 + w);
+    EXPECT_EQ(written.size(), words + 2);
+    EXPECT_EQ(written.size(), flat.size());
+    EXPECT_EQ(written.fingerprint(), flat.fingerprint());
+    EXPECT_NE(written.fingerprint(), before.fingerprint);
+}
+
 TEST(ProgramBuilder, BackwardBranchTargets)
 {
     sb::ProgramBuilder b;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <thread>
+
 #include "common/config.hh"
 #include "core/core.hh"
 #include "secure/factory.hh"
@@ -20,6 +23,53 @@ namespace
 struct WorkloadTest : ::testing::TestWithParam<std::string>
 {
 };
+
+/** Everything a cell reads from a stand-in, as one comparable value. */
+std::string
+standInDigest(const sb::Workload &w)
+{
+    const sb::Program &p = w.program;
+    std::ostringstream os;
+    os << w.name << ' ' << p.name << " entry=" << p.entry
+       << " words=" << p.memory.size()
+       << " image=" << p.memory.fingerprint() << '\n';
+    for (const sb::SecretRegion &r : p.secretRegions)
+        os << "secret " << r.base << '+' << r.bytes << '@' << r.tenant
+           << '\n';
+    for (const sb::MicroOp &u : p.code)
+        os << int(u.op) << ' ' << int(u.dst) << ' ' << int(u.src1) << ' '
+           << int(u.src2) << ' ' << u.imm << ' ' << u.target << '\n';
+    return os.str();
+}
+
+// The binary's first test (plain TESTs run before the parameterized
+// suite, in file order), so the threads race on the first builds.
+TEST(SpecSuite, ConcurrentCallsAgree)
+{
+    const std::vector<std::string> names = sb::SpecSuite::benchmarkNames();
+    constexpr unsigned threads = 4;
+    std::vector<std::vector<std::string>> seen(threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            // Rotated orders: different names build concurrently,
+            // and every name is requested by all four threads.
+            seen[t].resize(names.size());
+            for (std::size_t i = 0; i < names.size(); ++i) {
+                const std::size_t n = (i + 5 * t) % names.size();
+                seen[t][n] = standInDigest(sb::SpecSuite::make(names[n]));
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (std::size_t n = 0; n < names.size(); ++n) {
+        const std::string serial =
+            standInDigest(sb::SpecSuite::make(names[n]));
+        for (unsigned t = 0; t < threads; ++t)
+            EXPECT_EQ(seen[t][n], serial) << names[n] << " thread " << t;
+    }
+}
 
 TEST_P(WorkloadTest, BuildsAndDisassembles)
 {
@@ -147,6 +197,24 @@ TEST(SpecSuite, HasAll22Benchmarks)
 {
     EXPECT_EQ(sb::SpecSuite::benchmarkNames().size(), 22u);
     EXPECT_EQ(sb::SpecSuite::all().size(), 22u);
+}
+
+TEST(SpecSuite, RepeatCallsAgreeAndNeverAlias)
+{
+    for (const std::string &name : sb::SpecSuite::benchmarkNames()) {
+        sb::Workload first = sb::SpecSuite::make(name);
+        const std::string digest = standInDigest(first);
+        // A caller owns its copy: writing to it must not reach the
+        // next caller's. The kernels' data starts at 1 MiB, so these
+        // writes overwrite image words where a kernel has them.
+        sb::MemoryImage &mem = first.program.memory;
+        for (sb::Addr a = 1u << 20; a < (1u << 20) + 64; a += 8)
+            mem.write(a, ~mem.read(a));
+        first.program.code.back().imm ^= 1;
+        first.program.entry += 1;
+        EXPECT_EQ(standInDigest(sb::SpecSuite::make(name)), digest)
+            << name;
+    }
 }
 
 TEST(SpecSuite, UnknownNameDies)
