@@ -50,7 +50,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(skip),
                 static_cast<unsigned long long>(skip + show));
 
-    // Fast-forward without tracing.
+    // Run up to the window without tracing.
     while (core.now() < skip && !core.halted())
         core.tick();
 

@@ -87,14 +87,14 @@ CoreConfig::canonical() const
         << ";brlat=" << branchResolveLatency
         << ";l1d{" << l1d.canonical() << "};l2{" << l2.canonical()
         << "};mem=" << memLatency
-        << ";specsched=" << (speculativeScheduling ? 1 : 0)
+        // A constant: speculative L1-hit scheduling is the scheme's
+        // call (SecureScheme::allowsSpeculativeScheduling). Writing it
+        // keeps every existing spec key, and the cached cells those
+        // keys address, valid.
+        << ";specsched=1"
         << ";festages=" << frontendStages;
-    // Appended only when set so every pre-existing spec key (and the
-    // result-cache cells addressed by it) stays byte-identical.
-    if (warmupInsts != 0)
-        oss << ";ffwd=" << warmupInsts;
-    // Same gating: the tenant knobs only reach the key when they
-    // differ from the single-tenant defaults.
+    // The tenant knobs only reach the key when they differ from the
+    // single-tenant defaults, so keys from before they existed hold.
     if (flushPredictorsOnSwitch)
         oss << ";swflush=1";
     if (contextSwitchPenalty != 48)

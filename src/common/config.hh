@@ -12,7 +12,6 @@
 #ifndef SB_COMMON_CONFIG_HH
 #define SB_COMMON_CONFIG_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -113,24 +112,8 @@ struct CoreConfig
     CacheConfig l2{512 * 1024, 8, 64, 14, 16, true};
     unsigned memLatency = 80;     ///< DRAM access latency in cycles.
 
-    // --- Scheduling -----------------------------------------------------
-    /**
-     * Speculatively wake dependents of a load assuming an L1 hit and
-     * replay them on a miss (Kim & Lipasti style). The baseline and
-     * STT designs keep this; the NDA design removes it (Sec. 5.1).
-     */
-    bool speculativeScheduling = true;
-
     /** Pipeline depth from fetch to execute, for squash penalties. */
     unsigned frontendStages = 7;
-
-    /**
-     * Fast-forward: functionally execute this many instructions
-     * before detailed simulation begins (architectural state, caches,
-     * and predictors are warmed; no cycles are modelled). 0 = off.
-     * Run from Core::run() exactly once, on a fresh core.
-     */
-    std::uint64_t warmupInsts = 0;
 
     // --- Protection domains --------------------------------------------
     /**

@@ -101,15 +101,6 @@ faultPoisoned(const std::string &workload)
     return false;
 }
 
-bool
-faultsArmed()
-{
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_parsed)
-        parseLocked();
-    return g_state.armed;
-}
-
 void
 faultReset()
 {

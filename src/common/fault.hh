@@ -43,10 +43,6 @@ bool faultPoint(const char *kind);
  *  contains the substring. */
 bool faultPoisoned(const std::string &workload);
 
-/** True when any SB_FAULT directive is armed (cheap pre-check for
- *  logging). */
-bool faultsArmed();
-
 /** Re-read SB_FAULT and reset all counters: a forked shard worker
  *  starts from zero, and tests re-arm faults with it. */
 void faultReset();

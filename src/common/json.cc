@@ -469,4 +469,18 @@ Json::parse(const std::string &text, Json &out, std::string *err)
     return true;
 }
 
+void
+writeJsonFile(const std::string &path, const Json &doc, std::FILE *out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return;
+    }
+    const std::string text = doc.dump() + "\n";
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    std::fprintf(out, "wrote %s\n", path.c_str());
+}
+
 } // namespace sb

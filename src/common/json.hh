@@ -15,6 +15,7 @@
 #define SB_COMMON_JSON_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,7 +41,6 @@ class Json
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
 
     /** Typed access; panics when the kind does not match. */
     bool asBool() const;
@@ -82,6 +82,14 @@ class Json
 
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * Write @p doc to the file @p path as one line (dump() and a newline)
+ * and print "wrote <path>" to @p out; if the file cannot be opened,
+ * print "cannot open <path>" to stderr instead.
+ */
+void writeJsonFile(const std::string &path, const Json &doc,
+                   std::FILE *out = stdout);
 
 } // namespace sb
 

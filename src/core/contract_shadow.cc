@@ -221,14 +221,4 @@ ContractShadow::onSquash(SeqNum youngest_surviving)
     purge(storeData);
 }
 
-void
-ContractShadow::onArchTransmit(std::uint32_t pc, bool secret_operand)
-{
-    if (!secret_operand)
-        return;
-    ++ctViol;
-    if (!firstCt.valid())
-        firstCt = {0, 0, pc};
-}
-
 } // namespace sb

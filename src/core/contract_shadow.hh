@@ -69,6 +69,25 @@ struct ContractViolation
 class ContractShadow
 {
   public:
+    /** The label a value carries through registers, load and store
+     *  captures, and (secret and owner only) memory words. */
+    struct Label
+    {
+        bool secret = false;
+        /** Youngest still-speculative load the secret flowed through;
+         *  invalidSeqNum = architecturally acquired. */
+        SeqNum root = invalidSeqNum;
+        /** Protection domain the secret belongs to (meaningful only
+         *  while secret is set). */
+        TenantId owner = 0;
+        /** STT taint root: the youngest still-speculative load the
+         *  value derives from, secret or not. */
+        SeqNum taint = invalidSeqNum;
+        /** NDA: the still-speculative load that produced the value
+         *  directly, if any. */
+        SeqNum producerLoad = invalidSeqNum;
+    };
+
     explicit ContractShadow(unsigned num_phys_regs);
 
     /** Mirror of InvariantChecker::defaultActive(): SB_INVARIANTS=1
@@ -82,12 +101,6 @@ class ContractShadow
      *  the protection domain the secret belongs to. */
     void markSecretRegion(Addr base, std::uint64_t bytes,
                           TenantId owner = 0);
-
-    /** True if the word containing @p addr is secret-labelled. */
-    bool memSecret(Addr addr) const;
-
-    /** Owning tenant of a secret word (invalidTenant if not secret). */
-    TenantId memOwner(Addr addr) const;
 
     // --- Core hooks (all no-ops unless on()) --------------------------
 
@@ -125,35 +138,11 @@ class ContractShadow
     /** Squash: purge captured labels of killed loads/stores. */
     void onSquash(SeqNum youngest_surviving);
 
-    // --- Architectural (fast-forward) path ----------------------------
-    // The functional interpreter bypasses the pipeline, so the label
-    // flow collapses to architectural reads/writes; only the
-    // constant-time contract can fire there (nothing is speculative).
-
-    struct Label
-    {
-        bool secret = false;
-        /** Youngest still-speculative load the secret flowed through;
-         *  invalidSeqNum = architecturally acquired. */
-        SeqNum root = invalidSeqNum;
-        /** Protection domain the secret belongs to (meaningful only
-         *  while secret is set). */
-        TenantId owner = 0;
-        /** STT taint root: the youngest still-speculative load the
-         *  value derives from, secret or not. */
-        SeqNum taint = invalidSeqNum;
-        /** NDA: the still-speculative load that produced the value
-         *  directly, if any. */
-        SeqNum producerLoad = invalidSeqNum;
-    };
-
+    /** A physical register's label. Core::performContextSwitch banks
+     *  a tenant's architectural registers out and back in with these,
+     *  labels included. */
     Label regLabel(PhysReg reg) const { return regs[reg]; }
     void setRegLabel(PhysReg reg, Label label) { regs[reg] = label; }
-    void setMemSecret(Addr addr, bool secret, TenantId owner = 0);
-
-    /** A transmitter executed architecturally (fast-forward) with
-     *  @p secret_operand: constant-time check only. */
-    void onArchTransmit(std::uint32_t pc, bool secret_operand);
 
     // --- Verdicts ------------------------------------------------------
 
@@ -179,6 +168,16 @@ class ContractShadow
 
   private:
     static Addr alignWord(Addr addr) { return addr & ~Addr(7); }
+
+    /** True if the word containing @p addr is secret-labelled. */
+    bool memSecret(Addr addr) const;
+
+    /** Owning tenant of a secret word (invalidTenant if not secret). */
+    TenantId memOwner(Addr addr) const;
+
+    /** Label the word containing @p addr secret (owned by @p owner)
+     *  or clean. */
+    void setMemSecret(Addr addr, bool secret, TenantId owner);
 
     bool active = false;
     std::vector<Label> regs;

@@ -100,13 +100,6 @@ Core::opLatency(OpClass cls) const
     sb_panic("unknown op class");
 }
 
-bool
-Core::speculativeSchedulingEnabled() const
-{
-    return cfg.speculativeScheduling
-           && schemePtr->allowsSpeculativeScheduling();
-}
-
 Word
 Core::readArchReg(ArchReg reg) const
 {
@@ -140,10 +133,6 @@ Core::applyWakeup(PhysReg preg, Cycle at)
 RunResult
 Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
 {
-    if (cfg.warmupInsts != 0 && !ffwdDone) {
-        ffwdDone = true;
-        fastForward(cfg.warmupInsts);
-    }
     const std::uint64_t target = committedCount + max_insts;
     const Cycle limit = cycle + max_cycles;
     // Wall-clock supervision is sampled every 4096 cycles: cheap
@@ -270,144 +259,6 @@ Core::wallStopRequested()
         return true;
     }
     return false;
-}
-
-// ---------------------------------------------------------------------
-// Fast-forward (functional warmup)
-// ---------------------------------------------------------------------
-
-void
-Core::fastForward(std::uint64_t max_insts)
-{
-    sb_assert(cycle == 0 && committedCount == 0 && nextSeq == 1,
-              "fast-forward requires a fresh core");
-    // Multi-tenant programs context-switch at commit, which the
-    // functional interpreter does not model; such cells run with
-    // warmup disabled.
-    sb_assert(program->switchPoints.empty(),
-              "fast-forward cannot cross context switches");
-    // With no instructions in flight the RAT is the architectural
-    // map, so architectural state lives directly in regVal through
-    // renameMap.lookup — exactly what readArchReg() reads and what
-    // the first detailed rename will look up.
-    std::uint64_t n = 0;
-    while (n < max_insts && pc < program->code.size()) {
-        const MicroOp &uop = program->code[pc];
-        if (uop.isHalt()) {
-            // Leave pc on the halt so the detailed window commits it
-            // and ends the run normally.
-            break;
-        }
-        if (uop.isIndirect()) {
-            const std::uint32_t target = static_cast<std::uint32_t>(
-                regVal[renameMap.lookup(uop.src1)]);
-            if (cshadow.on()) {
-                cshadow.onArchTransmit(
-                    pc, cshadow.regLabel(renameMap.lookup(uop.src1))
-                            .secret);
-            }
-            // Train the BTB exactly like commit does. JmpRegRet
-            // never touches the BTB, in warmup or in the core.
-            if (uop.op == Op::JmpReg)
-                btb.train(pc, target);
-            pc = target;
-            ++n;
-            continue;
-        }
-        if (uop.op == Op::Jmp) {
-            pc = uop.target;
-            ++n;
-            continue;
-        }
-        if (uop.isBranch()) {
-            const Word s1 =
-                uop.hasSrc1() ? regVal[renameMap.lookup(uop.src1)] : 0;
-            const Word s2 =
-                uop.hasSrc2() ? regVal[renameMap.lookup(uop.src2)] : 0;
-            if (cshadow.on()) {
-                // Architectural transmit: the branch outcome is
-                // observable, so a secret operand violates the
-                // constant-time contract even without speculation.
-                const bool sec1 =
-                    uop.hasSrc1()
-                    && cshadow.regLabel(renameMap.lookup(uop.src1))
-                           .secret;
-                const bool sec2 =
-                    uop.hasSrc2()
-                    && cshadow.regLabel(renameMap.lookup(uop.src2))
-                           .secret;
-                cshadow.onArchTransmit(pc, sec1 || sec2);
-            }
-            const bool taken = evalBranch(uop, s1, s2);
-            // Same training as commit: update against the history the
-            // predictor would have seen, then shift the outcome in.
-            predictor.update(pc, ghist, taken);
-            ghist = (ghist << 1) | (taken ? 1u : 0u);
-            pc = taken ? uop.target : pc + 1;
-            ++n;
-            continue;
-        }
-        const OpClass cls = uop.opClass();
-        if (cls == OpClass::MemRead) {
-            const Addr addr = regVal[renameMap.lookup(uop.src1)]
-                              + static_cast<Word>(uop.imm);
-            regVal[renameMap.lookup(uop.dst)] = workingMem.read(addr);
-            if (cshadow.on()) {
-                cshadow.onArchTransmit(
-                    pc, cshadow.regLabel(renameMap.lookup(uop.src1))
-                            .secret);
-                const bool sec = cshadow.memSecret(addr);
-                cshadow.setRegLabel(
-                    renameMap.lookup(uop.dst),
-                    {sec, invalidSeqNum,
-                     sec ? cshadow.memOwner(addr) : TenantId(0)});
-            }
-            mem.warmAccess(addr, pc, 0);
-            ++pc;
-            ++n;
-            continue;
-        }
-        if (cls == OpClass::MemWrite) {
-            const Addr addr = regVal[renameMap.lookup(uop.src1)]
-                              + static_cast<Word>(uop.imm);
-            workingMem.write(addr,
-                             regVal[renameMap.lookup(uop.src2)]);
-            if (cshadow.on()) {
-                cshadow.onArchTransmit(
-                    pc, cshadow.regLabel(renameMap.lookup(uop.src1))
-                            .secret);
-                const ContractShadow::Label data =
-                    cshadow.regLabel(renameMap.lookup(uop.src2));
-                cshadow.setMemSecret(addr, data.secret, data.owner);
-            }
-            mem.warmAccess(addr, pc, 0);
-            ++pc;
-            ++n;
-            continue;
-        }
-        // Nop and the integer/FP ALU classes.
-        const Word s1 =
-            uop.hasSrc1() ? regVal[renameMap.lookup(uop.src1)] : 0;
-        const Word s2 =
-            uop.hasSrc2() ? regVal[renameMap.lookup(uop.src2)] : 0;
-        if (uop.hasDst()) {
-            regVal[renameMap.lookup(uop.dst)] = evalAlu(uop, s1, s2);
-            if (cshadow.on()) {
-                const bool sec =
-                    (uop.hasSrc1()
-                     && cshadow.regLabel(renameMap.lookup(uop.src1))
-                            .secret)
-                    || (uop.hasSrc2()
-                        && cshadow.regLabel(renameMap.lookup(uop.src2))
-                               .secret);
-                cshadow.setRegLabel(renameMap.lookup(uop.dst),
-                                    {sec, invalidSeqNum});
-            }
-        }
-        ++pc;
-        ++n;
-    }
-    ffwdCount = n;
 }
 
 void
@@ -595,7 +446,8 @@ Core::writebackPhase()
                 cshadow.onLoadData(*inst, still_spec);
             regVal[inst->pdst] = inst->result;
             const Cycle ready =
-                speculativeSchedulingEnabled() ? cycle : cycle + 1;
+                schemePtr->allowsSpeculativeScheduling() ? cycle
+                                                         : cycle + 1;
             if (!schemePtr->deferBroadcast(ev.inst, *inst, ready)) {
                 applyWakeup(inst->pdst, ready);
             } else {

@@ -26,9 +26,7 @@
  * InstHandles. Records are allocated at fetch, freed at commit or
  * during the squash walk; structures that can outlive an instruction
  * revalidate handles through the slab. Fetch+decode of hot loop
- * bodies is memoized per static PC (core/decode_cache.hh), and an
- * optional functional fast-forward (CoreConfig::warmupInsts) skips
- * detailed simulation of warmup instructions entirely.
+ * bodies is memoized per static PC (core/decode_cache.hh).
  */
 
 #ifndef SB_CORE_CORE_HH
@@ -221,8 +219,6 @@ class Core
     Cycle now() const { return cycle; }
     bool halted() const { return haltedFlag; }
     std::uint64_t committedInstructions() const { return committedCount; }
-    /** Instructions executed functionally by fast-forward warmup. */
-    std::uint64_t fastForwardedInstructions() const { return ffwdCount; }
     /** Cycles run() jumped over instead of ticking (idle skip). An
      *  engine diagnostic: now() and the counters already count them. */
     std::uint64_t skippedCycles() const { return skippedCount; }
@@ -234,9 +230,6 @@ class Core
 
     /** The in-flight instruction slab (engine-health diagnostics). */
     const InstSlab &instSlab() const { return slab; }
-
-    /** The per-PC decode cache (tests drive invalidation directly). */
-    DecodeCache &decodeCache() { return dcache; }
 
     /** Does @p h still address a live in-flight instruction? */
     bool slabAlive(InstHandle h) const { return slab.alive(h); }
@@ -403,15 +396,6 @@ class Core
     void finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
                     Word value, SeqNum forward_source);
 
-    /**
-     * Functional-only warmup (CoreConfig::warmupInsts): interpret up
-     * to @p max_insts instructions architecturally, training caches,
-     * the branch predictor, and the BTB, without modelling cycles.
-     * Requires a fresh core; detailed simulation resumes at the next
-     * un-executed pc.
-     */
-    void fastForward(std::uint64_t max_insts);
-
     /** Latency of an op class from the configuration. */
     unsigned opLatency(OpClass cls) const;
 
@@ -439,8 +423,6 @@ class Core
      */
     void performContextSwitch(SeqNum marker_seq,
                               std::uint32_t marker_pc, TenantId to);
-
-    bool speculativeSchedulingEnabled() const;
 
     /** Commit-less cycles the forward-progress watchdog allows. */
     Cycle
@@ -564,8 +546,6 @@ class Core
     Cycle fdivBusyUntil = 0;
     bool haltedFlag = false;
     std::uint64_t committedCount = 0;
-    std::uint64_t ffwdCount = 0;    ///< Fast-forwarded instructions.
-    bool ffwdDone = false;
     Cycle lastCommitCycle = 0;
     Cycle softWatchdogCycles = 0;   ///< 0 = hard panic on stall.
     /** Set by every phase that does work in the current tick; a tick

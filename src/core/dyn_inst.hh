@@ -95,15 +95,6 @@ struct DynInst
     bool isLoad() const { return uop.isLoad(); }
     bool isStore() const { return uop.isStore(); }
     bool isBranch() const { return uop.isBranch(); }
-
-    /** Stores issue in two halves; everything else in one. */
-    bool
-    fullyIssued() const
-    {
-        if (isStore())
-            return addrIssued && dataIssued;
-        return addrIssued || dataIssued;
-    }
 };
 
 } // namespace sb

@@ -123,7 +123,11 @@ class SecureScheme
     /** Called once per squash after the walk, with the new tail seq. */
     virtual void onSquash(SeqNum /* youngest_surviving */) {}
 
-    /** NDA removes speculative L1-hit scheduling (Sec. 5.1). */
+    /**
+     * Speculatively wake dependents of a load assuming an L1 hit and
+     * replay them on a miss (Kim & Lipasti style). The baseline and
+     * STT designs keep this; NDA removes it (Sec. 5.1).
+     */
     virtual bool allowsSpeculativeScheduling() const { return true; }
 
     /**

@@ -103,14 +103,6 @@ struct SecurityContract {
     {
         return {ContractPolicy::Sandboxing, false, false, true};
     }
-
-    /** ProSpeCT constant-time (verifier override; no stock scheme
-     *  declares it). */
-    static constexpr SecurityContract
-    constantTime()
-    {
-        return {ContractPolicy::ConstantTime, false, false, true};
-    }
 };
 
 /** Stable lowercase policy name, used in JSON and CLI surfaces. */

@@ -62,9 +62,6 @@ class ShadowTracker
     /** Is an instruction speculative (younger than an open shadow)? */
     bool isSpeculative(SeqNum seq) const { return seq > vp; }
 
-    /** Count of live speculative loads (diagnostics). */
-    std::size_t speculativeLoads() const { return specLoads.size(); }
-
   private:
     struct Entry
     {

@@ -138,9 +138,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
         Cell &cell = cells[c];
         if (diskCache && cell.cacheable
             && diskCache->lookup(cell.key, cell.outcome)) {
-            if (cell.outcome.workload == cell.spec->workload
-                && cell.outcome.coreName == cell.spec->core.name
-                && cell.outcome.scheme == cell.spec->scheme.scheme) {
+            if (outcomeMatchesSpec(cell.outcome, *cell.spec)) {
                 cell.resolved = true;
                 ++accounting.cacheHits;
                 continue;

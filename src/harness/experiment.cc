@@ -80,6 +80,14 @@ outcomeHeader(const RunSpec &spec, const char *marker)
     return out;
 }
 
+bool
+outcomeMatchesSpec(const RunOutcome &outcome, const RunSpec &spec)
+{
+    return outcome.workload == spec.workload
+           && outcome.coreName == spec.core.name
+           && outcome.scheme == spec.scheme.scheme;
+}
+
 namespace
 {
 

@@ -107,6 +107,10 @@ struct RunOutcome
 RunOutcome outcomeHeader(const RunSpec &spec,
                          const char *marker = nullptr);
 
+/** Does @p outcome carry @p spec's identity, the fields
+ *  outcomeHeader() fills? A cached outcome answers a spec only then. */
+bool outcomeMatchesSpec(const RunOutcome &outcome, const RunSpec &spec);
+
 /**
  * Supervision knobs for one cell execution. Deliberately NOT part of
  * RunSpec: none of these change the simulated outcome of a healthy

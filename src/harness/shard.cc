@@ -123,9 +123,7 @@ serveCells(int fd, const std::vector<RunSpec> &specs,
         RunOutcome outcome;
         bool cached = false;
         if (cache && !key.empty() && cache->lookup(key, outcome)
-            && outcome.workload == spec.workload
-            && outcome.coreName == spec.core.name
-            && outcome.scheme == spec.scheme.scheme) {
+            && outcomeMatchesSpec(outcome, spec)) {
             cached = true;
         } else {
             RunHooks hooks;

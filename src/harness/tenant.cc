@@ -252,13 +252,7 @@ tenantReport(const std::vector<RunOutcome> &outcomes, std::FILE *out)
     doc.set("schema", Json::num(std::uint64_t(1)));
     doc.set("workload", Json::str(tenantWorkloadName(params)));
     doc.set("cells", std::move(cells));
-    if (std::FILE *f = std::fopen("SBSIM_multi_tenant_summary.json", "w")) {
-        const std::string text = doc.dump();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-    }
-    std::fprintf(out, "wrote SBSIM_multi_tenant_summary.json\n");
+    writeJsonFile("SBSIM_multi_tenant_summary.json", doc, out);
     // A cut-short row withheld the verdict: it fails like a leak.
     return !anyCut && baselineLeaks && !dataflowLeaks;
 }

@@ -173,9 +173,6 @@ struct Program
 
     std::size_t size() const { return code.size(); }
 
-    /** Does this program ever switch protection domains? */
-    bool multiTenant() const { return !switchPoints.empty(); }
-
     /** Disassemble the whole program, one op per line. */
     std::string disassemble() const;
 };

@@ -62,7 +62,6 @@ class Cache
     void flushAll();
 
     unsigned lineBytes() const { return cfg.lineBytes; }
-    unsigned hitLatency() const { return cfg.latency; }
 
     StatGroup &stats() { return statGroup; }
     const StatGroup &stats() const { return statGroup; }

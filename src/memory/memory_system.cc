@@ -75,30 +75,6 @@ MemorySystem::access(Addr addr, std::uint64_t pc, Cycle now, bool is_store)
 }
 
 void
-MemorySystem::warmAccess(Addr addr, std::uint64_t pc, Cycle now)
-{
-    prefetchQueue.clear();
-    if (cfg.l1d.stridePrefetcher)
-        l1Prefetcher.observe(pc, addr, prefetchQueue);
-
-    if (!l1.probe(addr, now)) {
-        Cycle fill;
-        if (auto l2hit = l2.probe(addr, now)) {
-            fill = *l2hit;
-            if (cfg.l2.stridePrefetcher)
-                l2Prefetcher.observe(pc, addr, prefetchQueue);
-        } else {
-            fill = now + cfg.l2.latency + cfg.memLatency;
-            l2.insert(addr, now, fill - cfg.l1d.latency);
-        }
-        l1.insert(addr, now, fill);
-    }
-
-    for (Addr p : prefetchQueue)
-        prefetchInto(p, now);
-}
-
-void
 MemorySystem::prefetchInto(Addr addr, Cycle now)
 {
     if (l1.contains(addr))

@@ -59,15 +59,6 @@ class MemorySystem
     MemAccessResult access(Addr addr, std::uint64_t pc, Cycle now,
                            bool is_store);
 
-    /**
-     * Functional-warmup access (fast-forward mode): walks the same
-     * probe/insert/prefetch-train path as a demand access so cache
-     * contents and stride state match a detailed run, but allocates
-     * no MSHRs, can never be rejected, and touches no demand-path
-     * stats (the measurement window owns those).
-     */
-    void warmAccess(Addr addr, std::uint64_t pc, Cycle now);
-
     /** Probe L1 residency without side effects (covert-channel probe). */
     bool l1Contains(Addr addr) const { return l1.contains(addr); }
 

@@ -25,8 +25,10 @@ StridePrefetcher::observe(std::uint64_t pc, Addr addr,
         e.confidence = 0;
         return;
     }
-    const std::int64_t stride =
-        static_cast<std::int64_t>(addr) - static_cast<std::int64_t>(e.lastAddr);
+    // Address arithmetic is unsigned, then read as signed: it wraps
+    // where int64 arithmetic would overflow (strides across 2^63) and
+    // gives the same bits everywhere else.
+    const auto stride = static_cast<std::int64_t>(addr - e.lastAddr);
     if (stride != 0 && stride == e.stride) {
         if (e.confidence < 4)
             ++e.confidence;
@@ -38,10 +40,11 @@ StridePrefetcher::observe(std::uint64_t pc, Addr addr,
 
     if (e.confidence >= 2 && e.stride != 0) {
         for (unsigned d = 1; d <= degree; ++d) {
-            const std::int64_t target =
-                static_cast<std::int64_t>(addr) + e.stride * (d + 1);
-            if (target >= 0) {
-                prefetches.push_back(static_cast<Addr>(target));
+            // Targets at or past 2^63 (negative as int64) are dropped.
+            const Addr target =
+                addr + static_cast<Addr>(e.stride) * (d + 1);
+            if (static_cast<std::int64_t>(target) >= 0) {
+                prefetches.push_back(target);
                 ++st.issued;
             }
         }

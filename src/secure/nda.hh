@@ -52,8 +52,6 @@ class NdaScheme : public SecureScheme
         return schemeCfg.ndaKeepSpeculativeScheduling;
     }
 
-    std::size_t pendingBroadcasts() const { return pending.size(); }
-
   protected:
     /**
      * A queued broadcast carries only what firing it needs: the

@@ -51,9 +51,6 @@ class SttIssueScheme : public SecureScheme
     bool selectVeto(const DynInst &inst, bool addr_half) override;
     bool onSelect(DynInst &inst, bool addr_half) override;
 
-    /** Current taint of a physical register (for tests). */
-    YRoT physTaint(PhysReg reg) const { return taintTable[reg]; }
-
   private:
     SchemeConfig schemeCfg;
     std::vector<YRoT> taintTable;

@@ -52,9 +52,6 @@ class SttRenameScheme : public SecureScheme
     bool selectVeto(const DynInst &inst, bool addr_half) override;
     void onSquashWalk(const DynInst &inst) override;
 
-    /** Current taint of an architectural register (for tests). */
-    YRoT archTaint(ArchReg reg) const { return taintRat[reg]; }
-
   private:
     SchemeConfig schemeCfg;
     std::array<YRoT, numArchRegs> taintRat;

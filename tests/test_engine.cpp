@@ -115,9 +115,6 @@ TEST(SpecKey, ChangesWhenAnyFieldChanges)
     s.core.memLatency += 1;
     expectNew(s);
     s = base;
-    s.core.speculativeScheduling = !s.core.speculativeScheduling;
-    expectNew(s);
-    s = base;
     s.core.frontendStages += 1;
     expectNew(s);
     s = base;

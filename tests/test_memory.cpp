@@ -105,6 +105,25 @@ TEST(Prefetcher, DetectsStableStride)
         EXPECT_GT(a, 0x1000u + 4 * 64);
 }
 
+TEST(Prefetcher, StridesAcrossTwoToTheSixtyThree)
+{
+    // Addresses at and past 2^63 read as negative int64: a stride
+    // crossing that boundary, or a target past it, must not be a
+    // signed overflow. Targets at or past 2^63 are never prefetched.
+    constexpr sb::Addr top = sb::Addr(1) << 63;
+    sb::StridePrefetcher pf("t", 16, 2);
+    std::vector<sb::Addr> down;
+    for (int i = 0; i < 5; ++i)
+        pf.observe(8, top + 2 * 64 - i * 64, down);
+    EXPECT_EQ(down, (std::vector<sb::Addr>{top - 192, top - 256,
+                                           top - 256, top - 320}));
+
+    std::vector<sb::Addr> up;
+    for (int i = 0; i < 8; ++i)
+        pf.observe(7, top - 6 * 64 + i * 64, up);
+    EXPECT_EQ(up, std::vector<sb::Addr>{top - 64});
+}
+
 TEST(Prefetcher, IgnoresRandomPattern)
 {
     sb::StridePrefetcher pf("t", 16, 2);

@@ -487,18 +487,21 @@ TEST(ShardDispatcher, MatchesInProcessBitExact)
     EXPECT_EQ(cache.size(), specs.size());
 }
 
-TEST(ShardDispatcher, FastForwardCellMatchesRunOneAndItsCacheEntry)
+TEST(ShardDispatcher, CoreOffItsPresetMatchesRunOneAndItsCacheEntry)
 {
-    // Fast-forward (core.warmupInsts) is part of the cell's key: a
-    // worker must run exactly the cell the dispatcher addressed and
-    // store it under that key, or a later in-process run is served a
-    // result simulated without fast-forward.
-    sb::RunSpec spec = quickSpec("557.xz", sb::Scheme::Baseline);
-    spec.core.warmupInsts = 20000;
+    // Every core field is part of the cell's key, not only the
+    // preset's name: a worker must run exactly the cell the
+    // dispatcher addressed and store it under that key, or a later
+    // in-process run is served the preset's result.
+    const sb::RunSpec preset = quickSpec("557.xz", sb::Scheme::Baseline);
+    sb::RunSpec spec = preset;
+    spec.core.memLatency = 200;
     const std::vector<sb::RunSpec> specs = {spec};
     const sb::RunOutcome expected = sb::ExperimentRunner::runOne(spec);
+    // The field moves the outcome, so running the preset is caught.
+    ASSERT_NE(expected.cycles, sb::ExperimentRunner::runOne(preset).cycles);
 
-    const std::string dir = freshDir("sb_shard_ffwd");
+    const std::string dir = freshDir("sb_shard_core");
     sb::ShardDispatcher dispatcher(shardOpts(1, dir));
     const auto results = dispatcher.run(specs, keysOf(specs));
     ASSERT_EQ(results.size(), 1u);

@@ -224,29 +224,7 @@ writeOutcomesJson(const std::string &scenario,
     for (const auto &o : outcomes)
         arr.push(sb::toJson(o));
     doc.set("outcomes", std::move(arr));
-
-    const std::string path = "SBSIM_" + scenario + ".json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "%s\n", doc.dump().c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-}
-
-void
-writeVerifyJson(const sb::VerifyMatrix &matrix)
-{
-    std::FILE *f = std::fopen("SBSIM_verify.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open SBSIM_verify.json\n");
-        return;
-    }
-    std::fprintf(f, "%s\n", sb::toJson(matrix).dump().c_str());
-    std::fclose(f);
-    std::printf("wrote SBSIM_verify.json\n");
+    sb::writeJsonFile("SBSIM_" + scenario + ".json", doc);
 }
 
 void
@@ -270,28 +248,7 @@ writeGridspeedJson(const std::vector<std::string> &scenarios,
     doc.set("worker_crashes", sb::Json::num(st.shardCrashes));
     doc.set("worker_hangs", sb::Json::num(st.shardHangs));
     doc.set("cell_retries", sb::Json::num(st.shardRetries));
-
-    std::FILE *f = std::fopen("BENCH_gridspeed.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open BENCH_gridspeed.json\n");
-        return;
-    }
-    std::fprintf(f, "%s\n", doc.dump().c_str());
-    std::fclose(f);
-    std::printf("wrote BENCH_gridspeed.json\n");
-}
-
-void
-writeFuzzJson(const sb::FuzzReport &report)
-{
-    std::FILE *f = std::fopen("SBSIM_fuzz.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open SBSIM_fuzz.json\n");
-        return;
-    }
-    std::fprintf(f, "%s\n", sb::toJson(report).dump().c_str());
-    std::fclose(f);
-    std::printf("wrote SBSIM_fuzz.json\n");
+    sb::writeJsonFile("BENCH_gridspeed.json", doc);
 }
 
 int
@@ -390,7 +347,7 @@ fuzzMain(int argc, char **argv)
     const sb::FuzzReport report = sb::runFuzz(params);
     printFuzzReport(report, stdout);
     if (common.emitJson)
-        writeFuzzJson(report);
+        sb::writeJsonFile("SBSIM_fuzz.json", sb::toJson(report));
     if (!report.ok()) {
         std::fprintf(stderr,
                      "sbsim fuzz: conformance oracle failed\n");
@@ -427,18 +384,10 @@ verifyMitigationMain(sb::Mitigation m, const CommonOpts &common)
         sb::foldMitigationOutcomes(m, outcomes);
     sb::printMitigationReport(report, stdout);
 
-    if (common.emitJson) {
-        const std::string path = std::string("SBSIM_verify_")
-                                 + sb::mitigationName(m) + ".json";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        } else {
-            std::fprintf(f, "%s\n", sb::toJson(report).dump().c_str());
-            std::fclose(f);
-            std::printf("wrote %s\n", path.c_str());
-        }
-    }
+    if (common.emitJson)
+        sb::writeJsonFile(std::string("SBSIM_verify_")
+                              + sb::mitigationName(m) + ".json",
+                          sb::toJson(report));
 
     if (engine.stats().interrupted) {
         std::fprintf(stderr, "sbsim: interrupted; partial results\n");
@@ -633,7 +582,8 @@ main(int argc, char **argv)
             if (!matrix.ok())
                 failed.push_back(scenarios[i]->name);
             if (common.emitJson)
-                writeVerifyJson(matrix);
+                sb::writeJsonFile("SBSIM_verify.json",
+                                  sb::toJson(matrix));
             continue;
         }
         if (!scenarios[i]->report(slice, stdout))
