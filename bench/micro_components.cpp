@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "branch/tage.hh"
 #include "common/config.hh"
 #include "common/rng.hh"
@@ -87,29 +89,64 @@ BM_RenameAllocate(benchmark::State &state)
 }
 BENCHMARK(BM_RenameAllocate);
 
+/**
+ * One steady-state issue-queue cycle on a full Mega-sized queue:
+ * broadcast the next register in allocation order, walk the candidate
+ * list the way select does, remove up to issue-width of the oldest
+ * candidates and dispatch a replacement for each. A replacement waits
+ * on two of the next 64 registers to broadcast, which makes about one
+ * entry ready per broadcast, as in the core, where nearly every issued
+ * op broadcasts one register. The queue stays full, so insert, wakeup,
+ * the select walk and remove are all timed.
+ */
 void
 BM_IssueQueueWakeup(benchmark::State &state)
 {
-    sb::InstSlab slab(64);
-    sb::IssueQueue iq(40);
+    const sb::CoreConfig cfg = sb::CoreConfig::mega();
+    const unsigned pregs = cfg.numPhysRegs;
+    sb::InstSlab slab(2 * cfg.iqEntries);
+    sb::IssueQueue iq(cfg.iqEntries, pregs);
     iq.attachSlab(&slab);
-    for (unsigned i = 0; i < 40; ++i) {
+    sb::Rng rng(7);
+    sb::SeqNum seq = 0;
+    unsigned next_broadcast = 0;
+    auto upcoming = [&] {
+        return static_cast<sb::PhysReg>(
+            (next_broadcast + rng.below(64)) % pregs);
+    };
+    auto dispatch = [&] {
         const sb::InstHandle h = slab.alloc();
         sb::DynInst &inst = slab.get(h);
         inst = sb::DynInst{};
-        inst.seq = i + 1;
+        inst.seq = ++seq;
         inst.uop.op = sb::Op::Add;
         inst.uop.dst = 1;
         inst.uop.src1 = 2;
         inst.uop.src2 = 3;
-        inst.psrc1 = i % 64;
-        inst.psrc2 = (i * 7) % 64;
+        inst.psrc1 = upcoming();
+        inst.psrc2 = upcoming();
         iq.insert(h, inst, false, false);
-    }
-    sb::Rng rng(7);
+    };
+    while (!iq.full())
+        dispatch();
+    std::vector<sb::InstHandle> issued;
     for (auto _ : state) {
-        iq.wakeup(static_cast<sb::PhysReg>(rng.below(64)));
-        benchmark::DoNotOptimize(iq.size());
+        iq.wakeup(static_cast<sb::PhysReg>(next_broadcast));
+        next_broadcast = (next_broadcast + 1) % pregs;
+        issued.clear();
+        unsigned walked = 0;
+        for (std::int32_t idx = iq.firstReady(); idx >= 0;
+             idx = iq.nextReady(idx)) {
+            if (issued.size() < cfg.issueWidth)
+                issued.push_back(iq.entryAt(idx).handle);
+            ++walked;
+        }
+        for (sb::InstHandle h : issued) {
+            iq.remove(slab.get(h));
+            slab.free(h);
+            dispatch();
+        }
+        benchmark::DoNotOptimize(walked);
     }
 }
 BENCHMARK(BM_IssueQueueWakeup);

@@ -5,6 +5,8 @@
 #   scripts/check.sh           # Release build + full test suite
 #   scripts/check.sh --quick   # Fast-label tests only (inner loop)
 #   scripts/check.sh --asan    # Sanitizer build + full test suite
+#                              # (ASan/UBSan + _GLIBCXX_ASSERTIONS
+#                              # bounds-checked container indexing)
 #   scripts/check.sh --tsan    # ThreadSanitizer build of the threaded
 #                              # suites only (engine pool, shard tier,
 #                              # the per-process stand-in memo)

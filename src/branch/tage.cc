@@ -7,9 +7,7 @@ namespace sb
 
 TagePredictor::TagePredictor(unsigned log_entries)
     : logEntries(log_entries),
-      base(1u << (log_entries + 2), 1),
-      statGroup("tage"),
-      st(statGroup)
+      base(1u << (log_entries + 2), 1)
 {
     sb_assert(log_entries >= 4 && log_entries <= 16,
               "unreasonable TAGE table size");
@@ -42,56 +40,53 @@ TagePredictor::fold(std::uint64_t hist, unsigned len, unsigned bits)
     return folded & ((1ULL << bits) - 1);
 }
 
-unsigned
-TagePredictor::index(const Component &c, std::uint64_t pc,
-                     std::uint64_t hist) const
+TagePredictor::Lookup
+TagePredictor::lookup(std::uint64_t pc, std::uint64_t hist) const
 {
-    const std::uint64_t h = fold(hist, c.historyLength, logEntries);
-    return (pc ^ (pc >> logEntries) ^ h) & (c.entries.size() - 1);
-}
-
-std::uint16_t
-TagePredictor::tag(const Component &c, std::uint64_t pc,
-                   std::uint64_t hist) const
-{
-    const std::uint64_t h = fold(hist, c.historyLength, 9);
-    return static_cast<std::uint16_t>((pc ^ (pc >> 7) ^ (h << 1)) & 0x1ff);
-}
-
-int
-TagePredictor::provider(std::uint64_t pc, std::uint64_t hist) const
-{
-    for (int i = static_cast<int>(components.size()) - 1; i >= 0; --i) {
-        const Component &c = components[i];
-        const TaggedEntry &e = c.entries[index(c, pc, hist)];
-        if (e.tag == tag(c, pc, hist))
-            return i;
+    Lookup l;
+    const std::uint64_t index_mask = (1ULL << logEntries) - 1;
+    for (unsigned i = 0; i < numComponents; ++i) {
+        const unsigned len = components[i].historyLength;
+        l.index[i] = static_cast<unsigned>(
+            (pc ^ (pc >> logEntries) ^ fold(hist, len, logEntries))
+            & index_mask);
+        l.tag[i] = static_cast<std::uint16_t>(
+            (pc ^ (pc >> 7) ^ (fold(hist, len, 9) << 1)) & 0x1ff);
     }
-    return -1;
+    l.provider = -1;
+    for (int i = numComponents - 1; i >= 0; --i) {
+        if (components[i].entries[l.index[i]].tag == l.tag[i]) {
+            l.provider = i;
+            break;
+        }
+    }
+    return l;
+}
+
+bool
+TagePredictor::predicted(const Lookup &l, std::uint64_t pc) const
+{
+    if (l.provider >= 0)
+        return components[l.provider].entries[l.index[l.provider]].ctr
+               >= 0;
+    return base[pc & (base.size() - 1)] >= 2;
 }
 
 bool
 TagePredictor::predict(std::uint64_t pc, std::uint64_t hist)
 {
-    ++st.lookups;
-    const int p = provider(pc, hist);
-    if (p >= 0) {
-        const Component &c = components[p];
-        return c.entries[index(c, pc, hist)].ctr >= 0;
-    }
-    return base[pc % base.size()] >= 2;
+    return predicted(lookup(pc, hist), pc);
 }
 
 void
 TagePredictor::update(std::uint64_t pc, std::uint64_t hist, bool taken)
 {
-    const int p = provider(pc, hist);
-    const bool predicted = predict(pc, hist);
-    const bool correct = predicted == taken;
+    const Lookup l = lookup(pc, hist);
+    const int p = l.provider;
+    const bool correct = predicted(l, pc) == taken;
 
     if (p >= 0) {
-        Component &c = components[p];
-        TaggedEntry &e = c.entries[index(c, pc, hist)];
+        TaggedEntry &e = components[p].entries[l.index[p]];
         if (taken && e.ctr < 3)
             ++e.ctr;
         else if (!taken && e.ctr > -4)
@@ -101,7 +96,7 @@ TagePredictor::update(std::uint64_t pc, std::uint64_t hist, bool taken)
         else if (!correct && e.useful > 0)
             --e.useful;
     } else {
-        auto &ctr = base[pc % base.size()];
+        auto &ctr = base[pc & (base.size() - 1)];
         if (taken && ctr < 3)
             ++ctr;
         else if (!taken && ctr > 0)
@@ -109,34 +104,30 @@ TagePredictor::update(std::uint64_t pc, std::uint64_t hist, bool taken)
     }
 
     // Allocate in a longer-history component on a misprediction.
-    if (!correct && p < static_cast<int>(components.size()) - 1) {
+    if (!correct && p < static_cast<int>(numComponents) - 1) {
         // Deterministic pseudo-random start slot among candidates.
         allocSeed = allocSeed * 6364136223846793005ULL + 1442695040888963407ULL;
         const unsigned start = p + 1
             + static_cast<unsigned>((allocSeed >> 33)
-                                    % (components.size() - p - 1));
+                                    % (numComponents - p - 1));
         bool allocated = false;
-        for (unsigned i = start; i < components.size() && !allocated; ++i) {
-            Component &c = components[i];
-            TaggedEntry &e = c.entries[index(c, pc, hist)];
+        for (unsigned i = start; i < numComponents && !allocated; ++i) {
+            TaggedEntry &e = components[i].entries[l.index[i]];
             if (e.useful == 0) {
-                e.tag = tag(c, pc, hist);
+                e.tag = l.tag[i];
                 e.ctr = taken ? 0 : -1;
                 e.useful = 0;
                 allocated = true;
-                ++st.allocations;
             }
         }
         if (!allocated) {
             // Decay usefulness so future allocations can succeed.
-            for (unsigned i = p + 1; i < components.size(); ++i) {
-                Component &c = components[i];
-                TaggedEntry &e = c.entries[index(c, pc, hist)];
+            for (unsigned i = p + 1; i < numComponents; ++i) {
+                TaggedEntry &e = components[i].entries[l.index[i]];
                 if (e.useful > 0)
                     --e.useful;
             }
         }
-        ++st.mispredictUpdates;
     }
 }
 

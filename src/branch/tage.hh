@@ -7,7 +7,8 @@
  * plus N tagged components with geometrically increasing history
  * lengths, usefulness counters, and allocate-on-mispredict. Folded
  * indices/tags are recomputed from the 64-bit history each call so
- * the predictor holds no speculative state.
+ * the predictor holds no speculative state; each predict() or
+ * update() computes them once for all components.
  */
 
 #ifndef SB_BRANCH_TAGE_HH
@@ -17,25 +18,9 @@
 #include <vector>
 
 #include "branch/predictor.hh"
-#include "common/stats.hh"
 
 namespace sb
 {
-
-/** Cached counter handles for the predictor's lookup/update paths. */
-struct TageStats
-{
-    explicit TageStats(StatGroup &g)
-        : lookups(g.counter("lookups")),
-          allocations(g.counter("allocations")),
-          mispredictUpdates(g.counter("mispredict_updates"))
-    {
-    }
-
-    Counter &lookups;
-    Counter &allocations;
-    Counter &mispredictUpdates;
-};
 
 /** TAGE with a bimodal base and four tagged components. */
 class TagePredictor : public BranchPredictor
@@ -52,13 +37,16 @@ class TagePredictor : public BranchPredictor
      * returning the predictor to its construction state (cold base
      * counters predict not-taken). The allocation seed is also reset
      * so a flushed predictor is bit-identical to a fresh one — flushes
-     * keep runs deterministic and cache-reproducible. Stats survive.
+     * keep runs deterministic and cache-reproducible.
      */
     void flushSpeculativeState() override;
 
-    StatGroup &stats() { return statGroup; }
-
   private:
+    /** Read-only access to the tables for tests. */
+    friend struct TagePredictorPeek;
+
+    static constexpr unsigned numComponents = 4;
+
     struct TaggedEntry
     {
         std::uint16_t tag = 0;
@@ -72,24 +60,28 @@ class TagePredictor : public BranchPredictor
         std::vector<TaggedEntry> entries;
     };
 
+    /** Every component's (index, tag) for one (pc, history). */
+    struct Lookup
+    {
+        unsigned index[numComponents];
+        std::uint16_t tag[numComponents];
+        /** Longest-history matching component, or -1 for the base. */
+        int provider;
+    };
+
     /** Fold the low @p len bits of @p hist into @p bits bits. */
     static std::uint64_t fold(std::uint64_t hist, unsigned len,
                               unsigned bits);
 
-    unsigned index(const Component &c, std::uint64_t pc,
-                   std::uint64_t hist) const;
-    std::uint16_t tag(const Component &c, std::uint64_t pc,
-                      std::uint64_t hist) const;
+    Lookup lookup(std::uint64_t pc, std::uint64_t hist) const;
 
-    /** Find the longest-history matching component, or -1 for base. */
-    int provider(std::uint64_t pc, std::uint64_t hist) const;
+    /** The prediction @p l makes. */
+    bool predicted(const Lookup &l, std::uint64_t pc) const;
 
     unsigned logEntries;
     std::vector<std::uint8_t> base;   ///< 2-bit bimodal counters.
     std::vector<Component> components;
     std::uint64_t allocSeed = 0x1234; ///< Deterministic tie-breaking.
-    StatGroup statGroup;
-    TageStats st;
 };
 
 } // namespace sb

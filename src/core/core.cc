@@ -29,10 +29,15 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       regVal(config.numPhysRegs, 0),
       wakeupDone(config.numPhysRegs, 1),
       pregEpoch(config.numPhysRegs, 0),
-      iq(config.iqEntries),
+      fetchQueue(config.fetchBufferEntries),
+      decodeQueue(4 * config.coreWidth),
+      dispatchQueue(2 * config.coreWidth),
+      rob(config.robEntries),
+      iq(config.iqEntries, config.numPhysRegs),
       lsu(config.ldqEntries, config.stqEntries),
       completions(eventHorizon()),
       wakeups(eventHorizon()),
+      retryLoads(config.ldqEntries),
       pc(prog.entry),
       statGroup("core"),
       st(statGroup)
@@ -56,6 +61,7 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
         counterRefs.push_back(&statGroup.counter(kv.first));
     counterSnap.resize(counterRefs.size());
     schemePtr->attach(*this);
+    speculativeScheduling = schemePtr->allowsSpeculativeScheduling();
 }
 
 unsigned
@@ -440,14 +446,12 @@ Core::writebackPhase()
         inst->completed = true;
         trace("complete", *inst);
         if (inst->isLoad()) {
-            const bool still_spec = shadows.isSpeculative(inst->seq);
-            inst->specAtComplete = still_spec;
-            if (cshadow.on())
-                cshadow.onLoadData(*inst, still_spec);
+            if (cshadow.on()) {
+                cshadow.onLoadData(*inst,
+                                   shadows.isSpeculative(inst->seq));
+            }
             regVal[inst->pdst] = inst->result;
-            const Cycle ready =
-                schemePtr->allowsSpeculativeScheduling() ? cycle
-                                                         : cycle + 1;
+            const Cycle ready = speculativeScheduling ? cycle : cycle + 1;
             if (!schemePtr->deferBroadcast(ev.inst, *inst, ready)) {
                 applyWakeup(inst->pdst, ready);
             } else {
@@ -467,25 +471,22 @@ Core::executePhase()
     if (!execNow.empty())
         tickActive = true;
     // Oldest first so an older mispredict squashes younger work
-    // before it takes effect. Handles may already be stale here: a
+    // before it takes effect. Select filled the list in candidate-list
+    // (age) order, so it needs no sort. Handles may be stale: a
     // context-switch marker committing this cycle squashes every
-    // in-flight younger instruction during the commit phase, so the
-    // comparator must revalidate (stale entries order last); the loop
-    // below revalidates again per element because an older branch may
-    // squash the rest of the list mid-phase.
-    constexpr std::uint64_t staleSeq = ~std::uint64_t(0);
-    std::sort(execNow.begin(), execNow.end(),
-              [this](InstHandle a, InstHandle b) {
-                  const DynInst *ia = slab.tryGet(a);
-                  const DynInst *ib = slab.tryGet(b);
-                  return (ia ? ia->seq : staleSeq)
-                         < (ib ? ib->seq : staleSeq);
-              });
+    // in-flight younger instruction during the commit phase, and an
+    // older branch may squash the rest of the list mid-phase, so each
+    // element is revalidated.
+    SeqNum prev_seq = 0;
     for (InstHandle h : execNow) {
         DynInst *instp = slab.tryGet(h);
         if (!instp)
-            continue; // Squashed by an older branch this phase.
+            continue; // Squashed (commit-time switch or older branch).
         DynInst &inst = *instp;
+        if (inv.on()) {
+            inv.onExecute(inst, prev_seq);
+            prev_seq = inst.seq;
+        }
         trace("execute", inst);
         if (inst.isBranch()) {
             executeBranch(inst);
@@ -569,10 +570,8 @@ Core::loadMemoryStage(InstHandle h, DynInst &inst)
         lsu.addForwardWaiter(fwd.source, h);
         return;
     }
-    if (fwd.bypassedUnknown) {
-        inst.bypassedUnknownStore = true;
+    if (fwd.bypassedUnknown)
         ++st.disambiguationBypasses;
-    }
     if (fwd.kind == ForwardOutcome::Kind::Forward) {
         inst.forwarded = true;
         inst.l1Hit = true;

@@ -33,7 +33,6 @@
 #define SB_CORE_CORE_HH
 
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -52,6 +51,7 @@
 #include "core/timing_wheel.hh"
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
+#include "core/ring.hh"
 #include "core/scheme_iface.hh"
 #include "core/shadow_tracker.hh"
 #include "isa/program.hh"
@@ -442,6 +442,8 @@ class Core
     CoreConfig cfg;
     SchemeConfig schemeCfg;
     std::unique_ptr<SecureScheme> schemePtr;
+    /** schemePtr->allowsSpeculativeScheduling(), read once at attach. */
+    bool speculativeScheduling = true;
     const Program *program;
 
     // --- Substrate ----------------------------------------------------------
@@ -470,15 +472,16 @@ class Core
     std::vector<std::uint32_t> pregEpoch;
 
     // --- Pipeline buffers ---------------------------------------------------
+    /** Rings sized from the geometry bound each stage enforces. */
     struct DecodeSlot
     {
         InstHandle inst = invalidInstHandle;
         Cycle readyAt = 0;
     };
-    std::deque<InstHandle> fetchQueue;
-    std::deque<DecodeSlot> decodeQueue;
-    std::deque<InstHandle> dispatchQueue;
-    std::deque<InstHandle> rob;
+    Ring<InstHandle> fetchQueue;    ///< <= fetchBufferEntries.
+    Ring<DecodeSlot> decodeQueue;   ///< <= 4 * coreWidth.
+    Ring<InstHandle> dispatchQueue; ///< <= 2 * coreWidth.
+    Ring<InstHandle> rob;           ///< <= robEntries.
     IssueQueue iq;
     Lsu lsu;
 
@@ -498,7 +501,9 @@ class Core
     TimingWheel<WakeupEvent> wakeups;
     std::vector<InstHandle> execNow;   ///< Executing this cycle.
     std::vector<InstHandle> execNext;  ///< Selected, executes next cycle.
-    std::deque<InstHandle> retryLoads; ///< MSHR-reject retries.
+    /** MSHR-reject and forwarding retries. Stale handles stay until
+     *  popped, so no bound holds: the ring doubles when full. */
+    Ring<InstHandle> retryLoads;
     /** Per-cycle scratch buffers (members so their capacity is kept
      *  across cycles: the steady-state hot path never allocates). */
     std::vector<InstHandle> issuedScratch;

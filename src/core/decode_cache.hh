@@ -11,15 +11,11 @@
  * copy that also serves as the record reset) and dispatches fetch on
  * a precomputed FetchKind instead of re-deriving it from the op.
  *
- * Invalidation rules:
- *  - Entries are valid as long as the backing Program's code at that
- *    PC is unchanged. The simulator never mutates code mid-run, so
- *    the core itself never invalidates.
- *  - A harness that patches code in place must call invalidate(pc)
- *    per patched slot (or invalidateAll() after a bulk rewrite)
- *    before the next fetch of that PC.
- *  - attach() (re)sizes the table for a new program and implies
- *    invalidateAll().
+ * Entries are valid as long as the backing Program's code at that PC
+ * is unchanged. Nothing mutates code while a Core runs it (mitigation
+ * passes build a new Program), so there is no invalidation API;
+ * attach() (re)sizes the table for a new program and drops every
+ * entry.
  *
  * Hit/miss counters are owned here and published into CoreStats by
  * Core::syncEngineStats().
@@ -87,22 +83,6 @@ class DecodeCache
         ++missCount;
         build(d, pc);
         return d;
-    }
-
-    /** Drop the entry for one (patched) PC. */
-    void
-    invalidate(std::uint32_t pc)
-    {
-        if (pc < table.size())
-            table[pc] = DecodedOp{};
-    }
-
-    /** Drop every entry (bulk code rewrite). */
-    void
-    invalidateAll()
-    {
-        for (DecodedOp &d : table)
-            d = DecodedOp{};
     }
 
     std::uint64_t hits() const { return hitCount; }

@@ -69,27 +69,24 @@ struct DynInst
     std::uint32_t actualTarget = 0;
 
     // --- Memory state -----------------------------------------------------
-    int lqIdx = -1;
-    int sqIdx = -1;
+    /** LSU allocation tickets (Lsu::allocateLoad / allocateStore). */
+    std::uint32_t lqTicket = 0;
+    std::uint32_t sqTicket = 0;
     bool l1Hit = false;
     bool forwarded = false;          ///< Got data from the store queue.
-    bool bypassedUnknownStore = false;
     Cycle completeAt = 0;
 
     // --- Secure-scheme state (STT / NDA) -----------------------------------
     /** Unified YRoT assigned at rename (STT-Rename). */
     YRoT yrot = invalidSeqNum;
-    /** Per-operand YRoTs (two-taint store ablation, Sec. 9.2). */
+    /** Address-operand YRoT (two-taint store ablation, Sec. 9.2). */
     YRoT yrotAddr = invalidSeqNum;
-    YRoT yrotData = invalidSeqNum;
     /** Back-propagated YRoT masking ready in the IQ (STT-Issue). */
     YRoT yrotMask = invalidSeqNum;
     /** taint-RAT value this instruction overwrote (walk-back undo). */
     YRoT staleYrot = invalidSeqNum;
     /** Load registered as speculative at rename (has a taint root). */
     bool specAtRename = false;
-    /** Load was still speculative when its data returned. */
-    bool specAtComplete = false;
 
     // --- Convenience ------------------------------------------------------
     bool isLoad() const { return uop.isLoad(); }

@@ -53,7 +53,7 @@ class InstSlab
      * alloc() never grows storage and record references stay stable
      * for the life of the slab.
      */
-    explicit InstSlab(std::size_t capacity)
+    explicit InstSlab(std::size_t capacity) : cap(capacity)
     {
         sb_assert(capacity > 0 && capacity < slotMask,
                   "slab capacity must fit in the handle's index bits");
@@ -86,7 +86,7 @@ class InstSlab
     free(InstHandle h)
     {
         const std::uint32_t idx = h & slotMask;
-        sb_assert(idx < records.size() && gens[idx] == (h >> indexBits),
+        sb_assert(idx < cap && gens[idx] == (h >> indexBits),
                   "freeing a stale or invalid instruction handle");
         ++gens[idx]; // uint16 wrap is fine: stale handles die young.
         freeList.push_back(idx);
@@ -114,7 +114,7 @@ class InstSlab
     tryGet(InstHandle h)
     {
         const std::uint32_t idx = h & slotMask;
-        if (idx >= records.size() || gens[idx] != (h >> indexBits))
+        if (idx >= cap || gens[idx] != (h >> indexBits))
             return nullptr;
         return &records[idx];
     }
@@ -123,7 +123,7 @@ class InstSlab
     tryGet(InstHandle h) const
     {
         const std::uint32_t idx = h & slotMask;
-        if (idx >= records.size() || gens[idx] != (h >> indexBits))
+        if (idx >= cap || gens[idx] != (h >> indexBits))
             return nullptr;
         return &records[idx];
     }
@@ -133,10 +133,10 @@ class InstSlab
     alive(InstHandle h) const
     {
         const std::uint32_t idx = h & slotMask;
-        return idx < records.size() && gens[idx] == (h >> indexBits);
+        return idx < cap && gens[idx] == (h >> indexBits);
     }
 
-    std::size_t capacity() const { return records.size(); }
+    std::size_t capacity() const { return cap; }
     std::size_t liveCount() const { return liveNow; }
 
     /** Most records simultaneously live over the slab's lifetime. */
@@ -149,6 +149,9 @@ class InstSlab
     static constexpr unsigned indexBits = 16;
     static constexpr std::uint32_t slotMask = (1u << indexBits) - 1;
 
+    /** records.size(), kept apart: the vector's size is a pointer
+     *  difference divided by sizeof(DynInst). */
+    std::size_t cap;
     std::vector<DynInst> records;        ///< Never reallocated.
     std::vector<std::uint16_t> gens;     ///< Current generation per slot.
     std::vector<std::uint32_t> freeList;

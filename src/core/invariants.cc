@@ -83,6 +83,16 @@ InvariantChecker::onIssue(const DynInst &inst, bool src1_done,
 }
 
 void
+InvariantChecker::onExecute(const DynInst &inst, SeqNum prev_seq)
+{
+    if (inst.seq <= prev_seq) {
+        fail(detail::concat("execute order: seq ", inst.seq,
+                            " executing after seq ", prev_seq,
+                            " in the same cycle (pc=", inst.pc, ")"));
+    }
+}
+
+void
 InvariantChecker::onForward(const DynInst &load, SeqNum source)
 {
     if (source == invalidSeqNum)

@@ -12,6 +12,8 @@
  *    additionally hard-asserts its own per-update step);
  *  - issue-queue wakeup consistency: an instruction (or store half)
  *    that wins select must have its scoreboard operands broadcast;
+ *  - execute order: the instructions selected in one cycle execute
+ *    oldest first (select fills the list in age order, unsorted);
  *  - LSU forwarding sanity: a load only forwards from a strictly
  *    older store with a valid address.
  *
@@ -61,6 +63,11 @@ class InvariantChecker
 
     /** A load is forwarding from store @p source. */
     void onForward(const DynInst &load, SeqNum source);
+
+    /** Execute reached @p inst; @p prev_seq is the sequence number of
+     *  the live instruction it executed before it this cycle (0 for
+     *  the first). */
+    void onExecute(const DynInst &inst, SeqNum prev_seq);
 
     // --- Results -----------------------------------------------------
     std::uint64_t violations() const { return count; }

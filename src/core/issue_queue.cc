@@ -5,7 +5,8 @@
 namespace sb
 {
 
-IssueQueue::IssueQueue(unsigned capacity) : cap(capacity)
+IssueQueue::IssueQueue(unsigned capacity, unsigned num_phys_regs)
+    : cap(capacity), numPregs(num_phys_regs), rowWords((capacity + 63) / 64)
 {
     sb_assert(cap > 0, "issue queue needs capacity");
     slots.resize(cap);
@@ -13,14 +14,20 @@ IssueQueue::IssueQueue(unsigned capacity) : cap(capacity)
     for (std::int32_t i = static_cast<std::int32_t>(cap) - 1; i >= 0; --i)
         freeSlots.push_back(i);
     orderView.reserve(cap);
+    waiting.assign(static_cast<std::size_t>(numPregs) * rowWords, 0);
 }
 
 void
-IssueQueue::addConsumer(PhysReg preg, std::int32_t slot)
+IssueQueue::setWaiting(PhysReg preg, std::int32_t slot)
 {
-    if (preg >= consumers.size())
-        consumers.resize(preg + 1);
-    consumers[preg].push_back(ConsumerRef{slot, slots[slot].gen});
+    sb_assert(preg < numPregs, "wakeup matrix has no row for p", preg);
+    waitRow(preg)[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+}
+
+void
+IssueQueue::clearWaiting(PhysReg preg, std::int32_t slot)
+{
+    waitRow(preg)[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
 }
 
 void
@@ -64,9 +71,9 @@ IssueQueue::insert(InstHandle h, DynInst &inst, bool src1_ready,
         ageTail = idx;
 
     if (!e.src1Ready)
-        addConsumer(e.psrc1, idx);
+        setWaiting(e.psrc1, idx);
     if (!e.src2Ready)
-        addConsumer(e.psrc2, idx);
+        setWaiting(e.psrc2, idx);
     if (candidate(e))
         readyLink(idx);
 
@@ -79,23 +86,26 @@ IssueQueue::insert(InstHandle h, DynInst &inst, bool src1_ready,
 void
 IssueQueue::wakeup(PhysReg preg)
 {
-    if (preg >= consumers.size())
-        return;
-    auto &list = consumers[preg];
-    for (const ConsumerRef &ref : list) {
-        IqEntry &e = slots[ref.slot];
-        if (e.gen != ref.gen)
-            continue; // Stale: the slot was freed (and maybe reused).
-        if (e.hasSrc1 && e.psrc1 == preg)
-            e.src1Ready = true;
-        if (e.hasSrc2 && e.psrc2 == preg)
-            e.src2Ready = true;
-        if (!e.inReady && candidate(e))
-            readyLink(ref.slot);
+    sb_assert(preg < numPregs, "wakeup matrix has no row for p", preg);
+    std::uint64_t *row = waitRow(preg);
+    for (unsigned w = 0; w < rowWords; ++w) {
+        std::uint64_t bits = row[w];
+        // A physical register broadcasts once per allocation: the
+        // row empties as it is walked.
+        row[w] = 0;
+        while (bits != 0) {
+            const std::int32_t idx = static_cast<std::int32_t>(
+                w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+            bits &= bits - 1;
+            IqEntry &e = slots[idx];
+            if (e.hasSrc1 && e.psrc1 == preg)
+                e.src1Ready = true;
+            if (e.hasSrc2 && e.psrc2 == preg)
+                e.src2Ready = true;
+            if (!e.inReady && candidate(e))
+                readyLink(idx);
+        }
     }
-    // A physical register broadcasts once per allocation; anything
-    // still listed is stale by construction.
-    list.clear();
 }
 
 void
@@ -155,20 +165,15 @@ IssueQueue::freeSlot(std::int32_t idx)
     else
         ageTail = e.agePrev;
 
-    // The record may already be freed (squash walks the ROB before
-    // sweeping the IQ), so revalidate through the slab.
-    if (slab) {
-        if (DynInst *r = slab->tryGet(e.handle)) {
-            r->inIq = false;
-            r->iqSlot = -1;
-        }
-    }
+    if (!e.src1Ready)
+        clearWaiting(e.psrc1, idx);
+    if (!e.src2Ready)
+        clearWaiting(e.psrc2, idx);
     e.handle = invalidInstHandle;
     e.src1Ready = false;
     e.src2Ready = false;
     e.agePrev = -1;
     e.ageNext = -1;
-    ++e.gen;
     freeSlots.push_back(idx);
     --count;
     orderDirty = true;
@@ -182,21 +187,31 @@ IssueQueue::squash(SeqNum seq)
     std::int32_t idx = ageTail;
     while (idx >= 0) {
         const std::int32_t prev = slots[idx].agePrev;
-        const bool stale = slab && !slab->alive(slots[idx].handle);
-        if (slots[idx].seq > seq || stale)
+        // The record may already be freed (squash walks the ROB
+        // before sweeping the IQ), so revalidate through the slab.
+        DynInst *r = slab ? slab->tryGet(slots[idx].handle) : nullptr;
+        const bool stale = slab && !r;
+        if (slots[idx].seq > seq || stale) {
+            if (r) {
+                r->inIq = false;
+                r->iqSlot = -1;
+            }
             freeSlot(idx);
+        }
         idx = prev;
     }
 }
 
 void
-IssueQueue::remove(const DynInst &inst)
+IssueQueue::remove(DynInst &inst)
 {
     const std::int32_t idx = inst.iqSlot;
     sb_assert(idx >= 0 && idx < static_cast<std::int32_t>(cap)
                   && slots[idx].seq == inst.seq,
               "removing instruction not in IQ");
     freeSlot(idx);
+    inst.inIq = false;
+    inst.iqSlot = -1;
 }
 
 const std::vector<IqEntry *> &
@@ -211,17 +226,6 @@ IssueQueue::inOrder()
         orderDirty = false;
     }
     return orderView;
-}
-
-void
-IssueQueue::clear()
-{
-    std::int32_t idx = ageTail;
-    while (idx >= 0) {
-        const std::int32_t prev = slots[idx].agePrev;
-        freeSlot(idx);
-        idx = prev;
-    }
 }
 
 } // namespace sb

@@ -21,12 +21,15 @@
  *    insertions always land on the tail in O(1) and inOrder() never
  *    sorts — it replays a cached view that is rebuilt, without
  *    allocating, only after the queue changed.
- *  - wakeup(preg) walks a per-physical-register consumer list
- *    instead of scanning every entry. Consumer references are lazy:
- *    a generation tag per slot invalidates stale references left
- *    behind by remove/squash, and a list is cleared wholesale once
- *    its register broadcasts (a physical register wakes at most once
- *    per allocation).
+ *  - wakeup(preg) walks a wakeup bit matrix instead of scanning every
+ *    entry: each physical register owns a row of ceil(capacity/64)
+ *    words with one bit per slot waiting on it. insert() sets a bit
+ *    per outstanding operand, freeing a slot clears the bits it still
+ *    holds, and a broadcast visits the set bits in slot order and
+ *    clears its row (a physical register wakes at most once per
+ *    allocation). Candidates join the age-ordered candidate list by an
+ *    ordered insert on unique sequence numbers, so the visiting order
+ *    does not change the list.
  */
 
 #ifndef SB_CORE_ISSUE_QUEUE_HH
@@ -60,7 +63,6 @@ struct IqEntry
     std::int32_t rdyPrev = -1; ///< Ready-list links (candidate scan).
     std::int32_t rdyNext = -1;
     bool inReady = false;
-    std::uint32_t gen = 0; ///< Bumped on free; guards consumer refs.
 
     bool ready() const { return src1Ready && src2Ready; }
 };
@@ -69,9 +71,11 @@ struct IqEntry
 class IssueQueue
 {
   public:
-    explicit IssueQueue(unsigned capacity);
+    /** @param num_phys_regs rows of the wakeup matrix: every register
+     *  insert() and wakeup() see is below it. */
+    IssueQueue(unsigned capacity, unsigned num_phys_regs);
 
-    /** Bind the backing slab (used to clear inIq/iqSlot on free). */
+    /** Bind the backing slab (squash revalidates handles through it). */
     void attachSlab(InstSlab *s) { slab = s; }
 
     bool full() const { return count >= cap; }
@@ -88,8 +92,8 @@ class IssueQueue
     /** Remove entries younger than @p seq (squash). */
     void squash(SeqNum seq);
 
-    /** Remove one fully issued instruction. */
-    void remove(const DynInst &inst);
+    /** Remove one fully issued (live) instruction. */
+    void remove(DynInst &inst);
 
     /**
      * Entries oldest-first. The returned view is owned by the queue
@@ -118,17 +122,18 @@ class IssueQueue
         return slots[idx].rdyNext;
     }
 
-    void clear();
-
   private:
-    /** A lazy reference into the slot array from a consumer list. */
-    struct ConsumerRef
+    /** Row @p preg of the wakeup matrix. */
+    std::uint64_t *
+    waitRow(PhysReg preg)
     {
-        std::int32_t slot;
-        std::uint32_t gen;
-    };
+        return &waiting[static_cast<std::size_t>(preg) * rowWords];
+    }
+    void setWaiting(PhysReg preg, std::int32_t slot);
+    void clearWaiting(PhysReg preg, std::int32_t slot);
 
-    void addConsumer(PhysReg preg, std::int32_t slot);
+    /** Unlink slot @p slot and return it to the free list (the
+     *  record, if any, is the caller's to update). */
     void freeSlot(std::int32_t slot);
 
     /** Any ready, potentially unissued half? (Stores issue in halves.) */
@@ -152,8 +157,11 @@ class IssueQueue
     std::int32_t rdyTail = -1;           ///< Youngest candidate.
     std::size_t count = 0;
 
-    /** Consumer lists indexed by physical register (grown on demand). */
-    std::vector<std::vector<ConsumerRef>> consumers;
+    unsigned numPregs;
+    unsigned rowWords;                   ///< ceil(cap / 64).
+    /** Wakeup matrix: numPregs rows of rowWords words; bit s of a row
+     *  is set while slot s waits on that register. */
+    std::vector<std::uint64_t> waiting;
 
     std::vector<IqEntry *> orderView;    ///< Cached inOrder() result.
     bool orderDirty = true;

@@ -1,56 +1,72 @@
 #include "core/lsu.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace sb
 {
 
 Lsu::Lsu(unsigned lq_capacity, unsigned sq_capacity)
-    : lqCap(lq_capacity), sqCap(sq_capacity)
+    : lqCap(lq_capacity), sqCap(sq_capacity), lq(lq_capacity),
+      sq(sq_capacity)
 {
     sb_assert(lqCap > 0 && sqCap > 0, "LSU needs queue capacity");
 }
 
 void
-Lsu::allocateLoad(InstHandle h, const DynInst &inst)
+Lsu::allocateLoad(InstHandle h, DynInst &inst)
 {
     sb_assert(!lqFull(), "LQ overflow");
     sb_assert(lq.empty() || lq.back().seq < inst.seq,
               "LQ must stay program-ordered");
+    inst.lqTicket = lqHeadTicket + static_cast<std::uint32_t>(lq.size());
     LqEntry e;
     e.handle = h;
     e.seq = inst.seq;
     e.pc = inst.pc;
-    lq.push_back(std::move(e));
+    lq.push_back(e);
 }
 
 void
-Lsu::allocateStore(InstHandle h, const DynInst &inst)
+Lsu::allocateStore(InstHandle h, DynInst &inst)
 {
     sb_assert(!sqFull(), "SQ overflow");
     sb_assert(sq.empty() || sq.back().seq < inst.seq,
               "SQ must stay program-ordered");
+    inst.sqTicket = sqHeadTicket + static_cast<std::uint32_t>(sq.size());
+    // Assigning the whole entry also empties the reused slot's waiter
+    // list (keeping its capacity).
     SqEntry e;
     e.handle = h;
     e.seq = inst.seq;
     e.pc = inst.pc;
-    sq.push_back(std::move(e));
+    sq.push_back(e);
+}
+
+LqEntry &
+Lsu::lqEntry(const DynInst &load)
+{
+    const std::uint32_t pos = load.lqTicket - lqHeadTicket;
+    sb_assert(pos < lq.size() && lq[pos].seq == load.seq,
+              "load seq=", load.seq, " not at its LQ ticket");
+    return lq[pos];
+}
+
+SqEntry &
+Lsu::sqEntry(const DynInst &store)
+{
+    const std::uint32_t pos = store.sqTicket - sqHeadTicket;
+    sb_assert(pos < sq.size() && sq[pos].seq == store.seq,
+              "store seq=", store.seq, " not at its SQ ticket");
+    return sq[pos];
 }
 
 void
 Lsu::storeAddrReady(const DynInst &store)
 {
     sb_assert(store.effAddrValid, "caching store address before gen");
-    for (auto &e : sq) {
-        if (e.seq == store.seq) {
-            e.addr = store.effAddr;
-            e.addrValid = true;
-            return;
-        }
-    }
-    sb_panic("storeAddrReady: store not in SQ");
+    SqEntry &e = sqEntry(store);
+    e.addr = store.effAddr;
+    e.addrValid = true;
 }
 
 ForwardOutcome
@@ -61,8 +77,8 @@ Lsu::checkForwarding(const DynInst &load) const
     const Addr target = wordAddr(load.effAddr);
 
     // Scan youngest-older-store first.
-    for (auto it = sq.rbegin(); it != sq.rend(); ++it) {
-        const SqEntry &e = *it;
+    for (std::size_t i = sq.size(); i-- > 0;) {
+        const SqEntry &e = sq[i];
         if (e.seq > load.seq)
             continue;
         if (!e.addrValid) {
@@ -103,31 +119,21 @@ Lsu::addForwardWaiter(SeqNum store_seq, InstHandle waiter)
 void
 Lsu::loadDataReturned(const DynInst &load, SeqNum source)
 {
-    for (auto &e : lq) {
-        if (e.seq == load.seq) {
-            e.dataReturned = true;
-            e.forwardedFrom = source;
-            e.addr = load.effAddr;
-            return;
-        }
-    }
-    sb_panic("loadDataReturned: load not in LQ");
+    LqEntry &e = lqEntry(load);
+    e.dataReturned = true;
+    e.forwardedFrom = source;
+    e.addr = load.effAddr;
 }
 
 void
 Lsu::storeDataReady(const DynInst &store, Word data,
                     std::vector<InstHandle> &woken)
 {
-    for (auto &e : sq) {
-        if (e.seq == store.seq) {
-            e.dataValid = true;
-            e.data = data;
-            woken.insert(woken.end(), e.waiters.begin(), e.waiters.end());
-            e.waiters.clear();
-            return;
-        }
-    }
-    sb_panic("storeDataReady: store not in SQ");
+    SqEntry &e = sqEntry(store);
+    e.dataValid = true;
+    e.data = data;
+    woken.insert(woken.end(), e.waiters.begin(), e.waiters.end());
+    e.waiters.clear();
 }
 
 const LqEntry *
@@ -156,15 +162,9 @@ Lsu::checkViolation(const DynInst &store) const
 void
 Lsu::markStoreCommitted(const DynInst &store)
 {
-    for (auto &e : sq) {
-        if (e.seq == store.seq) {
-            sb_assert(e.addrValid && e.dataValid,
-                      "committing incomplete store");
-            e.committed = true;
-            return;
-        }
-    }
-    sb_panic("markStoreCommitted: store not in SQ");
+    SqEntry &e = sqEntry(store);
+    sb_assert(e.addrValid && e.dataValid, "committing incomplete store");
+    e.committed = true;
 }
 
 SqEntry *
@@ -180,6 +180,7 @@ Lsu::popDrainedStore()
 {
     sb_assert(!sq.empty() && sq.front().committed, "bad SQ drain");
     sq.pop_front();
+    ++sqHeadTicket;
 }
 
 void
@@ -189,14 +190,15 @@ Lsu::releaseLoad(const DynInst &load)
     sb_assert(lq.front().seq == load.seq,
               "loads must commit in order");
     lq.pop_front();
+    ++lqHeadTicket;
 }
 
 bool
 Lsu::functionalBypass(const DynInst &load, Word &data) const
 {
     const Addr target = wordAddr(load.effAddr);
-    for (auto it = sq.rbegin(); it != sq.rend(); ++it) {
-        const SqEntry &e = *it;
+    for (std::size_t i = sq.size(); i-- > 0;) {
+        const SqEntry &e = sq[i];
         if (e.seq > load.seq)
             continue;
         if (e.addrValid && e.dataValid && wordAddr(e.addr) == target) {
@@ -216,13 +218,6 @@ Lsu::squash(SeqNum seq)
         sb_assert(!sq.back().committed, "squashing a committed store");
         sq.pop_back();
     }
-}
-
-void
-Lsu::clear()
-{
-    lq.clear();
-    sq.clear();
 }
 
 } // namespace sb

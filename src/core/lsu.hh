@@ -18,6 +18,12 @@
  * stalled on its data half — the replacement for the core's old
  * ordered-map forwardWaiters.
  *
+ * Both queues are rings in program order. Allocation stamps the
+ * instruction with a ticket (DynInst::lqTicket / sqTicket) that counts
+ * the queue's allocations; an entry sits at position ticket - the head
+ * entry's ticket, so the per-instruction updates find it without a
+ * scan (and assert that its seq matches).
+ *
  * Matching granularity is the 8-byte word (all modelled accesses are
  * word-sized).
  */
@@ -25,12 +31,12 @@
 #ifndef SB_CORE_LSU_HH
 #define SB_CORE_LSU_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 #include "core/inst_slab.hh"
+#include "core/ring.hh"
 
 namespace sb
 {
@@ -78,7 +84,7 @@ struct ForwardOutcome
     bool bypassedUnknown = false;
 };
 
-/** Load and store queues (program-ordered deques). */
+/** Load and store queues (program-ordered rings). */
 class Lsu
 {
   public:
@@ -89,9 +95,9 @@ class Lsu
     std::size_t lqSize() const { return lq.size(); }
     std::size_t sqSize() const { return sq.size(); }
 
-    /** Allocate at rename (program order). */
-    void allocateLoad(InstHandle h, const DynInst &inst);
-    void allocateStore(InstHandle h, const DynInst &inst);
+    /** Allocate at rename (program order); stamps the ticket. */
+    void allocateLoad(InstHandle h, DynInst &inst);
+    void allocateStore(InstHandle h, DynInst &inst);
 
     /** Cache a store's generated address (at address execute). */
     void storeAddrReady(const DynInst &store);
@@ -137,15 +143,20 @@ class Lsu
     /** Remove all entries younger than @p seq. */
     void squash(SeqNum seq);
 
-    void clear();
-
   private:
     static Addr wordAddr(Addr a) { return a & ~Addr(7); }
 
+    /** The entry of an allocated load / store, found by its ticket. */
+    LqEntry &lqEntry(const DynInst &load);
+    SqEntry &sqEntry(const DynInst &store);
+
     unsigned lqCap;
     unsigned sqCap;
-    std::deque<LqEntry> lq;
-    std::deque<SqEntry> sq;
+    Ring<LqEntry> lq;
+    Ring<SqEntry> sq;
+    /** Tickets of the head entries (tickets wrap with the counters). */
+    std::uint32_t lqHeadTicket = 0;
+    std::uint32_t sqHeadTicket = 0;
 };
 
 } // namespace sb

@@ -1,5 +1,7 @@
 #include "core/shadow_tracker.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sb

@@ -17,16 +17,21 @@
  * shadow source must resolve (branch) or generate its address (store)
  * before it can complete, and a speculative load cannot reach the ROB
  * head while an older shadow is still open.
+ *
+ * The three lists are rings sized from the slab's capacity (each entry
+ * was a live record when it was pushed). Squashed entries leave only
+ * from the front, so a list can briefly outgrow that bound; its ring
+ * then doubles.
  */
 
 #ifndef SB_CORE_SHADOW_TRACKER_HH
 #define SB_CORE_SHADOW_TRACKER_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/dyn_inst.hh"
 #include "core/inst_slab.hh"
+#include "core/ring.hh"
 
 namespace sb
 {
@@ -35,8 +40,16 @@ namespace sb
 class ShadowTracker
 {
   public:
-    /** Bind the backing slab (handle revalidation). */
-    void attachSlab(const InstSlab *s) { slab = s; }
+    /** Bind the backing slab (handle revalidation) and size the
+     *  lists from its capacity. Call before the first onRename(). */
+    void
+    attachSlab(const InstSlab *s)
+    {
+        slab = s;
+        branches = Ring<Entry>(s->capacity());
+        stores = Ring<Entry>(s->capacity());
+        specLoads = Ring<Entry>(s->capacity());
+    }
 
     /** Register a renamed instruction (branches, stores, loads). */
     void onRename(InstHandle h, DynInst &inst);
@@ -70,9 +83,9 @@ class ShadowTracker
     };
 
     const InstSlab *slab = nullptr;
-    std::deque<Entry> branches;  ///< Unresolved C-shadow sources.
-    std::deque<Entry> stores;    ///< Unknown-address D-shadow sources.
-    std::deque<Entry> specLoads; ///< Loads awaiting the point.
+    Ring<Entry> branches;  ///< Unresolved C-shadow sources.
+    Ring<Entry> stores;    ///< Unknown-address D-shadow sources.
+    Ring<Entry> specLoads; ///< Loads awaiting the point.
     SeqNum vp = 0;
     SeqNum vpPrev = 0;
 };

@@ -7,69 +7,6 @@
 namespace sb
 {
 
-OpClass
-MicroOp::opClass() const
-{
-    switch (op) {
-      case Op::Nop:
-      case Op::Halt:
-      case Op::Fence:
-        return OpClass::Nop;
-      case Op::Slt:
-      case Op::Sltu:
-      case Op::MovImm:
-      case Op::Add:
-      case Op::AddImm:
-      case Op::Sub:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
-      case Op::Shl:
-      case Op::Shr:
-        return OpClass::IntAlu;
-      case Op::Mul:
-        return OpClass::IntMul;
-      case Op::Div:
-        return OpClass::IntDiv;
-      case Op::FAdd:
-        return OpClass::FpAlu;
-      case Op::FMul:
-        return OpClass::FpMul;
-      case Op::FDiv:
-        return OpClass::FpDiv;
-      case Op::Load:
-        return OpClass::MemRead;
-      case Op::Store:
-        return OpClass::MemWrite;
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Jmp:
-      case Op::JmpReg:
-      case Op::JmpRegRet:
-        return OpClass::Branch;
-    }
-    sb_panic("unknown op");
-}
-
-bool
-MicroOp::isBranch() const
-{
-    switch (op) {
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Jmp:
-      case Op::JmpReg:
-      case Op::JmpRegRet:
-        return true;
-      default:
-        return false;
-    }
-}
-
 Word
 evalAlu(const MicroOp &uop, Word src1, Word src2)
 {

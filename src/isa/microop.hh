@@ -13,6 +13,7 @@
 #ifndef SB_ISA_MICROOP_HH
 #define SB_ISA_MICROOP_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -72,6 +73,40 @@ enum class OpClass : std::uint8_t
     Branch,
 };
 
+/** Scheduling class of each Op, indexed by its encoding. */
+inline constexpr std::array<OpClass,
+                            static_cast<std::size_t>(Op::JmpRegRet) + 1>
+    opClassTable = {
+        OpClass::Nop,      // Nop
+        OpClass::IntAlu,   // MovImm
+        OpClass::IntAlu,   // Add
+        OpClass::IntAlu,   // AddImm
+        OpClass::IntAlu,   // Sub
+        OpClass::IntAlu,   // And
+        OpClass::IntAlu,   // Or
+        OpClass::IntAlu,   // Xor
+        OpClass::IntAlu,   // Shl
+        OpClass::IntAlu,   // Shr
+        OpClass::IntMul,   // Mul
+        OpClass::IntDiv,   // Div
+        OpClass::FpAlu,    // FAdd
+        OpClass::FpMul,    // FMul
+        OpClass::FpDiv,    // FDiv
+        OpClass::MemRead,  // Load
+        OpClass::MemWrite, // Store
+        OpClass::Branch,   // Beq
+        OpClass::Branch,   // Bne
+        OpClass::Branch,   // Blt
+        OpClass::Branch,   // Bge
+        OpClass::Branch,   // Jmp
+        OpClass::Branch,   // JmpReg
+        OpClass::Nop,      // Halt
+        OpClass::IntAlu,   // Slt
+        OpClass::IntAlu,   // Sltu
+        OpClass::Nop,      // Fence
+        OpClass::Branch,   // JmpRegRet
+};
+
 /** A single static micro-op. */
 struct MicroOp
 {
@@ -85,11 +120,15 @@ struct MicroOp
     std::uint32_t target = 0;
 
     /** Scheduling class for this op. */
-    OpClass opClass() const;
+    OpClass
+    opClass() const
+    {
+        return opClassTable[static_cast<std::size_t>(op)];
+    }
 
     bool isLoad() const { return op == Op::Load; }
     bool isStore() const { return op == Op::Store; }
-    bool isBranch() const;
+    bool isBranch() const { return opClass() == OpClass::Branch; }
     bool isHalt() const { return op == Op::Halt; }
     /** Indirect branches: target is the runtime value of src1. */
     bool

@@ -22,10 +22,14 @@ Cache::Cache(const std::string &name, const CacheConfig &config)
     : cfg(config), statGroup(name), st(statGroup)
 {
     sb_assert(cfg.lineBytes > 0 && cfg.assoc > 0, "bad cache geometry");
+    sb_assert(isPow2(cfg.lineBytes),
+              "cache line size must be a power of two");
     sb_assert(cfg.sizeBytes % (cfg.lineBytes * cfg.assoc) == 0,
               "cache size not divisible by way size");
     numSets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
     sb_assert(isPow2(numSets), "cache must have a power-of-two set count");
+    lineShift = static_cast<unsigned>(__builtin_ctz(cfg.lineBytes));
+    setShift = static_cast<unsigned>(__builtin_ctz(numSets));
     lines.resize(static_cast<std::size_t>(numSets) * cfg.assoc);
 }
 

@@ -75,12 +75,20 @@ class Cache
         bool valid = false;
     };
 
-    Addr lineAddr(Addr addr) const { return addr / cfg.lineBytes; }
-    unsigned setIndex(Addr line) const { return line % numSets; }
-    Addr tagOf(Addr line) const { return line / numSets; }
+    // lineBytes and numSets are powers of two (asserted at
+    // construction), so these are the division formulas as shifts.
+    Addr lineAddr(Addr addr) const { return addr >> lineShift; }
+    unsigned
+    setIndex(Addr line) const
+    {
+        return static_cast<unsigned>(line & (numSets - 1));
+    }
+    Addr tagOf(Addr line) const { return line >> setShift; }
 
     CacheConfig cfg;
     unsigned numSets;
+    unsigned lineShift;  ///< log2(lineBytes).
+    unsigned setShift;   ///< log2(numSets).
     std::vector<Line> lines;  ///< numSets x assoc, row-major.
     StatGroup statGroup;
     CacheStats st;

@@ -1,9 +1,22 @@
 #include "secure/nda.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sb
 {
+
+void
+NdaScheme::defer(const Pending &p)
+{
+    // Producers complete roughly in age order, so the insertion point
+    // is usually at or near the end.
+    auto pos = pending.end();
+    while (pos != pending.begin() && (pos - 1)->seq > p.seq)
+        --pos;
+    pending.insert(pos, p);
+}
 
 bool
 NdaScheme::deferBroadcast(InstHandle /* h */, const DynInst &inst,
@@ -15,7 +28,7 @@ NdaScheme::deferBroadcast(InstHandle /* h */, const DynInst &inst,
         return false;
     // Data is already in the register file; only the broadcast waits
     // (split data-write / broadcast, Fig. 5b).
-    pending.push_back(Pending{inst.seq, inst.pdst, coreRef->now()});
+    defer(Pending{inst.seq, inst.pdst, coreRef->now()});
     return true;
 }
 
@@ -34,21 +47,20 @@ NdaScheme::tick()
     // Broadcast non-speculative results oldest-first, limited to the
     // broadcast-port budget per cycle. Squashed producers cannot be
     // here: every squash erases them by sequence number in onSquash.
-    std::sort(pending.begin(), pending.end(),
-              [](const Pending &a, const Pending &b) {
-                  return a.seq < b.seq;
-              });
     unsigned budget = broadcastBudget();
     const Cycle now = coreRef->now();
-    while (budget > 0 && !pending.empty()) {
-        const Pending &p = pending.front();
+    std::size_t fired = 0;
+    while (budget > 0 && fired < pending.size()) {
+        const Pending &p = pending[fired];
         if (coreRef->isSpeculative(p.seq) || p.readyAt > now)
             break;
         // One broadcast cycle: dependents can be selected next cycle.
         coreRef->scheduleWakeup(p.pdst, now + 1);
-        pending.pop_front();
+        ++fired;
         --budget;
     }
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(fired));
 }
 
 void
@@ -69,7 +81,7 @@ NdaStrictScheme::deferBroadcast(InstHandle /* h */, const DynInst &inst,
         return false;
     if (!coreRef->isSpeculative(inst.seq))
         return false;
-    pending.push_back(Pending{inst.seq, inst.pdst, ready_at});
+    defer(Pending{inst.seq, inst.pdst, ready_at});
     return true;
 }
 

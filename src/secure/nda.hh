@@ -17,8 +17,7 @@
 #ifndef SB_SECURE_NDA_HH
 #define SB_SECURE_NDA_HH
 
-#include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "core/core.hh"
 #include "core/scheme_iface.hh"
@@ -70,8 +69,12 @@ class NdaScheme : public SecureScheme
     /** Broadcast-port budget per cycle. */
     virtual unsigned broadcastBudget() const;
 
+    /** Queue a broadcast, keeping pending ordered by seq (unique). */
+    void defer(const Pending &p);
+
     SchemeConfig schemeCfg;
-    std::deque<Pending> pending;
+    /** Queued broadcasts, oldest producer first. */
+    std::vector<Pending> pending;
 };
 
 /** NDA-Strict: every speculative result's broadcast is deferred. */

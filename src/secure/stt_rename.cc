@@ -28,9 +28,9 @@ SttRenameScheme::onRenameGroup(const std::vector<DynInst *> &group)
         inst->yrot = unified;
         if (inst->isStore() && schemeCfg.twoTaintStores) {
             // Sec. 9.2 optimization: separate taints for the address
-            // and data operands of a store.
+            // and data operands of a store. Only the address half
+            // transmits, so the data half's taint is never consulted.
             inst->yrotAddr = src1_taint;
-            inst->yrotData = src2_taint;
         }
 
         if (inst->uop.hasDst()) {

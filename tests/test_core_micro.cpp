@@ -20,6 +20,10 @@
 namespace
 {
 
+/** Wakeup-matrix rows for the issue queues below (every register
+ *  the tests name is under it). */
+constexpr unsigned physRegs = 512;
+
 sb::InstHandle
 makeInst(sb::InstSlab &slab, sb::SeqNum seq, sb::Op op)
 {
@@ -116,7 +120,7 @@ TEST(RenameMap, ExhaustsFreeList)
 TEST(IssueQueue, InsertNormalisesMissingSources)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(4);
+    sb::IssueQueue iq(4, physRegs);
     iq.attachSlab(&slab);
     const auto h = makeInst(slab, 1, sb::Op::MovImm);
     slab.get(h).uop.dst = 1;
@@ -130,7 +134,7 @@ TEST(IssueQueue, InsertNormalisesMissingSources)
 TEST(IssueQueue, WakeupSetsMatchingSources)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(4);
+    sb::IssueQueue iq(4, physRegs);
     iq.attachSlab(&slab);
     const auto h = makeInst(slab, 1, sb::Op::Add);
     sb::DynInst &inst = slab.get(h);
@@ -151,7 +155,7 @@ TEST(IssueQueue, WakeupSetsMatchingSources)
 TEST(IssueQueue, InOrderSortsBySeq)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     // Dispatch happens in program order; the age list appends.
     const auto a = makeLoad(slab, 10);
@@ -170,7 +174,7 @@ TEST(IssueQueue, InOrderSortsBySeq)
 TEST(IssueQueue, SquashDropsYounger)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeLoad(slab, 10);
     const auto b = makeLoad(slab, 20);
@@ -194,7 +198,7 @@ TEST(IssueQueue, SquashSweepsStaleHandlesOfSurvivingSeq)
     // died (cannot happen in the core's flow, but the queue must not
     // keep a dangling handle).
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeLoad(slab, 10);
     iq.insert(a, slab.get(a), true, true);
@@ -206,7 +210,7 @@ TEST(IssueQueue, SquashSweepsStaleHandlesOfSurvivingSeq)
 TEST(IssueQueue, FullAndRemove)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(2);
+    sb::IssueQueue iq(2, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeLoad(slab, 1);
     const auto b = makeLoad(slab, 2);

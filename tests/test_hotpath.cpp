@@ -1,24 +1,38 @@
 /**
  * @file
  * Unit tests for the cycle engine's hot-path machinery: the indexed
- * issue queue's invariants, the generation-tagged instruction slab,
- * the per-PC decode cache, the timing-wheel event queue, and the
+ * issue queue's invariants and wakeup matrix, the generation-tagged
+ * instruction slab, the per-PC decode cache, the timing-wheel event
+ * queue, the pipeline rings, the LSU's ticket lookups, the cache's
+ * shift-and-mask indexing, the single-lookup TAGE predictor, and the
  * histogram-aware stats reset.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <tuple>
 #include <vector>
 
+#include "branch/tage.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "core/decode_cache.hh"
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
+#include "core/lsu.hh"
+#include "core/ring.hh"
 #include "core/timing_wheel.hh"
 #include "isa/program.hh"
+#include "memory/cache.hh"
 
 namespace
 {
+
+/** Wakeup-matrix rows for the issue queues below (every register
+ *  the tests name is under it). */
+constexpr unsigned physRegs = 512;
 
 sb::InstHandle
 makeAdd(sb::InstSlab &slab, sb::SeqNum seq, sb::PhysReg src1,
@@ -49,10 +63,10 @@ seqs(sb::IssueQueue &iq)
 
 // --- IssueQueue invariants -------------------------------------------
 
-TEST(IssueQueueIndexed, WakeupViaConsumerListsSetsOnlyMatchingSources)
+TEST(IssueQueueIndexed, WakeupSetsOnlyMatchingSources)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeAdd(slab, 1, 10, 11);
     const auto b = makeAdd(slab, 2, 11, 12);
@@ -70,7 +84,7 @@ TEST(IssueQueueIndexed, WakeupViaConsumerListsSetsOnlyMatchingSources)
 TEST(IssueQueueIndexed, WakeupOfUnknownRegisterIsANoop)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(4);
+    sb::IssueQueue iq(4, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeAdd(slab, 1, 10, 11);
     iq.insert(a, slab.get(a), false, false);
@@ -79,14 +93,14 @@ TEST(IssueQueueIndexed, WakeupOfUnknownRegisterIsANoop)
     EXPECT_FALSE(iq.inOrder()[0]->src2Ready);
 }
 
-TEST(IssueQueueIndexed, StaleConsumerRefsDoNotWakeRecycledSlots)
+TEST(IssueQueueIndexed, FreedSlotsDoNotWakeOnTheirOldRegisters)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(2);
+    sb::IssueQueue iq(2, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeAdd(slab, 1, 5, 5);
     iq.insert(a, slab.get(a), false, false);
-    iq.remove(slab.get(a)); // Leaves stale refs for preg 5 behind.
+    iq.remove(slab.get(a)); // Must clear the slot's wait on preg 5.
 
     const auto b = makeAdd(slab, 2, 6, 7); // Reuses a's IQ slot.
     iq.insert(b, slab.get(b), false, false);
@@ -101,7 +115,7 @@ TEST(IssueQueueIndexed, StaleConsumerRefsDoNotWakeRecycledSlots)
 TEST(IssueQueueIndexed, AgeOrderSurvivesInterleavedRemovals)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     std::vector<sb::InstHandle> insts;
     for (sb::SeqNum s = 1; s <= 6; ++s) {
@@ -123,7 +137,7 @@ TEST(IssueQueueIndexed, AgeOrderSurvivesInterleavedRemovals)
 TEST(IssueQueueIndexed, SquashCutsYoungEndAndStaleHandles)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(8);
+    sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
     std::vector<sb::InstHandle> insts;
     for (sb::SeqNum s = 1; s <= 5; ++s) {
@@ -144,7 +158,7 @@ TEST(IssueQueueIndexed, SquashCutsYoungEndAndStaleHandles)
 TEST(IssueQueueIndexed, InOrderViewIsStableBetweenMutations)
 {
     sb::InstSlab slab(16);
-    sb::IssueQueue iq(4);
+    sb::IssueQueue iq(4, physRegs);
     iq.attachSlab(&slab);
     const auto a = makeAdd(slab, 1, 10, 11);
     iq.insert(a, slab.get(a), false, false);
@@ -160,7 +174,7 @@ TEST(IssueQueueIndexed, InOrderViewIsStableBetweenMutations)
 TEST(IssueQueueIndexed, FillDrainRefillToCapacity)
 {
     sb::InstSlab slab(64);
-    sb::IssueQueue iq(3);
+    sb::IssueQueue iq(3, physRegs);
     iq.attachSlab(&slab);
     std::vector<sb::InstHandle> live;
     sb::SeqNum next = 1;
@@ -177,6 +191,73 @@ TEST(IssueQueueIndexed, FillDrainRefillToCapacity)
         live.clear();
         EXPECT_EQ(iq.size(), 0u);
     }
+}
+
+/** Seqs on the candidate list, in list order. */
+std::vector<sb::SeqNum>
+candidates(sb::IssueQueue &iq)
+{
+    std::vector<sb::SeqNum> out;
+    for (std::int32_t idx = iq.firstReady(); idx >= 0;
+         idx = iq.nextReady(idx))
+        out.push_back(iq.entryAt(idx).seq);
+    return out;
+}
+
+TEST(IssueQueueIndexed, WakeupMatrixSpansTwoWordsPerRegister)
+{
+    // 96 slots: slots 64..95 live in the second word of every row.
+    sb::InstSlab slab(128);
+    sb::IssueQueue iq(96, physRegs);
+    iq.attachSlab(&slab);
+    std::vector<sb::InstHandle> insts;
+    for (sb::SeqNum s = 1; s <= 96; ++s) {
+        // Odd seqs wait on 100, even seqs on 101; src2 is ready.
+        insts.push_back(makeAdd(slab, s, 100 + (s % 2 == 0), 7));
+        iq.insert(insts.back(), slab.get(insts.back()), false, true);
+    }
+    ASSERT_TRUE(iq.full());
+    EXPECT_EQ(slab.get(insts[95]).iqSlot, 95);
+
+    iq.wakeup(100);
+    std::vector<sb::SeqNum> odd;
+    for (sb::SeqNum s = 1; s <= 96; s += 2)
+        odd.push_back(s);
+    EXPECT_EQ(candidates(iq), odd);
+
+    // Free a second-word slot still waiting on 101 and reuse it for a
+    // younger entry waiting on the same register: the reused slot must
+    // wake exactly once, in age order behind every older candidate.
+    sb::DynInst &victim = slab.get(insts[69]); // seq 70, waits on 101.
+    ASSERT_GE(victim.iqSlot, 64);
+    const std::int32_t slot = victim.iqSlot;
+    iq.remove(victim);
+    const auto reuse = makeAdd(slab, 200, 101, 101);
+    iq.insert(reuse, slab.get(reuse), false, false);
+    EXPECT_EQ(slab.get(reuse).iqSlot, slot);
+
+    // A second freed slot, reused by an entry waiting elsewhere, must
+    // not wake on its predecessor's register.
+    sb::DynInst &other = slab.get(insts[79]); // seq 80, waits on 101.
+    const std::int32_t other_slot = other.iqSlot;
+    iq.remove(other);
+    const auto elsewhere = makeAdd(slab, 201, 102, 7);
+    iq.insert(elsewhere, slab.get(elsewhere), false, true);
+    EXPECT_EQ(slab.get(elsewhere).iqSlot, other_slot);
+
+    iq.wakeup(101);
+    std::vector<sb::SeqNum> want;
+    for (sb::SeqNum s = 1; s <= 96; ++s) {
+        if (s != 70 && s != 80)
+            want.push_back(s);
+    }
+    want.push_back(200);
+    EXPECT_EQ(candidates(iq), want);
+    EXPECT_FALSE(iq.entryAt(other_slot).src1Ready);
+
+    iq.wakeup(102);
+    want.push_back(201);
+    EXPECT_EQ(candidates(iq), want);
 }
 
 // --- Instruction slab ------------------------------------------------
@@ -336,41 +417,6 @@ TEST(DecodeCache, TemplateCarriesIdentityAndDefaults)
     EXPECT_EQ(d.tmpl.iqSlot, -1);
 }
 
-TEST(DecodeCache, InvalidateForcesRebuild)
-{
-    const sb::Program p = dc::tinyProgram();
-    sb::DecodeCache cache;
-    cache.attach(p);
-    cache.lookup(0);
-    cache.lookup(0);
-    EXPECT_EQ(cache.misses(), 1u);
-
-    cache.invalidate(0);
-    cache.lookup(0); // Must rebuild.
-    EXPECT_EQ(cache.misses(), 2u);
-
-    // Other entries are untouched.
-    cache.lookup(1);
-    cache.invalidate(0);
-    cache.lookup(1);
-    EXPECT_EQ(cache.misses(), 3u);
-    EXPECT_EQ(cache.hits(), 2u);
-}
-
-TEST(DecodeCache, InvalidateAllDropsEverything)
-{
-    const sb::Program p = dc::tinyProgram();
-    sb::DecodeCache cache;
-    cache.attach(p);
-    for (std::uint32_t pc = 0; pc < p.code.size(); ++pc)
-        cache.lookup(pc);
-    const auto misses_before = cache.misses();
-    cache.invalidateAll();
-    for (std::uint32_t pc = 0; pc < p.code.size(); ++pc)
-        cache.lookup(pc);
-    EXPECT_EQ(cache.misses(), 2 * misses_before);
-}
-
 TEST(DecodeCache, AttachResetsCountersAndResizes)
 {
     const sb::Program p = dc::tinyProgram();
@@ -483,6 +529,492 @@ TEST(TimingWheel, DrainAfterSkippedCyclesFiresOnTime)
     }
     EXPECT_EQ(got, (std::vector<std::pair<sb::Cycle, int>>{{20, 8},
                                                            {1000, 7}}));
+}
+
+// --- Ring ------------------------------------------------------------
+
+std::vector<int>
+contents(const sb::Ring<int> &r)
+{
+    std::vector<int> out;
+    for (int v : r)
+        out.push_back(v);
+    return out;
+}
+
+TEST(Ring, CapacityRoundsUpToAPowerOfTwo)
+{
+    EXPECT_EQ(sb::Ring<int>(5).capacity(), 8u);
+    EXPECT_EQ(sb::Ring<int>(8).capacity(), 8u);
+    EXPECT_EQ(sb::Ring<int>(1).capacity(), 1u);
+}
+
+TEST(Ring, WrapsAroundInFifoOrder)
+{
+    sb::Ring<int> r(4);
+    for (int round = 0; round < 5; ++round) {
+        for (int i = 0; i < 3; ++i)
+            r.push_back(round * 10 + i);
+        EXPECT_EQ(r.front(), round * 10);
+        EXPECT_EQ(r.back(), round * 10 + 2);
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(r.front(), round * 10 + i);
+            r.pop_front();
+        }
+        EXPECT_TRUE(r.empty());
+    }
+    EXPECT_EQ(r.capacity(), 4u); // Never grew.
+}
+
+TEST(Ring, IndexesFromTheFrontAfterAWrap)
+{
+    sb::Ring<int> r(4);
+    for (int i = 0; i < 3; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    r.push_back(3);
+    r.push_back(4);
+    r.push_back(5); // Storage now wraps: 4 and 5 sit before 2 and 3.
+    ASSERT_EQ(r.size(), 4u);
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], static_cast<int>(i) + 2);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 3, 4, 5}));
+    r.pop_back();
+    EXPECT_EQ(r.back(), 4);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(Ring, GrowsWhenFullKeepingOrder)
+{
+    sb::Ring<int> r(4);
+    r.push_back(0);
+    r.push_back(1);
+    r.pop_front();
+    for (int i = 2; i <= 4; ++i)
+        r.push_back(i); // Full and wrapped: 1 2 3 4.
+    r.push_back(5);     // Doubles.
+    EXPECT_EQ(r.capacity(), 8u);
+    EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3, 4, 5}));
+    for (int i = 6; i <= 12; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 16u);
+    EXPECT_EQ(r.front(), 1);
+    EXPECT_EQ(r[11], 12);
+}
+
+TEST(Ring, ClearEmptiesAndRestartsAtTheFront)
+{
+    sb::Ring<int> r(4);
+    for (int i = 0; i < 3; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.begin(), r.end());
+    r.push_back(7);
+    EXPECT_EQ(r.front(), 7);
+    EXPECT_EQ(r.back(), 7);
+    EXPECT_EQ(contents(r), (std::vector<int>{7}));
+}
+
+// --- LSU ticket lookups ------------------------------------------------
+
+TEST(LsuTickets, LookupsHoldAcrossWrapsAndSquashes)
+{
+    // Four-entry queues with up to three store/load pairs in flight:
+    // each pair is looked up only after younger pairs were allocated
+    // and older ones retired, so every lookup lands at ticket minus a
+    // moved head ticket. 60 rounds wrap the rings about 15 times, and
+    // every fifth round squashes the youngest pair, so its tickets are
+    // handed out again. Every lookup asserts the entry's seq; the
+    // violation victim and the drained data check that the right entry
+    // was updated.
+    struct Pair
+    {
+        sb::InstHandle st;
+        sb::InstHandle ld;
+        sb::Addr addr;
+    };
+    sb::InstSlab slab(64);
+    sb::Lsu lsu(4, 4);
+    std::vector<Pair> live; // Oldest first.
+    std::vector<sb::InstHandle> woken;
+    sb::SeqNum seq = 0;
+    auto make = [&](sb::Op op) {
+        const sb::InstHandle h = slab.alloc();
+        sb::DynInst &inst = slab.get(h);
+        inst = sb::DynInst{};
+        inst.seq = ++seq;
+        inst.uop.op = op;
+        return h;
+    };
+    auto retire_oldest = [&] {
+        const Pair p = live.front();
+        live.erase(live.begin());
+        sb::DynInst &load = slab.get(p.ld);
+        load.effAddr = p.addr;
+        load.effAddrValid = true;
+        lsu.loadDataReturned(load, sb::invalidSeqNum);
+
+        sb::DynInst &store = slab.get(p.st);
+        store.effAddr = p.addr;
+        store.effAddrValid = true;
+        lsu.storeAddrReady(store);
+        const sb::LqEntry *victim = lsu.checkViolation(store);
+        ASSERT_NE(victim, nullptr);
+        EXPECT_EQ(victim->handle, p.ld);
+        lsu.storeDataReady(store, p.addr + 1, woken);
+
+        lsu.releaseLoad(load);
+        lsu.markStoreCommitted(store);
+        ASSERT_NE(lsu.drainableStore(), nullptr);
+        EXPECT_EQ(lsu.drainableStore()->data, p.addr + 1);
+        EXPECT_EQ(lsu.drainableStore()->addr, p.addr);
+        lsu.popDrainedStore();
+        slab.free(p.st);
+        slab.free(p.ld);
+    };
+    for (int round = 0; round < 60; ++round) {
+        Pair p{make(sb::Op::Store), make(sb::Op::Load),
+               0x1000 + 8 * static_cast<sb::Addr>(round)};
+        lsu.allocateStore(p.st, slab.get(p.st));
+        lsu.allocateLoad(p.ld, slab.get(p.ld));
+        live.push_back(p);
+        if (round % 5 == 4) {
+            // Squash the youngest pair (wrong path).
+            lsu.squash(slab.get(p.st).seq - 1);
+            slab.free(p.st);
+            slab.free(p.ld);
+            live.pop_back();
+        }
+        ASSERT_EQ(lsu.sqSize(), live.size());
+        ASSERT_EQ(lsu.lqSize(), live.size());
+        if (live.size() == 3)
+            retire_oldest();
+    }
+    while (!live.empty())
+        retire_oldest();
+    EXPECT_EQ(lsu.sqSize(), 0u);
+    EXPECT_EQ(lsu.lqSize(), 0u);
+    EXPECT_TRUE(woken.empty());
+}
+
+// --- Cache indexing ------------------------------------------------------
+
+/** The tag model with the division formulas for line, set and tag
+ *  (the same LRU policy as sb::Cache). */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const sb::CacheConfig &c)
+        : cfg(c), sets(c.sizeBytes / (c.lineBytes * c.assoc)),
+          lines(static_cast<std::size_t>(sets) * c.assoc)
+    {
+    }
+
+    std::optional<sb::Cycle>
+    probe(sb::Addr addr, sb::Cycle now)
+    {
+        if (Line *l = find(addr)) {
+            l->lastUse = now;
+            return std::max(now + cfg.latency, l->readyAt + cfg.latency);
+        }
+        return std::nullopt;
+    }
+
+    bool contains(sb::Addr addr) { return find(addr) != nullptr; }
+
+    void
+    insert(sb::Addr addr, sb::Cycle now, sb::Cycle ready_at)
+    {
+        if (Line *l = find(addr)) {
+            l->readyAt = std::min(l->readyAt, ready_at);
+            return;
+        }
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < cfg.assoc; ++w) {
+            Line &l = way(addr, w);
+            if (!l.valid) {
+                if (!victim || victim->valid)
+                    victim = &l;
+            } else if (!victim
+                       || (victim->valid && l.lastUse < victim->lastUse)) {
+                victim = &l;
+            }
+        }
+        victim->valid = true;
+        victim->tag = (addr / cfg.lineBytes) / sets;
+        victim->lastUse = now;
+        victim->readyAt = ready_at;
+    }
+
+  private:
+    struct Line
+    {
+        sb::Addr tag = 0;
+        sb::Cycle lastUse = 0;
+        sb::Cycle readyAt = 0;
+        bool valid = false;
+    };
+
+    Line &
+    way(sb::Addr addr, unsigned w)
+    {
+        const sb::Addr set = (addr / cfg.lineBytes) % sets;
+        return lines[static_cast<std::size_t>(set) * cfg.assoc + w];
+    }
+
+    Line *
+    find(sb::Addr addr)
+    {
+        const sb::Addr tag = (addr / cfg.lineBytes) / sets;
+        for (unsigned w = 0; w < cfg.assoc; ++w) {
+            Line &l = way(addr, w);
+            if (l.valid && l.tag == tag)
+                return &l;
+        }
+        return nullptr;
+    }
+
+    sb::CacheConfig cfg;
+    unsigned sets;
+    std::vector<Line> lines;
+};
+
+TEST(CacheIndexing, MatchesTheDivisionFormulas)
+{
+    for (unsigned line_bytes : {32u, 128u}) {
+        for (unsigned assoc : {1u, 16u}) {
+            sb::CacheConfig cfg;
+            cfg.sizeBytes = 8 * 1024;
+            cfg.lineBytes = line_bytes;
+            cfg.assoc = assoc;
+            sb::Cache cache("t", cfg);
+            ReferenceCache ref(cfg);
+            sb::Rng rng(line_bytes * 100 + assoc);
+            sb::Cycle now = 0;
+            for (int i = 0; i < 20000; ++i) {
+                // Mostly a 64 KiB window (hits and conflicts), with
+                // some addresses near the top of the address space.
+                sb::Addr addr = rng.below(64 * 1024);
+                if (rng.below(8) == 0)
+                    addr = ~sb::Addr(0) - rng.below(1 << 20);
+                now += 1 + rng.below(3);
+                const auto got = cache.probe(addr, now);
+                ASSERT_EQ(got, ref.probe(addr, now))
+                    << line_bytes << "B x" << assoc << " #" << i;
+                if (!got) {
+                    cache.insert(addr, now, now + 20);
+                    ref.insert(addr, now, now + 20);
+                }
+                const sb::Addr other = rng.below(64 * 1024);
+                ASSERT_EQ(cache.contains(other), ref.contains(other));
+            }
+        }
+    }
+}
+
+// --- TAGE ------------------------------------------------------------------
+
+} // anonymous namespace
+
+namespace sb
+{
+
+/** Test access to TagePredictor's tables. */
+struct TagePredictorPeek
+{
+    static const std::vector<std::uint8_t> &
+    base(const TagePredictor &p)
+    {
+        return p.base;
+    }
+
+    /** Component @p c's entries as (tag, ctr, useful) triples. */
+    static std::vector<std::tuple<std::uint16_t, int, unsigned>>
+    component(const TagePredictor &p, unsigned c)
+    {
+        std::vector<std::tuple<std::uint16_t, int, unsigned>> out;
+        for (const auto &e : p.components[c].entries)
+            out.emplace_back(e.tag, e.ctr, e.useful);
+        return out;
+    }
+
+    static std::uint64_t allocSeed(const TagePredictor &p)
+    {
+        return p.allocSeed;
+    }
+};
+
+} // namespace sb
+
+namespace
+{
+
+/** The predictor as it was written before the single-lookup rewrite:
+ *  provider(), index() and tag() recomputed at every use. */
+class ReferenceTage
+{
+    unsigned logEntries;
+
+  public:
+    explicit ReferenceTage(unsigned log_entries)
+        : logEntries(log_entries), base(1u << (log_entries + 2), 1)
+    {
+        for (unsigned len : {8u, 16u, 32u, 64u})
+            components.push_back({len, std::vector<Entry>(1u << log_entries)});
+    }
+
+    bool
+    predict(std::uint64_t pc, std::uint64_t hist) const
+    {
+        const int p = provider(pc, hist);
+        if (p >= 0) {
+            const Component &c = components[p];
+            return c.entries[index(c, pc, hist)].ctr >= 0;
+        }
+        return base[pc % base.size()] >= 2;
+    }
+
+    void
+    update(std::uint64_t pc, std::uint64_t hist, bool taken)
+    {
+        const int p = provider(pc, hist);
+        const bool correct = predict(pc, hist) == taken;
+        if (p >= 0) {
+            Component &c = components[p];
+            Entry &e = c.entries[index(c, pc, hist)];
+            if (taken && e.ctr < 3)
+                ++e.ctr;
+            else if (!taken && e.ctr > -4)
+                --e.ctr;
+            if (correct && e.useful < 3)
+                ++e.useful;
+            else if (!correct && e.useful > 0)
+                --e.useful;
+        } else {
+            auto &ctr = base[pc % base.size()];
+            if (taken && ctr < 3)
+                ++ctr;
+            else if (!taken && ctr > 0)
+                --ctr;
+        }
+        if (!correct && p < static_cast<int>(components.size()) - 1) {
+            allocSeed = allocSeed * 6364136223846793005ULL
+                        + 1442695040888963407ULL;
+            const unsigned start = p + 1
+                + static_cast<unsigned>((allocSeed >> 33)
+                                        % (components.size() - p - 1));
+            bool allocated = false;
+            for (unsigned i = start; i < components.size() && !allocated;
+                 ++i) {
+                Component &c = components[i];
+                Entry &e = c.entries[index(c, pc, hist)];
+                if (e.useful == 0) {
+                    e.tag = tag(c, pc, hist);
+                    e.ctr = taken ? 0 : -1;
+                    e.useful = 0;
+                    allocated = true;
+                }
+            }
+            if (!allocated) {
+                for (unsigned i = p + 1; i < components.size(); ++i) {
+                    Component &c = components[i];
+                    Entry &e = c.entries[index(c, pc, hist)];
+                    if (e.useful > 0)
+                        --e.useful;
+                }
+            }
+        }
+    }
+
+    std::vector<std::uint8_t> base;
+
+    struct Entry
+    {
+        std::uint16_t tag = 0;
+        std::int8_t ctr = 0;
+        std::uint8_t useful = 0;
+    };
+    struct Component
+    {
+        unsigned historyLength;
+        std::vector<Entry> entries;
+    };
+    std::vector<Component> components;
+    std::uint64_t allocSeed = 0x1234;
+
+  private:
+    static std::uint64_t
+    fold(std::uint64_t hist, unsigned len, unsigned bits)
+    {
+        if (len < 64)
+            hist &= (1ULL << len) - 1;
+        std::uint64_t folded = 0;
+        for (unsigned i = 0; i < len; i += bits)
+            folded ^= (hist >> i);
+        return folded & ((1ULL << bits) - 1);
+    }
+
+    unsigned
+    index(const Component &c, std::uint64_t pc, std::uint64_t hist) const
+    {
+        const std::uint64_t h = fold(hist, c.historyLength, logEntries);
+        return (pc ^ (pc >> logEntries) ^ h) & (c.entries.size() - 1);
+    }
+
+    std::uint16_t
+    tag(const Component &c, std::uint64_t pc, std::uint64_t hist) const
+    {
+        const std::uint64_t h = fold(hist, c.historyLength, 9);
+        return static_cast<std::uint16_t>((pc ^ (pc >> 7) ^ (h << 1))
+                                          & 0x1ff);
+    }
+
+    int
+    provider(std::uint64_t pc, std::uint64_t hist) const
+    {
+        for (int i = static_cast<int>(components.size()) - 1; i >= 0; --i) {
+            const Component &c = components[i];
+            if (c.entries[index(c, pc, hist)].tag == tag(c, pc, hist))
+                return i;
+        }
+        return -1;
+    }
+};
+
+TEST(TagePredictor, MatchesTheReferenceAlgorithm)
+{
+    for (unsigned log_entries : {6u, 10u}) {
+        sb::TagePredictor tage(log_entries);
+        ReferenceTage ref(log_entries);
+        sb::Rng rng(log_entries);
+        std::uint64_t hist = 0;
+        for (int i = 0; i < 200000; ++i) {
+            // A few hundred static branches with biased, history- and
+            // pc-correlated outcomes, so every component allocates,
+            // hits and decays.
+            const std::uint64_t pc = rng.below(600);
+            const bool want = ref.predict(pc, hist);
+            ASSERT_EQ(tage.predict(pc, hist), want) << "#" << i;
+            const bool taken = (((pc * 0x9E37) >> 5) & 3) != 0
+                               ? ((hist >> (pc % 13)) & 1) != (pc & 1)
+                               : rng.below(4) == 0;
+            tage.update(pc, hist, taken);
+            ref.update(pc, hist, taken);
+            hist = (hist << 1) | (taken ? 1u : 0u);
+        }
+        EXPECT_EQ(sb::TagePredictorPeek::base(tage), ref.base);
+        EXPECT_EQ(sb::TagePredictorPeek::allocSeed(tage), ref.allocSeed);
+        for (unsigned c = 0; c < 4; ++c) {
+            std::vector<std::tuple<std::uint16_t, int, unsigned>> want;
+            for (const auto &e : ref.components[c].entries)
+                want.emplace_back(e.tag, e.ctr, e.useful);
+            EXPECT_EQ(sb::TagePredictorPeek::component(tage, c), want)
+                << "component " << c;
+        }
+    }
 }
 
 // --- Stats reset -----------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "isa/microop.hh"
 #include "isa/program.hh"
 
@@ -95,6 +97,24 @@ TEST(MicroOp, OpClassMapping)
     EXPECT_EQ(op3(sb::Op::Load).opClass(), sb::OpClass::MemRead);
     EXPECT_EQ(op3(sb::Op::Store).opClass(), sb::OpClass::MemWrite);
     EXPECT_EQ(op3(sb::Op::Beq).opClass(), sb::OpClass::Branch);
+
+    // Every remaining op (isBranch() is opClass() == Branch).
+    using sb::Op;
+    using sb::OpClass;
+    const std::pair<Op, OpClass> rest[] = {
+        {Op::Nop, OpClass::Nop},        {Op::Halt, OpClass::Nop},
+        {Op::Fence, OpClass::Nop},      {Op::MovImm, OpClass::IntAlu},
+        {Op::AddImm, OpClass::IntAlu},  {Op::Sub, OpClass::IntAlu},
+        {Op::And, OpClass::IntAlu},     {Op::Or, OpClass::IntAlu},
+        {Op::Xor, OpClass::IntAlu},     {Op::Shl, OpClass::IntAlu},
+        {Op::Shr, OpClass::IntAlu},     {Op::Slt, OpClass::IntAlu},
+        {Op::Sltu, OpClass::IntAlu},    {Op::FMul, OpClass::FpMul},
+        {Op::Bne, OpClass::Branch},     {Op::Blt, OpClass::Branch},
+        {Op::Bge, OpClass::Branch},     {Op::Jmp, OpClass::Branch},
+        {Op::JmpReg, OpClass::Branch},  {Op::JmpRegRet, OpClass::Branch},
+    };
+    for (const auto &[op, cls] : rest)
+        EXPECT_EQ(op3(op).opClass(), cls) << static_cast<int>(op);
 }
 
 TEST(MicroOp, DisassembleMentionsOpcode)

@@ -45,6 +45,19 @@ using sb::Scheme;
 constexpr auto mega = &sb::CoreConfig::mega;
 constexpr auto medium = &sb::CoreConfig::medium;
 
+/** Mega with a 96-entry issue queue and 192 physical registers. No
+ *  preset has more than 64 IQ entries; this one needs two wakeup-matrix
+ *  words per register row. */
+sb::CoreConfig
+megaWideIq()
+{
+    sb::CoreConfig c = sb::CoreConfig::mega();
+    c.name = "mega-iq96";
+    c.iqEntries = 96;
+    c.numPhysRegs = 192;
+    return c;
+}
+
 struct Golden
 {
     sb::CoreConfig (*core)();
@@ -104,6 +117,14 @@ const Golden goldens[] = {
     {medium, Scheme::DelayAll, "505.mcf", 231297ull, 50000ull},
     {medium, Scheme::DelayAll, "541.leela", 300545ull, 50000ull},
     {medium, Scheme::DelayAll, "519.lbm", 42506ull, 50000ull},
+    // Captured before the issue queue's wakeup bit matrix (same
+    // window), on the wide-queue Mega variant above.
+    {megaWideIq, Scheme::Baseline, "505.mcf", 207956ull, 50002ull},
+    {megaWideIq, Scheme::Baseline, "541.leela", 52234ull, 50002ull},
+    {megaWideIq, Scheme::Baseline, "519.lbm", 33330ull, 50000ull},
+    {megaWideIq, Scheme::SttIssue, "505.mcf", 225993ull, 50002ull},
+    {megaWideIq, Scheme::SttIssue, "541.leela", 53535ull, 50002ull},
+    {megaWideIq, Scheme::SttIssue, "519.lbm", 33330ull, 50000ull},
 };
 
 TEST(TimingParity, GoldenCycleAndInstructionCounts)
