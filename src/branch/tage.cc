@@ -1,5 +1,7 @@
 #include "branch/tage.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sb

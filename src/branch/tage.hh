@@ -9,6 +9,11 @@
  * indices/tags are recomputed from the 64-bit history each call so
  * the predictor holds no speculative state; each predict() or
  * update() computes them once for all components.
+ *
+ * The core owns the speculative global-history register, snapshots it
+ * per branch, and restores it on mispredict; updates happen at commit
+ * with the history the branch was predicted under, mirroring BOOM.
+ * Indirect-jump targets come from the BTB (branch/btb.hh).
  */
 
 #ifndef SB_BRANCH_TAGE_HH
@@ -17,29 +22,32 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/predictor.hh"
-
 namespace sb
 {
 
 /** TAGE with a bimodal base and four tagged components. */
-class TagePredictor : public BranchPredictor
+class TagePredictor
 {
   public:
     /** @param log_entries log2 of each tagged table's entry count. */
     explicit TagePredictor(unsigned log_entries = 10);
 
-    bool predict(std::uint64_t pc, std::uint64_t hist) override;
-    void update(std::uint64_t pc, std::uint64_t hist, bool taken) override;
+    /** Predict taken/not-taken for @p pc under history @p hist. */
+    bool predict(std::uint64_t pc, std::uint64_t hist);
+    /** Train with the committed outcome under the predict-time history. */
+    void update(std::uint64_t pc, std::uint64_t hist, bool taken);
 
     /**
      * Reset the bimodal base and invalidate every tagged entry,
      * returning the predictor to its construction state (cold base
      * counters predict not-taken). The allocation seed is also reset
      * so a flushed predictor is bit-identical to a fresh one — flushes
-     * keep runs deterministic and cache-reproducible.
+     * keep runs deterministic and cache-reproducible. Wired to the
+     * flush-on-context-switch policy: without it, state trained by one
+     * protection domain steers speculation in the next (the Spectre
+     * v2 / swapgs training channel).
      */
-    void flushSpeculativeState() override;
+    void flushSpeculativeState();
 
   private:
     /** Read-only access to the tables for tests. */

@@ -180,7 +180,6 @@ struct SchemeConfig
 struct IntelReference
 {
     static constexpr double specIpc = 2.03;
-    static constexpr unsigned coreWidth = 6;
 };
 
 } // namespace sb

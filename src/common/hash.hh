@@ -14,6 +14,7 @@
 #define SB_COMMON_HASH_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 namespace sb
@@ -42,6 +43,17 @@ fnv1aString(std::uint64_t hash, const std::string &text)
         hash *= 0x100000001b3ULL;
     }
     return hash;
+}
+
+/** @p value as 16 zero-padded lower-case hex digits (spec keys, cache
+ *  checksums, conformance mismatch details). */
+inline std::string
+hex16(std::uint64_t value)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buf;
 }
 
 } // namespace sb

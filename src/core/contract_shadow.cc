@@ -1,36 +1,9 @@
 #include "core/contract_shadow.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace sb
 {
-
-ContractShadow::ContractShadow(unsigned num_phys_regs)
-    : regs(num_phys_regs)
-{
-    active = defaultActive();
-}
-
-bool
-ContractShadow::defaultActive()
-{
-    if (const char *env = std::getenv("SB_INVARIANTS")) {
-        if (std::strcmp(env, "0") == 0)
-            return false;
-        if (std::strcmp(env, "1") == 0)
-            return true;
-        // InvariantChecker::defaultActive already warned about the
-        // malformed value; fall through silently to the build default.
-    }
-#ifdef NDEBUG
-    return false;
-#else
-    return true;
-#endif
-}
 
 void
 ContractShadow::markSecretRegion(Addr base, std::uint64_t bytes,

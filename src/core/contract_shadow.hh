@@ -37,8 +37,10 @@
  *
  * The engine is a pure observer: every hook is gated on on() and no
  * result feeds timing, so goldens are bit-identical with it on or
- * off. Like the invariant checkers it defaults on in debug builds
- * and off in release, with SB_INVARIANTS=0/1 forcing either way.
+ * off. A core switches its engine on exactly when its invariant
+ * checkers start on (InvariantChecker::defaultActive(): on in debug
+ * builds, off in release, with SB_INVARIANTS=0/1 forcing either way);
+ * a standalone engine starts off.
  */
 
 #ifndef SB_CORE_CONTRACT_SHADOW_HH
@@ -88,11 +90,9 @@ class ContractShadow
         SeqNum producerLoad = invalidSeqNum;
     };
 
-    explicit ContractShadow(unsigned num_phys_regs);
-
-    /** Mirror of InvariantChecker::defaultActive(): SB_INVARIANTS=1
-     *  forces the shadow on even in release builds. */
-    static bool defaultActive();
+    explicit ContractShadow(unsigned num_phys_regs) : regs(num_phys_regs)
+    {
+    }
 
     bool on() const { return active; }
     void setActive(bool enable) { active = enable; }

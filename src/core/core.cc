@@ -35,8 +35,7 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       rob(config.robEntries),
       iq(config.iqEntries, config.numPhysRegs),
       lsu(config.ldqEntries, config.stqEntries),
-      completions(eventHorizon()),
-      wakeups(eventHorizon()),
+      events(eventHorizon()),
       retryLoads(config.ldqEntries),
       pc(prog.entry),
       statGroup("core"),
@@ -50,6 +49,9 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
     iq.attachSlab(&slab);
     shadows.attachSlab(&slab);
     dcache.attach(prog);
+    // One reading of SB_INVARIANTS (and one warning about a malformed
+    // value) serves both observers.
+    cshadow.setActive(inv.on());
     for (const SecretRegion &region : prog.secretRegions)
         cshadow.markSecretRegion(region.base, region.bytes,
                                  region.tenant);
@@ -133,7 +135,8 @@ Core::applyWakeup(PhysReg preg, Cycle at)
     // A queued broadcast can outlive its producer (squash). It is
     // valid exactly while the register has not been re-allocated: the
     // epoch captured here is compared at drain time.
-    wakeups.push(at, cycle, WakeupEvent{preg, pregEpoch[preg]});
+    events.push(at, cycle,
+                CoreEvent{invalidInstHandle, preg, pregEpoch[preg]});
 }
 
 RunResult
@@ -248,8 +251,7 @@ Core::quietUntil(Cycle bound) const
         bound = std::min(bound, fetchStallUntil);
     if (!rob.empty())
         bound = std::min(bound, lastCommitCycle + stallLimit() + 1);
-    bound = completions.nextDue(cycle, bound);
-    return wakeups.nextDue(cycle, bound);
+    return events.nextDue(cycle, bound);
 }
 
 bool
@@ -311,7 +313,7 @@ Core::tick()
         sb_panic("no commit for 100000 cycles; head seq=", head.seq,
                  " pc=", head.pc, " op=", head.uop.disassemble(),
                  " completed=", head.completed,
-                 " inIq=", head.inIq, " vp=",
+                 " iqSlot=", head.iqSlot, " vp=",
                  shadows.visibilityPoint());
     }
 }
@@ -366,7 +368,6 @@ Core::commitPhase()
         if (inst.stalePdst != invalidPhysReg)
             renameMap.release(inst.stalePdst);
 
-        inst.committed = true;
         ++committedCount;
         ++st.committedInsts;
         lastCommitCycle = cycle;
@@ -422,24 +423,30 @@ Core::drainStores()
 }
 
 // ---------------------------------------------------------------------
-// Writeback: wakeup events and completion events
+// Writeback: wakeup broadcasts and completions
 // ---------------------------------------------------------------------
 
 void
 Core::writebackPhase()
 {
-    wakeups.drainDue(cycle, [this](WakeupEvent &ev) {
+    // A cycle's broadcasts and completions drain interleaved, in push
+    // order. The two handlers commute: a broadcast sets one register's
+    // wakeupDone bit and links entries into the seq-ordered candidate
+    // list (where arrival order cannot show), and a completion touches
+    // only its own record and its own register. Completions keep
+    // their FIFO order among themselves, and only they emit trace
+    // events.
+    events.drainDue(cycle, [this](CoreEvent &ev) {
         tickActive = true;
-        // Stale epoch: the register was re-allocated, so the producer
-        // that scheduled this broadcast was squashed.
-        if (pregEpoch[ev.preg] != ev.epoch)
+        if (ev.inst == invalidInstHandle) {
+            // Stale epoch: the register was re-allocated, so the
+            // producer that scheduled this broadcast was squashed.
+            if (pregEpoch[ev.preg] != ev.epoch)
+                return;
+            wakeupDone[ev.preg] = 1;
+            iq.wakeup(ev.preg);
             return;
-        wakeupDone[ev.preg] = 1;
-        iq.wakeup(ev.preg);
-    });
-
-    completions.drainDue(cycle, [this](CompletionEvent &ev) {
-        tickActive = true;
+        }
         DynInst *inst = slab.tryGet(ev.inst);
         if (!inst)
             return; // Squashed (record freed) before completion.
@@ -510,8 +517,6 @@ Core::executeBranch(DynInst &inst)
 {
     const Word s1 = inst.uop.hasSrc1() ? regVal[inst.psrc1] : 0;
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
-    inst.src1Val = s1;
-    inst.src2Val = s2;
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           true, true);
@@ -535,7 +540,6 @@ Core::executeBranch(DynInst &inst)
             : (inst.predTaken ? inst.uop.target : inst.pc + 1);
     inst.actualTarget = correct_next;
     if (correct_next != predicted_next) {
-        inst.mispredicted = true;
         ++st.branchMispredicts;
         trace("mispredict", inst);
         squash(inst.seq, correct_next);
@@ -549,8 +553,7 @@ Core::executeBranch(DynInst &inst)
 void
 Core::executeLoadAddr(InstHandle h, DynInst &inst)
 {
-    inst.src1Val = regVal[inst.psrc1];
-    inst.effAddr = inst.src1Val + static_cast<Word>(inst.uop.imm);
+    inst.effAddr = regVal[inst.psrc1] + static_cast<Word>(inst.uop.imm);
     inst.effAddrValid = true;
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
@@ -567,13 +570,12 @@ Core::loadMemoryStage(InstHandle h, DynInst &inst)
         // Sleep until the matching store's data half executes (the
         // waiter list lives on that store's SQ entry).
         ++st.forwardStalls;
-        lsu.addForwardWaiter(fwd.source, h);
+        lsu.addForwardWaiter(fwd, h);
         return;
     }
     if (fwd.bypassedUnknown)
         ++st.disambiguationBypasses;
     if (fwd.kind == ForwardOutcome::Kind::Forward) {
-        inst.forwarded = true;
         inst.l1Hit = true;
         ++st.loadForwards;
         finishLoad(h, inst, cycle + cfg.l1d.latency, fwd.data,
@@ -599,10 +601,10 @@ Core::loadMemoryStage(InstHandle h, DynInst &inst)
     inst.l1Hit = res.l1Hit;
     if (!res.l1Hit)
         ++st.loadL1Misses;
-    Word value;
-    if (!lsu.functionalBypass(inst, value))
-        value = workingMem.read(inst.effAddr);
-    finishLoad(h, inst, res.completeAt, value, invalidSeqNum);
+    // NoMatch: no older store with a known address holds this word,
+    // so committed memory has the value.
+    finishLoad(h, inst, res.completeAt, workingMem.read(inst.effAddr),
+               invalidSeqNum);
 }
 
 void
@@ -616,14 +618,13 @@ Core::finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
     inst.result = value;
     inst.completeAt = complete_at;
     lsu.loadDataReturned(inst, forward_source);
-    completions.push(complete_at, cycle, CompletionEvent{h});
+    events.push(complete_at, cycle, CoreEvent{h, invalidPhysReg, 0});
 }
 
 void
 Core::executeStoreAddr(DynInst &inst)
 {
-    inst.src1Val = regVal[inst.psrc1];
-    inst.effAddr = inst.src1Val + static_cast<Word>(inst.uop.imm);
+    inst.effAddr = regVal[inst.psrc1] + static_cast<Word>(inst.uop.imm);
     inst.effAddrValid = true;
     // Publish the address to the SQ entry before anything can scan it.
     lsu.storeAddrReady(inst);
@@ -650,7 +651,7 @@ Core::executeStoreAddr(DynInst &inst)
 void
 Core::executeStoreData(DynInst &inst)
 {
-    inst.src2Val = regVal[inst.psrc2];
+    const Word data = regVal[inst.psrc2];
     inst.storeDataDone = true;
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), false,
@@ -658,7 +659,7 @@ Core::executeStoreData(DynInst &inst)
         cshadow.onStoreData(inst);
     }
     wokenScratch.clear();
-    lsu.storeDataReady(inst, inst.src2Val, wokenScratch);
+    lsu.storeDataReady(inst, data, wokenScratch);
     if (inst.effAddrValid)
         inst.completed = true;
     // Wake loads that stalled on this store's data.
@@ -850,19 +851,16 @@ Core::executeAluAtSelect(InstHandle h, DynInst &inst)
 {
     const Word s1 = inst.uop.hasSrc1() ? regVal[inst.psrc1] : 0;
     const Word s2 = inst.uop.hasSrc2() ? regVal[inst.psrc2] : 0;
-    inst.src1Val = s1;
-    inst.src2Val = s2;
     if (cshadow.on()) {
         cshadow.onConsume(inst, cycle, shadows.visibilityPoint(), true,
                           true, false);
     }
     inst.result = evalAlu(inst.uop, s1, s2);
-    inst.executed = true;
     if (inst.pdst != invalidPhysReg)
         regVal[inst.pdst] = inst.result;
 
     const unsigned lat = opLatency(inst.uop.opClass());
-    completions.push(cycle + lat, cycle, CompletionEvent{h});
+    events.push(cycle + lat, cycle, CoreEvent{h, invalidPhysReg, 0});
     if (inst.pdst != invalidPhysReg) {
         if (!schemePtr->deferBroadcast(h, inst, cycle + lat)) {
             applyWakeup(inst.pdst, cycle + lat);
@@ -955,7 +953,6 @@ Core::renamePhase()
             if (cshadow.on())
                 cshadow.onAllocate(inst.pdst);
         }
-        inst.renamed = true;
         lastRenamedSeq = inst.seq;
         trace("rename", inst);
 
@@ -963,7 +960,7 @@ Core::renamePhase()
         if (inst.isLoad())
             lsu.allocateLoad(h, inst);
         if (inst.isStore())
-            lsu.allocateStore(h, inst);
+            lsu.allocateStore(inst);
         shadows.onRename(h, inst);
         if (inst.isBranch())
             ++branchesInFlight;

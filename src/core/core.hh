@@ -27,6 +27,9 @@
  * during the squash walk; structures that can outlive an instruction
  * revalidate handles through the slab. Fetch+decode of hot loop
  * bodies is memoized per static PC (core/decode_cache.hh).
+ * Completions and delayed wakeup broadcasts are timed events on one
+ * timing wheel (core/timing_wheel.hh), whose next non-empty bucket is
+ * also the idle skip's event trigger.
  */
 
 #ifndef SB_CORE_CORE_HH
@@ -486,19 +489,17 @@ class Core
     Lsu lsu;
 
     // --- Event machinery ------------------------------------------------------
-    struct CompletionEvent
+    /** A timed event: the completion of @ref inst, or, when @ref inst
+     *  is invalidInstHandle, the wakeup broadcast of @ref preg. */
+    struct CoreEvent
     {
         InstHandle inst;
-    };
-    struct WakeupEvent
-    {
         PhysReg preg;
-        std::uint32_t epoch; ///< pregEpoch at scheduling time.
+        std::uint32_t epoch; ///< pregEpoch[preg] at scheduling time.
     };
     /** Longest possible event delay, from the configured latencies. */
     unsigned eventHorizon() const;
-    TimingWheel<CompletionEvent> completions;
-    TimingWheel<WakeupEvent> wakeups;
+    TimingWheel<CoreEvent> events;
     std::vector<InstHandle> execNow;   ///< Executing this cycle.
     std::vector<InstHandle> execNext;  ///< Selected, executes next cycle.
     /** MSHR-reject and forwarding retries. Stale handles stay until

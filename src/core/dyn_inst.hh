@@ -37,22 +37,17 @@ struct DynInst
     PhysReg psrc1 = invalidPhysReg;
     PhysReg psrc2 = invalidPhysReg;
     PhysReg stalePdst = invalidPhysReg; ///< Previous mapping of dst.
-    bool renamed = false;
 
     // --- Pipeline status ------------------------------------------------
-    bool inIq = false;
-    std::int32_t iqSlot = -1; ///< Issue-queue slot index while inIq.
+    /** Issue-queue slot index while in the issue queue, else -1. */
+    std::int32_t iqSlot = -1;
     bool addrIssued = false;  ///< Loads & store address halves.
     bool dataIssued = false;  ///< Store data halves; ALU "the" issue.
-    bool executed = false;    ///< Functional work done.
     bool storeDataDone = false; ///< Store data half has executed.
     bool completed = false;   ///< Result final; eligible to commit.
     bool squashed = false;
-    bool committed = false;
 
     // --- Functional values ----------------------------------------------
-    Word src1Val = 0;
-    Word src2Val = 0;
     Word result = 0;
     Addr effAddr = 0;
     bool effAddrValid = false;
@@ -61,7 +56,6 @@ struct DynInst
     bool predTaken = false;
     bool actualTaken = false;
     bool resolved = false;
-    bool mispredicted = false;
     std::uint64_t histSnapshot = 0; ///< Global history before this branch.
     /** Fetch-time predicted next PC (BTB output for JmpReg). */
     std::uint32_t predTarget = 0;
@@ -73,7 +67,6 @@ struct DynInst
     std::uint32_t lqTicket = 0;
     std::uint32_t sqTicket = 0;
     bool l1Hit = false;
-    bool forwarded = false;          ///< Got data from the store queue.
     Cycle completeAt = 0;
 
     // --- Secure-scheme state (STT / NDA) -----------------------------------

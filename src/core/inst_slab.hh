@@ -4,7 +4,7 @@
  * records.
  *
  * Every pipeline structure (queues, ROB, issue queue, LSU, event
- * wheels, scheme-owned lists) refers to instructions by a 32-bit
+ * wheel, scheme-owned lists) refers to instructions by a 32-bit
  * InstHandle instead of a shared_ptr: 4-byte queue elements, no
  * atomic refcount traffic, and records packed in one flat array the
  * stage loops walk cache-linearly.

@@ -13,7 +13,6 @@ IssueQueue::IssueQueue(unsigned capacity, unsigned num_phys_regs)
     freeSlots.reserve(cap);
     for (std::int32_t i = static_cast<std::int32_t>(cap) - 1; i >= 0; --i)
         freeSlots.push_back(i);
-    orderView.reserve(cap);
     waiting.assign(static_cast<std::size_t>(numPregs) * rowWords, 0);
 }
 
@@ -48,28 +47,6 @@ IssueQueue::insert(InstHandle h, DynInst &inst, bool src1_ready,
     e.isStore = inst.isStore();
     e.src1Ready = src1_ready || !e.hasSrc1;
     e.src2Ready = src2_ready || !e.hasSrc2;
-
-    // Find the insertion point from the young end. Dispatch runs in
-    // program order (and squashes only cut the young end), so the
-    // core always lands on the tail in O(1); the walk only happens
-    // for out-of-order unit-test insertions.
-    std::int32_t succ = -1; // Entry that will follow the new one.
-    std::int32_t pred = ageTail;
-    while (pred >= 0 && slots[pred].seq > inst.seq) {
-        succ = pred;
-        pred = slots[pred].agePrev;
-    }
-    e.agePrev = pred;
-    e.ageNext = succ;
-    if (pred >= 0)
-        slots[pred].ageNext = idx;
-    else
-        ageHead = idx;
-    if (succ >= 0)
-        slots[succ].agePrev = idx;
-    else
-        ageTail = idx;
-
     if (!e.src1Ready)
         setWaiting(e.psrc1, idx);
     if (!e.src2Ready)
@@ -77,10 +54,8 @@ IssueQueue::insert(InstHandle h, DynInst &inst, bool src1_ready,
     if (candidate(e))
         readyLink(idx);
 
-    inst.inIq = true;
     inst.iqSlot = idx;
     ++count;
-    orderDirty = true;
 }
 
 void
@@ -156,15 +131,6 @@ IssueQueue::freeSlot(std::int32_t idx)
     IqEntry &e = slots[idx];
     if (e.inReady)
         readyUnlink(idx);
-    if (e.agePrev >= 0)
-        slots[e.agePrev].ageNext = e.ageNext;
-    else
-        ageHead = e.ageNext;
-    if (e.ageNext >= 0)
-        slots[e.ageNext].agePrev = e.agePrev;
-    else
-        ageTail = e.agePrev;
-
     if (!e.src1Ready)
         clearWaiting(e.psrc1, idx);
     if (!e.src2Ready)
@@ -172,33 +138,33 @@ IssueQueue::freeSlot(std::int32_t idx)
     e.handle = invalidInstHandle;
     e.src1Ready = false;
     e.src2Ready = false;
-    e.agePrev = -1;
-    e.ageNext = -1;
     freeSlots.push_back(idx);
     --count;
-    orderDirty = true;
 }
 
 void
 IssueQueue::squash(SeqNum seq)
 {
-    // Age order makes the squash set a suffix, but also sweep entries
-    // whose records an earlier flush already freed.
-    std::int32_t idx = ageTail;
-    while (idx >= 0) {
-        const std::int32_t prev = slots[idx].agePrev;
+    // Sweep the slot array up to its last occupied slot: the squash
+    // set is every entry younger than @p seq plus any whose record an
+    // earlier flush already freed. Slot order is not age order, and
+    // need not be: freeing touches only the slot itself and its
+    // candidate-list neighbours.
+    std::size_t left = count;
+    for (std::int32_t idx = 0; left > 0; ++idx) {
+        const IqEntry &e = slots[idx];
+        if (e.handle == invalidInstHandle)
+            continue; // Free slot.
+        --left;
         // The record may already be freed (squash walks the ROB
         // before sweeping the IQ), so revalidate through the slab.
-        DynInst *r = slab ? slab->tryGet(slots[idx].handle) : nullptr;
+        DynInst *r = slab ? slab->tryGet(e.handle) : nullptr;
         const bool stale = slab && !r;
-        if (slots[idx].seq > seq || stale) {
-            if (r) {
-                r->inIq = false;
+        if (e.seq > seq || stale) {
+            if (r)
                 r->iqSlot = -1;
-            }
             freeSlot(idx);
         }
-        idx = prev;
     }
 }
 
@@ -210,22 +176,7 @@ IssueQueue::remove(DynInst &inst)
                   && slots[idx].seq == inst.seq,
               "removing instruction not in IQ");
     freeSlot(idx);
-    inst.inIq = false;
     inst.iqSlot = -1;
-}
-
-const std::vector<IqEntry *> &
-IssueQueue::inOrder()
-{
-    if (orderDirty) {
-        orderView.clear();
-        for (std::int32_t idx = ageHead; idx >= 0;
-             idx = slots[idx].ageNext) {
-            orderView.push_back(&slots[idx]);
-        }
-        orderDirty = false;
-    }
-    return orderView;
 }
 
 } // namespace sb

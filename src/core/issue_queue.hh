@@ -1,26 +1,22 @@
 /**
  * @file
- * Unified issue queue with indexed wakeup and incrementally
- * maintained age order. Stores occupy one entry but expose two
- * independently issueable halves (address and data), modelling BOOM's
- * partial store issue (paper Sec. 9.2). Selection policy lives in the
- * core; the queue provides storage, wakeup, and age-ordered
- * iteration.
+ * Unified issue queue with indexed wakeup and an age-ordered candidate
+ * list. Stores occupy one entry but expose two independently
+ * issueable halves (address and data), modelling BOOM's partial store
+ * issue (paper Sec. 9.2). Selection policy lives in the core; the
+ * queue provides storage, wakeup, and age-ordered iteration over the
+ * issue candidates.
  *
  * Hot-path design:
  *  - Entries live in a fixed slot array with a free list; a slot
- *    index is stamped on the DynInst so remove() is O(1).
+ *    index is stamped on the DynInst so remove() is O(1). Slot numbers
+ *    carry no age: the only order the queue keeps is the candidate
+ *    list's, and squash() sweeps the slot array.
  *  - Entries hold an InstHandle plus a cached copy of the fields the
  *    wakeup/squash/select scans touch (seq, operand registers, store
  *    flag, ready bits). Wakeup and the not-ready skip in the select
  *    scan never dereference the slab record — the queue is its own
  *    dense struct-of-arrays slice.
- *  - Age order is an intrusive doubly-linked list kept sorted on
- *    insert. Dispatch happens in program order (sequence numbers are
- *    monotonic, and squashes only cut the young end), so the core's
- *    insertions always land on the tail in O(1) and inOrder() never
- *    sorts — it replays a cached view that is rebuilt, without
- *    allocating, only after the queue changed.
  *  - wakeup(preg) walks a wakeup bit matrix instead of scanning every
  *    entry: each physical register owns a row of ceil(capacity/64)
  *    words with one bit per slot waiting on it. insert() sets a bit
@@ -28,8 +24,8 @@
  *    holds, and a broadcast visits the set bits in slot order and
  *    clears its row (a physical register wakes at most once per
  *    allocation). Candidates join the age-ordered candidate list by an
- *    ordered insert on unique sequence numbers, so the visiting order
- *    does not change the list.
+ *    ordered insert on unique sequence numbers, so neither the
+ *    visiting order nor the slot numbers change the list.
  */
 
 #ifndef SB_CORE_ISSUE_QUEUE_HH
@@ -58,8 +54,6 @@ struct IqEntry
     bool src2Ready = false;
 
     // Intrusive bookkeeping (owned by IssueQueue).
-    std::int32_t agePrev = -1;
-    std::int32_t ageNext = -1;
     std::int32_t rdyPrev = -1; ///< Ready-list links (candidate scan).
     std::int32_t rdyNext = -1;
     bool inReady = false;
@@ -95,23 +89,17 @@ class IssueQueue
     /** Remove one fully issued (live) instruction. */
     void remove(DynInst &inst);
 
-    /**
-     * Entries oldest-first. The returned view is owned by the queue
-     * and stays valid until the next insert/remove/squash/clear; it
-     * is rebuilt without sorting or steady-state allocation.
-     */
-    const std::vector<IqEntry *> &inOrder();
-
-    /** The entry in slot @p idx (an index from the walk below). */
+    /** The entry in slot @p idx (an index from the walk below, or any
+     *  slot below capacity(); a free slot holds invalidInstHandle). */
     IqEntry &entryAt(std::int32_t idx) { return slots[idx]; }
 
     /**
      * Age-ordered walk over issue *candidates* only — entries with at
-     * least one ready, unissued half. Entries the full scan would
-     * skip without side effects (operands outstanding) never appear,
-     * so walking this list is behaviorally identical to the full
-     * age-order scan while touching ~issue-width entries instead of
-     * the whole queue. Membership is maintained by insert/wakeup
+     * least one ready, unissued half. Entries an age-order scan of the
+     * whole queue would skip without side effects (operands
+     * outstanding) never appear, so walking this list is behaviorally
+     * identical to that scan while touching ~issue-width entries
+     * instead of the whole queue. Membership is maintained by insert/wakeup
      * (join) and freeSlot (leave); entries stay listed until they
      * leave the queue, so scheme-vetoed or port-starved candidates
      * are rescanned next cycle exactly as before.
@@ -132,8 +120,8 @@ class IssueQueue
     void setWaiting(PhysReg preg, std::int32_t slot);
     void clearWaiting(PhysReg preg, std::int32_t slot);
 
-    /** Unlink slot @p slot and return it to the free list (the
-     *  record, if any, is the caller's to update). */
+    /** Return slot @p slot to the free list (the record, if any, is
+     *  the caller's to update). */
     void freeSlot(std::int32_t slot);
 
     /** Any ready, potentially unissued half? (Stores issue in halves.) */
@@ -151,8 +139,6 @@ class IssueQueue
     InstSlab *slab = nullptr;
     std::vector<IqEntry> slots;          ///< cap entries, index-stable.
     std::vector<std::int32_t> freeSlots;
-    std::int32_t ageHead = -1;           ///< Oldest entry.
-    std::int32_t ageTail = -1;           ///< Youngest entry.
     std::int32_t rdyHead = -1;           ///< Oldest candidate.
     std::int32_t rdyTail = -1;           ///< Youngest candidate.
     std::size_t count = 0;
@@ -162,9 +148,6 @@ class IssueQueue
     /** Wakeup matrix: numPregs rows of rowWords words; bit s of a row
      *  is set while slot s waits on that register. */
     std::vector<std::uint64_t> waiting;
-
-    std::vector<IqEntry *> orderView;    ///< Cached inOrder() result.
-    bool orderDirty = true;
 };
 
 } // namespace sb

@@ -27,7 +27,7 @@ Lsu::allocateLoad(InstHandle h, DynInst &inst)
 }
 
 void
-Lsu::allocateStore(InstHandle h, DynInst &inst)
+Lsu::allocateStore(DynInst &inst)
 {
     sb_assert(!sqFull(), "SQ overflow");
     sb_assert(sq.empty() || sq.back().seq < inst.seq,
@@ -36,7 +36,6 @@ Lsu::allocateStore(InstHandle h, DynInst &inst)
     // Assigning the whole entry also empties the reused slot's waiter
     // list (keeping its capacity).
     SqEntry e;
-    e.handle = h;
     e.seq = inst.seq;
     e.pc = inst.pc;
     sq.push_back(e);
@@ -52,11 +51,11 @@ Lsu::lqEntry(const DynInst &load)
 }
 
 SqEntry &
-Lsu::sqEntry(const DynInst &store)
+Lsu::sqEntry(std::uint32_t ticket, SeqNum seq)
 {
-    const std::uint32_t pos = store.sqTicket - sqHeadTicket;
-    sb_assert(pos < sq.size() && sq[pos].seq == store.seq,
-              "store seq=", store.seq, " not at its SQ ticket");
+    const std::uint32_t pos = ticket - sqHeadTicket;
+    sb_assert(pos < sq.size() && sq[pos].seq == seq,
+              "store seq=", seq, " not at its SQ ticket");
     return sq[pos];
 }
 
@@ -88,16 +87,16 @@ Lsu::checkForwarding(const DynInst &load) const
         }
         if (wordAddr(e.addr) != target)
             continue;
+        out.source = e.seq;
+        out.sourceTicket = sqHeadTicket + static_cast<std::uint32_t>(i);
         if (e.dataValid) {
             out.kind = ForwardOutcome::Kind::Forward;
             out.data = e.data;
-            out.source = e.seq;
             return out;
         }
         // Address matches but the data half has not issued: the load
         // must wait (retry) rather than read stale memory.
         out.kind = ForwardOutcome::Kind::StallData;
-        out.source = e.seq;
         return out;
     }
     out.kind = ForwardOutcome::Kind::NoMatch;
@@ -105,15 +104,11 @@ Lsu::checkForwarding(const DynInst &load) const
 }
 
 void
-Lsu::addForwardWaiter(SeqNum store_seq, InstHandle waiter)
+Lsu::addForwardWaiter(const ForwardOutcome &stall, InstHandle waiter)
 {
-    for (auto &e : sq) {
-        if (e.seq == store_seq) {
-            e.waiters.push_back(waiter);
-            return;
-        }
-    }
-    sb_panic("addForwardWaiter: store not in SQ");
+    sb_assert(stall.kind == ForwardOutcome::Kind::StallData,
+              "parking a load that did not stall on a store");
+    sqEntry(stall.sourceTicket, stall.source).waiters.push_back(waiter);
 }
 
 void
@@ -191,22 +186,6 @@ Lsu::releaseLoad(const DynInst &load)
               "loads must commit in order");
     lq.pop_front();
     ++lqHeadTicket;
-}
-
-bool
-Lsu::functionalBypass(const DynInst &load, Word &data) const
-{
-    const Addr target = wordAddr(load.effAddr);
-    for (std::size_t i = sq.size(); i-- > 0;) {
-        const SqEntry &e = sq[i];
-        if (e.seq > load.seq)
-            continue;
-        if (e.addrValid && e.dataValid && wordAddr(e.addr) == target) {
-            data = e.data;
-            return true;
-        }
-    }
-    return false;
 }
 
 void

@@ -10,19 +10,23 @@
  * the "store-to-load forwarding errors" of paper Sec. 9.2, which STT
  * inflates by delaying store address generation.
  *
- * Queue entries hold an InstHandle plus cached copies of every field
- * the scans touch (seq, pc, address, data, validity bits), so the
- * forwarding/violation/bypass scans never dereference slab records,
- * and the post-commit store drain works after the store's record has
- * been freed. Each SQ entry also owns the flat waiter list of loads
- * stalled on its data half — the replacement for the core's old
- * ordered-map forwardWaiters.
+ * Queue entries hold cached copies of every field the scans touch
+ * (seq, pc, address, data, validity bits), so the forwarding and
+ * violation scans never dereference slab records, and the post-commit
+ * store drain works after the store's record has been freed. Each SQ
+ * entry also owns the flat waiter list of loads stalled on its data
+ * half — the replacement for the core's old ordered-map
+ * forwardWaiters. The forwarding scan is the only store-queue search:
+ * a load it sends to memory reads committed memory, because no older
+ * store with a known address holds its word.
  *
  * Both queues are rings in program order. Allocation stamps the
  * instruction with a ticket (DynInst::lqTicket / sqTicket) that counts
  * the queue's allocations; an entry sits at position ticket - the head
  * entry's ticket, so the per-instruction updates find it without a
- * scan (and assert that its seq matches).
+ * scan (and assert that its seq matches). A forwarding outcome names
+ * its source store by ticket too, so parking a load on that store's
+ * waiter list is also direct.
  *
  * Matching granularity is the 8-byte word (all modelled accesses are
  * word-sized).
@@ -44,7 +48,6 @@ namespace sb
 /** Store-queue entry; every drained/scanned field is cached here. */
 struct SqEntry
 {
-    InstHandle handle = invalidInstHandle;
     SeqNum seq = 0;
     std::uint32_t pc = 0;
     Addr addr = 0;
@@ -79,7 +82,10 @@ struct ForwardOutcome
     };
     Kind kind = Kind::NoMatch;
     Word data = 0;
+    /** The matching store (Forward, StallData): its seq and SQ
+     *  ticket. */
     SeqNum source = invalidSeqNum;
+    std::uint32_t sourceTicket = 0;
     /** True if an older store's address was still unknown. */
     bool bypassedUnknown = false;
 };
@@ -97,7 +103,7 @@ class Lsu
 
     /** Allocate at rename (program order); stamps the ticket. */
     void allocateLoad(InstHandle h, DynInst &inst);
-    void allocateStore(InstHandle h, DynInst &inst);
+    void allocateStore(DynInst &inst);
 
     /** Cache a store's generated address (at address execute). */
     void storeAddrReady(const DynInst &store);
@@ -105,8 +111,9 @@ class Lsu
     /** Scan older stores for a forwarding source for @p load. */
     ForwardOutcome checkForwarding(const DynInst &load) const;
 
-    /** Register @p waiter as stalled on store @p store_seq's data. */
-    void addForwardWaiter(SeqNum store_seq, InstHandle waiter);
+    /** Park @p waiter on the data half of the source store of
+     *  @p stall (a StallData outcome of checkForwarding). */
+    void addForwardWaiter(const ForwardOutcome &stall, InstHandle waiter);
 
     /** Record that @p load received data (from @p source, if any). */
     void loadDataReturned(const DynInst &load, SeqNum source);
@@ -137,9 +144,6 @@ class Lsu
     /** Release the LQ entry of a committing load. */
     void releaseLoad(const DynInst &load);
 
-    /** Functional data for @p load: SQ bypass else invalid. */
-    bool functionalBypass(const DynInst &load, Word &data) const;
-
     /** Remove all entries younger than @p seq. */
     void squash(SeqNum seq);
 
@@ -148,7 +152,12 @@ class Lsu
 
     /** The entry of an allocated load / store, found by its ticket. */
     LqEntry &lqEntry(const DynInst &load);
-    SqEntry &sqEntry(const DynInst &store);
+    SqEntry &sqEntry(std::uint32_t ticket, SeqNum seq);
+    SqEntry &
+    sqEntry(const DynInst &store)
+    {
+        return sqEntry(store.sqTicket, store.seq);
+    }
 
     unsigned lqCap;
     unsigned sqCap;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Bucketed timing wheel for the core's event queues.
+ * Bucketed timing wheel for the core's timed events.
  *
- * The completion/wakeup events of a cycle-level core all land within
- * a small, configuration-bounded latency horizon (the longest memory
+ * The core keeps one wheel for both of its event kinds, instruction
+ * completions and delayed wakeup broadcasts. They all land within a
+ * small, configuration-bounded latency horizon (the longest memory
  * round trip plus the longest functional-unit latency). A wheel of
  * power-of-two bucket count larger than that horizon makes push and
  * per-cycle drain O(1) amortized with no comparisons and no per-event

@@ -236,19 +236,6 @@ fuzzSpecs(const FuzzParams &params)
     return specs;
 }
 
-namespace
-{
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-    return buf;
-}
-
-} // anonymous namespace
-
 FuzzReport
 foldFuzzOutcomes(const FuzzParams &params,
                  const std::vector<RunOutcome> &outcomes)

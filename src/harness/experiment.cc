@@ -1,7 +1,6 @@
 #include "harness/experiment.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -43,11 +42,7 @@ std::string
 RunSpec::specKey() const
 {
     // FNV-1a 64-bit over the canonical serialization.
-    const std::uint64_t hash = fnv1aString(fnv1aBasis, canonical());
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
+    return hex16(fnv1aString(fnv1aBasis, canonical()));
 }
 
 unsigned

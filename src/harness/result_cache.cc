@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,15 +20,6 @@ namespace sb
 
 namespace
 {
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
 
 /** write() the whole buffer, retrying on EINTR / partial writes. */
 bool

@@ -1,7 +1,5 @@
 #include "synth/power_model.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "synth/area_model.hh"
 
@@ -47,21 +45,6 @@ PowerModel::relative(const CoreConfig &config, Scheme scheme)
     const AreaEstimate rel = AreaModel::relative(config, scheme);
     return kAreaWeight * rel.luts
            + kActivityWeight * schemeActivity(scheme);
-}
-
-double
-PowerModel::relative(const CoreConfig &config, Scheme scheme,
-                     const ActivityProfile &activity)
-{
-    // Measured activity nudges the calibrated factor: extra kills and
-    // squashed wrong-path work burn energy; deferred broadcasts save
-    // wakeup-network toggles.
-    double factor = schemeActivity(scheme);
-    factor += 0.05 * std::min(activity.issueKillsPerInst, 1.0);
-    factor += 0.03 * std::min(activity.squashedPerInst, 1.0);
-    factor -= 0.04 * std::min(activity.deferredPerInst, 1.0);
-    const AreaEstimate rel = AreaModel::relative(config, scheme);
-    return kAreaWeight * rel.luts + kActivityWeight * factor;
 }
 
 } // namespace sb

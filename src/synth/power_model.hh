@@ -22,24 +22,12 @@
 namespace sb
 {
 
-/** Optional measured-activity inputs (per committed instruction). */
-struct ActivityProfile
-{
-    double issueKillsPerInst = 0.0;     ///< STT-Issue wasted slots.
-    double deferredPerInst = 0.0;       ///< NDA deferred broadcasts.
-    double squashedPerInst = 0.0;       ///< Wrong-path instructions.
-};
-
 /** Activity-based power model. */
 class PowerModel
 {
   public:
     /** Power normalised to the unsafe baseline on the same config. */
     static double relative(const CoreConfig &config, Scheme scheme);
-
-    /** Same, modulated by measured activity from a simulation. */
-    static double relative(const CoreConfig &config, Scheme scheme,
-                           const ActivityProfile &activity);
 };
 
 } // namespace sb

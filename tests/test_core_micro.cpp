@@ -16,6 +16,7 @@
 #include "core/lsu.hh"
 #include "core/rename_map.hh"
 #include "core/shadow_tracker.hh"
+#include "iq_order.hh"
 
 namespace
 {
@@ -125,7 +126,7 @@ TEST(IssueQueue, InsertNormalisesMissingSources)
     const auto h = makeInst(slab, 1, sb::Op::MovImm);
     slab.get(h).uop.dst = 1;
     iq.insert(h, slab.get(h), false, false);
-    auto order = iq.inOrder();
+    auto order = sb_test::byAge(iq);
     ASSERT_EQ(order.size(), 1u);
     EXPECT_TRUE(order[0]->src1Ready);
     EXPECT_TRUE(order[0]->src2Ready);
@@ -145,30 +146,28 @@ TEST(IssueQueue, WakeupSetsMatchingSources)
     inst.psrc2 = 22;
     iq.insert(h, inst, false, false);
     iq.wakeup(21);
-    auto order = iq.inOrder();
+    auto order = sb_test::byAge(iq);
     EXPECT_TRUE(order[0]->src1Ready);
     EXPECT_FALSE(order[0]->src2Ready);
     iq.wakeup(22);
-    EXPECT_TRUE(iq.inOrder()[0]->src2Ready);
+    EXPECT_TRUE(sb_test::byAge(iq)[0]->src2Ready);
 }
 
-TEST(IssueQueue, InOrderSortsBySeq)
+TEST(IssueQueue, CandidateListSortsBySeq)
 {
     sb::InstSlab slab(16);
     sb::IssueQueue iq(8, physRegs);
     iq.attachSlab(&slab);
-    // Dispatch happens in program order; the age list appends.
+    // The core dispatches in program order; the list must not rely on
+    // it.
+    const auto c = makeLoad(slab, 30);
     const auto a = makeLoad(slab, 10);
     const auto b = makeLoad(slab, 20);
-    const auto c = makeLoad(slab, 30);
+    iq.insert(c, slab.get(c), true, true);
     iq.insert(a, slab.get(a), true, true);
     iq.insert(b, slab.get(b), true, true);
-    iq.insert(c, slab.get(c), true, true);
-    auto order = iq.inOrder();
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order[0]->seq, 10u);
-    EXPECT_EQ(order[1]->seq, 20u);
-    EXPECT_EQ(order[2]->seq, 30u);
+    EXPECT_EQ(sb_test::candidates(iq),
+              (std::vector<sb::SeqNum>{10, 20, 30}));
 }
 
 TEST(IssueQueue, SquashDropsYounger)
@@ -186,7 +185,7 @@ TEST(IssueQueue, SquashDropsYounger)
     slab.free(b);
     slab.free(c);
     iq.squash(15);
-    auto order = iq.inOrder();
+    auto order = sb_test::byAge(iq);
     ASSERT_EQ(order.size(), 1u);
     EXPECT_EQ(order[0]->seq, 10u);
 }
@@ -220,7 +219,7 @@ TEST(IssueQueue, FullAndRemove)
     iq.remove(slab.get(a));
     EXPECT_FALSE(iq.full());
     EXPECT_EQ(iq.size(), 1u);
-    EXPECT_FALSE(slab.get(a).inIq);
+    EXPECT_EQ(slab.get(a).iqSlot, -1);
 }
 
 // --- LSU -------------------------------------------------------------
@@ -247,8 +246,8 @@ TEST(Lsu, ForwardFromYoungestOlderStore)
     const auto st1 = makeStore(slab, 1);
     const auto st2 = makeStore(slab, 2);
     const auto ld = makeLoad(slab, 3);
-    lsu.allocateStore(st1, slab.get(st1));
-    lsu.allocateStore(st2, slab.get(st2));
+    lsu.allocateStore(slab.get(st1));
+    lsu.allocateStore(slab.get(st2));
     lsu.allocateLoad(ld, slab.get(ld));
 
     lsu_detail::storeAddr(lsu, slab.get(st1), 0x1000);
@@ -270,7 +269,7 @@ TEST(Lsu, StallWhenStoreDataMissing)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     // Address known, data not ready.
     lsu_detail::storeAddr(lsu, slab.get(st), 0x1000);
@@ -286,7 +285,7 @@ TEST(Lsu, ForwardWaitersRideTheSqEntry)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     lsu_detail::storeAddr(lsu, slab.get(st), 0x1000);
 
@@ -294,7 +293,7 @@ TEST(Lsu, ForwardWaitersRideTheSqEntry)
     slab.get(ld).effAddrValid = true;
     const auto out = lsu.checkForwarding(slab.get(ld));
     ASSERT_EQ(out.kind, sb::ForwardOutcome::Kind::StallData);
-    lsu.addForwardWaiter(out.source, ld);
+    lsu.addForwardWaiter(out, ld);
 
     // The data half hands the waiter list back.
     std::vector<sb::InstHandle> woken;
@@ -315,10 +314,12 @@ TEST(Lsu, SquashedStoreTakesItsWaitersWithIt)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 5);
     const auto ld = makeLoad(slab, 6);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     lsu_detail::storeAddr(lsu, slab.get(st), 0x1000);
-    lsu.addForwardWaiter(5, ld);
+    slab.get(ld).effAddr = 0x1000;
+    slab.get(ld).effAddrValid = true;
+    lsu.addForwardWaiter(lsu.checkForwarding(slab.get(ld)), ld);
     // Squashing the store drops its SQ entry and, with it, the waiter
     // list — no separate cleanup structure to maintain.
     lsu.squash(4);
@@ -332,7 +333,7 @@ TEST(Lsu, BypassUnknownStoreAddressIsFlagged)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     slab.get(ld).effAddr = 0x1000;
     slab.get(ld).effAddrValid = true;
@@ -347,7 +348,7 @@ TEST(Lsu, ViolationDetectedOnLateStoreAddress)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
 
     // Load executes first, reading memory (bypassing the store).
@@ -371,7 +372,7 @@ TEST(Lsu, NoViolationWhenLoadForwardedFromThatStore)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     slab.get(ld).effAddr = 0x1000;
     slab.get(ld).effAddrValid = true;
@@ -388,7 +389,7 @@ TEST(Lsu, NoViolationOnDisjointAddresses)
     sb::Lsu lsu(8, 8);
     const auto st = makeStore(slab, 1);
     const auto ld = makeLoad(slab, 2);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu.allocateLoad(ld, slab.get(ld));
     slab.get(ld).effAddr = 0x2000;
     slab.get(ld).effAddrValid = true;
@@ -405,7 +406,7 @@ TEST(Lsu, DrainLifecycle)
     sb::Lsu lsu(8, 8);
     std::vector<sb::InstHandle> woken;
     const auto st = makeStore(slab, 1);
-    lsu.allocateStore(st, slab.get(st));
+    lsu.allocateStore(slab.get(st));
     lsu_detail::storeAddr(lsu, slab.get(st), 0x1000);
     lsu.storeDataReady(slab.get(st), 5, woken);
     EXPECT_EQ(lsu.drainableStore(), nullptr);
@@ -428,9 +429,9 @@ TEST(Lsu, SquashDropsYoungerEntries)
     const auto l2 = makeLoad(slab, 2);
     const auto s3 = makeStore(slab, 3);
     const auto l4 = makeLoad(slab, 4);
-    lsu.allocateStore(s1, slab.get(s1));
+    lsu.allocateStore(slab.get(s1));
     lsu.allocateLoad(l2, slab.get(l2));
-    lsu.allocateStore(s3, slab.get(s3));
+    lsu.allocateStore(slab.get(s3));
     lsu.allocateLoad(l4, slab.get(l4));
     lsu.squash(2);
     EXPECT_EQ(lsu.sqSize(), 1u);

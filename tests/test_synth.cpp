@@ -230,18 +230,4 @@ TEST(Power, NdaIsTheSustainabilityWinner)
     EXPECT_LT(nda, sb::PowerModel::relative(mega, Scheme::SttIssue));
 }
 
-TEST(Power, ActivityProfileModulates)
-{
-    const CoreConfig mega = CoreConfig::mega();
-    sb::ActivityProfile busy;
-    busy.issueKillsPerInst = 0.5;
-    busy.squashedPerInst = 0.5;
-    EXPECT_GT(sb::PowerModel::relative(mega, Scheme::SttIssue, busy),
-              sb::PowerModel::relative(mega, Scheme::SttIssue));
-    sb::ActivityProfile quiet;
-    quiet.deferredPerInst = 0.5;
-    EXPECT_LT(sb::PowerModel::relative(mega, Scheme::Nda, quiet),
-              sb::PowerModel::relative(mega, Scheme::Nda));
-}
-
 } // anonymous namespace
