@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's substrate
  * components: cache probes, TAGE predictions, rename throughput,
- * issue-queue wakeup/select, full-core simulation rate, and the
- * synthesis models. These guard the simulator's own performance
+ * issue-queue wakeup/select, the timing wheel, core construction,
+ * full-core simulation rate, and the synthesis models. These guard the simulator's own performance
  * (the methodology needs large instruction windows, paper Sec. 7).
  */
 
@@ -18,6 +18,8 @@
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
 #include "core/rename_map.hh"
+#include "core/timing_wheel.hh"
+#include "isa/generator.hh"
 #include "memory/memory_system.hh"
 #include "secure/factory.hh"
 #include "synth/timing_model.hh"
@@ -150,6 +152,70 @@ BM_IssueQueueWakeup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IssueQueueWakeup);
+
+/**
+ * The core's timing wheel at Mega's event rate: each iteration is one
+ * cycle that schedules issue-width completions and as many wakeup
+ * broadcasts, at latencies cycling from one cycle out to a memory
+ * round trip (the span the core sizes its wheel for), and drains the
+ * cycle's bucket. The pool is sized as the core sizes it.
+ */
+void
+BM_TimingWheelSteadyState(benchmark::State &state)
+{
+    struct Event
+    {
+        sb::InstHandle inst;
+        sb::PhysReg preg;
+        std::uint32_t epoch;
+    };
+    const sb::CoreConfig cfg = sb::CoreConfig::mega();
+    const unsigned round_trip = 2 * cfg.l1d.latency + 2 * cfg.l2.latency
+                                + cfg.memLatency;
+    const std::vector<unsigned> delays = {
+        1, 1, 2, 1, cfg.mulLatency, 1, cfg.l1d.latency + 1, 1,
+        cfg.l2.latency + cfg.l1d.latency, 1, round_trip, cfg.fpLatency};
+    sb::TimingWheel<Event> wheel(round_trip + cfg.divLatency + 8,
+                                 cfg.robEntries + cfg.numPhysRegs);
+    std::size_t next = 0;
+    std::uint64_t fired = 0;
+    sb::Cycle now = 0;
+    for (auto _ : state) {
+        ++now;
+        for (unsigned i = 0; i < 2 * cfg.issueWidth; ++i) {
+            const unsigned delay = delays[next];
+            next = next + 1 == delays.size() ? 0 : next + 1;
+            wheel.push(now + delay, now,
+                       Event{static_cast<sb::InstHandle>(now), 0, i});
+        }
+        wheel.drainDue(now, [&](const Event &ev) { fired += ev.epoch; });
+        benchmark::DoNotOptimize(fired);
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * cfg.issueWidth);
+}
+BENCHMARK(BM_TimingWheelSteadyState);
+
+/**
+ * Per-cell set-up: build the scheme and a Mega core on a generated
+ * fuzz program, then destroy both (a fuzz or gadget cell pays this
+ * once).
+ */
+void
+BM_CoreConstruct(benchmark::State &state)
+{
+    sb::GeneratorParams params;
+    params.seed = 7;
+    const sb::Program prog = sb::generateProgram(params);
+    const sb::CoreConfig cfg = sb::CoreConfig::mega();
+    for (auto _ : state) {
+        sb::SchemeConfig scfg;
+        scfg.scheme = sb::Scheme::SttRename;
+        sb::Core core(cfg, scfg, sb::makeScheme(scfg), prog);
+        benchmark::DoNotOptimize(&core);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_CoreConstruct)->Unit(benchmark::kMicrosecond);
 
 /** Full-core simulation throughput (instructions per second). */
 void

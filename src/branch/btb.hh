@@ -103,12 +103,14 @@ class BranchTargetBuffer
     std::size_t capacity() const { return entries.size(); }
 
   private:
+    /** No member initializers: a trivial type, so the entry array is
+     *  zero-filled in one pass (value-initialized) at construction. */
     struct Entry
     {
-        bool valid = false;
-        std::uint32_t tag = 0;
-        std::uint32_t target = 0;
-        std::uint64_t lastUse = 0;
+        bool valid;
+        std::uint32_t tag;
+        std::uint32_t target;
+        std::uint64_t lastUse;
     };
 
     unsigned setIndex(std::uint32_t pc) const { return pc & (numSets - 1); }

@@ -5,6 +5,40 @@
 namespace sb
 {
 
+namespace
+{
+
+/** Smallest power of two >= @p n (and >= 1). */
+std::size_t
+pow2AtLeast(std::size_t n)
+{
+    std::size_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
+
+} // anonymous namespace
+
+ContractShadow::ContractShadow(unsigned num_phys_regs,
+                               unsigned lq_entries, unsigned sq_entries)
+    : regs(num_phys_regs),
+      loadLabels(pow2AtLeast(lq_entries)),
+      storeLabels(pow2AtLeast(sq_entries))
+{
+}
+
+ContractShadow::Label
+ContractShadow::take(std::vector<Captured> &slots, std::uint32_t ticket,
+                     SeqNum seq)
+{
+    Captured &slot = slotOf(slots, ticket);
+    if (slot.seq != seq)
+        return Label{};
+    slot.seq = invalidSeqNum;
+    return slot.label;
+}
+
 void
 ContractShadow::markSecretRegion(Addr base, std::uint64_t bytes,
                                  TenantId owner)
@@ -13,30 +47,26 @@ ContractShadow::markSecretRegion(Addr base, std::uint64_t bytes,
         return;
     const Addr first = alignWord(base);
     const Addr last = alignWord(base + bytes - 1);
+    secretWords.reserve(secretWords.size() + (last - first) / 8 + 1);
     for (Addr a = first; a <= last; a += 8)
-        secretWords[a] = owner;
+        secretWords.put(a, Word(owner) + 1);
 }
 
-bool
-ContractShadow::memSecret(Addr addr) const
+const WordTable::Slot *
+ContractShadow::secretWord(Addr addr) const
 {
-    return secretWords.count(alignWord(addr)) != 0;
-}
-
-TenantId
-ContractShadow::memOwner(Addr addr) const
-{
-    auto it = secretWords.find(alignWord(addr));
-    return it == secretWords.end() ? invalidTenant : it->second;
+    const WordTable::Slot *s = secretWords.find(alignWord(addr));
+    return s && s->value != 0 ? s : nullptr;
 }
 
 void
 ContractShadow::setMemSecret(Addr addr, bool secret, TenantId owner)
 {
+    const Addr word = alignWord(addr);
     if (secret)
-        secretWords[alignWord(addr)] = owner;
-    else
-        secretWords.erase(alignWord(addr));
+        secretWords.put(word, Word(owner) + 1);
+    else if (secretWords.find(word))
+        secretWords.put(word, 0); // Scrubbed: kept, marked public.
 }
 
 void
@@ -47,31 +77,30 @@ ContractShadow::onAllocate(PhysReg reg)
 }
 
 void
-ContractShadow::onLoadValue(const DynInst &load, SeqNum forward_source)
+ContractShadow::onLoadValue(const DynInst &load, SeqNum forward_source,
+                            std::uint32_t forward_ticket)
 {
     Label label;
     if (forward_source != invalidSeqNum) {
         // Store-to-load forwarding: the value never touched memory;
-        // it carries the forwarding store's data label.
-        auto it = storeData.find(forward_source);
-        if (it != storeData.end())
-            label = it->second;
-    } else if (load.effAddrValid && memSecret(load.effAddr)) {
-        label.secret = true;
-        label.owner = memOwner(load.effAddr);
+        // it carries the forwarding store's data label. The store is
+        // live in the SQ, so its slot is still its own.
+        const Captured &src = slotOf(storeLabels, forward_ticket);
+        if (src.seq == forward_source)
+            label = src.label;
+    } else if (load.effAddrValid) {
+        if (const WordTable::Slot *s = secretWord(load.effAddr)) {
+            label.secret = true;
+            label.owner = static_cast<TenantId>(s->value - 1);
+        }
     }
-    pendingLoads[load.seq] = label;
+    slotOf(loadLabels, load.lqTicket) = Captured{load.seq, label};
 }
 
 void
 ContractShadow::onLoadData(const DynInst &load, bool still_speculative)
 {
-    Label label;
-    auto it = pendingLoads.find(load.seq);
-    if (it != pendingLoads.end()) {
-        label = it->second;
-        pendingLoads.erase(it);
-    }
+    Label label = take(loadLabels, load.lqTicket, load.seq);
     if (load.pdst == invalidPhysReg)
         return;
     // The load itself is the youngest point its value crossed the
@@ -90,18 +119,14 @@ ContractShadow::onStoreData(const DynInst &store)
 {
     if (!store.uop.hasSrc2())
         return;
-    storeData[store.seq] = regs[store.psrc2];
+    slotOf(storeLabels, store.sqTicket) =
+        Captured{store.seq, regs[store.psrc2]};
 }
 
 void
 ContractShadow::onStoreCommit(const DynInst &store)
 {
-    Label label;
-    auto it = storeData.find(store.seq);
-    if (it != storeData.end()) {
-        label = it->second;
-        storeData.erase(it);
-    }
+    const Label label = take(storeLabels, store.sqTicket, store.seq);
     if (store.effAddrValid)
         setMemSecret(store.effAddr, label.secret, label.owner);
 }
@@ -177,21 +202,6 @@ ContractShadow::onConsume(const DynInst &inst, Cycle now, SeqNum vp,
     // label). A computed value is no load's direct product.
     if (inst.pdst != invalidPhysReg && !inst.isLoad())
         regs[inst.pdst] = {secret, root, owner, taint, invalidSeqNum};
-}
-
-void
-ContractShadow::onSquash(SeqNum youngest_surviving)
-{
-    auto purge = [&](std::unordered_map<SeqNum, Label> &map) {
-        for (auto it = map.begin(); it != map.end();) {
-            if (it->first > youngest_surviving)
-                it = map.erase(it);
-            else
-                ++it;
-        }
-    };
-    purge(pendingLoads);
-    purge(storeData);
 }
 
 } // namespace sb

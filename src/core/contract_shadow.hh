@@ -35,6 +35,18 @@
  * transmit violations, NDA designs zero consume violations (which
  * implies zero transmit violations).
  *
+ * Storage is flat and sized at construction, so the hooks never
+ * allocate. Captured load and store-data labels sit in arrays indexed
+ * by the instruction's LSU ticket (DynInst::lqTicket / sqTicket) and
+ * tagged with its seq: a live load or store keeps its slot, because
+ * its ticket is not reissued until it leaves its queue, and a
+ * squashed instruction's stale slot can never match the younger one
+ * that reuses the ticket, so a squash needs no purge. Secret memory
+ * words live in a flat WordTable sized from the program's secret
+ * regions; a store of clean data marks a word "not secret" rather
+ * than erasing it, so the table needs no tombstones, and only a store
+ * that spreads a secret to a new word can grow it.
+ *
  * The engine is a pure observer: every hook is gated on on() and no
  * result feeds timing, so goldens are bit-identical with it on or
  * off. A core switches its engine on exactly when its invariant
@@ -47,10 +59,10 @@
 #define SB_CORE_CONTRACT_SHADOW_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
+#include "common/word_table.hh"
 #include "core/dyn_inst.hh"
 
 namespace sb
@@ -90,9 +102,10 @@ class ContractShadow
         SeqNum producerLoad = invalidSeqNum;
     };
 
-    explicit ContractShadow(unsigned num_phys_regs) : regs(num_phys_regs)
-    {
-    }
+    /** @param lq_entries, sq_entries the LSU queue capacities, which
+     *  bound the live tickets the captured labels are indexed by. */
+    ContractShadow(unsigned num_phys_regs, unsigned lq_entries,
+                   unsigned sq_entries);
 
     bool on() const { return active; }
     void setActive(bool enable) { active = enable; }
@@ -107,21 +120,27 @@ class ContractShadow
     /** A physical register was newly allocated: clear its label. */
     void onAllocate(PhysReg reg);
 
-    /** A load's value was read from memory / forwarded from a store
-     *  (Core::finishLoad): capture the value's label, keyed by seq,
-     *  until the result drains to the register file. */
-    void onLoadValue(const DynInst &load, SeqNum forward_source);
+    /** A load's value was read from memory, or forwarded from the
+     *  store with seq @p forward_source at SQ ticket @p forward_ticket
+     *  (Core::finishLoad): capture the value's label at the load's LQ
+     *  ticket until the result drains to the register file. */
+    void onLoadValue(const DynInst &load, SeqNum forward_source,
+                     std::uint32_t forward_ticket);
 
     /** The load's result reached the register file: apply the label
      *  captured by onLoadValue, rooted at the load itself if it is
      *  still speculative. */
     void onLoadData(const DynInst &load, bool still_speculative);
 
-    /** A store's data half executed: capture the data label. */
+    /** A store's data half executed: capture the data label at the
+     *  store's SQ ticket. */
     void onStoreData(const DynInst &store);
 
     /** A store committed: move its captured data label into the
-     *  memory labels (clean data scrubs a previously secret word). */
+     *  memory labels (clean data scrubs a previously secret word).
+     *  The captured label is dropped here, so a younger load that
+     *  forwards from the store before it drains reads a clean label
+     *  (a known under-approximation, kept for result stability). */
     void onStoreCommit(const DynInst &store);
 
     /**
@@ -134,9 +153,6 @@ class ContractShadow
      */
     void onConsume(const DynInst &inst, Cycle now, SeqNum vp,
                    bool use_src1, bool use_src2, bool transmits);
-
-    /** Squash: purge captured labels of killed loads/stores. */
-    void onSquash(SeqNum youngest_surviving);
 
     /** A physical register's label. Core::performContextSwitch banks
      *  a tenant's architectural registers out and back in with these,
@@ -167,13 +183,31 @@ class ContractShadow
     }
 
   private:
+    /** A label captured for one LSU ticket, tagged with the seq of the
+     *  load or store that captured it (invalidSeqNum: none). */
+    struct Captured
+    {
+        SeqNum seq = invalidSeqNum;
+        Label label;
+    };
+
     static Addr alignWord(Addr addr) { return addr & ~Addr(7); }
 
-    /** True if the word containing @p addr is secret-labelled. */
-    bool memSecret(Addr addr) const;
+    /** The slot of LSU ticket @p ticket (power-of-two arrays). */
+    static Captured &
+    slotOf(std::vector<Captured> &slots, std::uint32_t ticket)
+    {
+        return slots[ticket & (slots.size() - 1)];
+    }
 
-    /** Owning tenant of a secret word (invalidTenant if not secret). */
-    TenantId memOwner(Addr addr) const;
+    /** The captured label of @p seq at @p ticket, if that slot still
+     *  holds it (clean otherwise); the slot is released. */
+    static Label take(std::vector<Captured> &slots, std::uint32_t ticket,
+                      SeqNum seq);
+
+    /** The secret-word entry of the word containing @p addr, or
+     *  nullptr if that word holds public data. */
+    const WordTable::Slot *secretWord(Addr addr) const;
 
     /** Label the word containing @p addr secret (owned by @p owner)
      *  or clean. */
@@ -182,15 +216,17 @@ class ContractShadow
     bool active = false;
     std::vector<Label> regs;
 
-    /** 8-aligned word addresses currently holding secret data, mapped
-     *  to the protection domain that owns the secret. */
-    std::unordered_map<Addr, TenantId> secretWords;
+    /** The 8-aligned words that ever held secret data: owner + 1
+     *  while the word is secret, 0 once clean data overwrote it. */
+    WordTable secretWords;
 
-    /** Labels captured at finishLoad, pending writeback (by seq). */
-    std::unordered_map<SeqNum, Label> pendingLoads;
+    /** Labels captured at finishLoad, pending writeback (by LQ
+     *  ticket; power-of-two size >= the LQ capacity). */
+    std::vector<Captured> loadLabels;
 
-    /** Store data labels captured at executeStoreData (by seq). */
-    std::unordered_map<SeqNum, Label> storeData;
+    /** Store data labels captured at executeStoreData (by SQ
+     *  ticket; power-of-two size >= the SQ capacity). */
+    std::vector<Captured> storeLabels;
 
     std::uint64_t sandboxViol = 0;
     std::uint64_t ctViol = 0;

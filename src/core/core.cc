@@ -18,7 +18,8 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       mem(config),
       predictor(10),
       renameMap(numArchRegs, config.numPhysRegs),
-      cshadow(config.numPhysRegs),
+      cshadow(config.numPhysRegs, config.ldqEntries,
+              config.stqEntries),
       workingMem(prog.memory),
       // Exact by construction: a live record is in the fetch queue,
       // the decode queue, or the ROB (dispatch-queue entries are also
@@ -35,7 +36,10 @@ Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
       rob(config.robEntries),
       iq(config.iqEntries, config.numPhysRegs),
       lsu(config.ldqEntries, config.stqEntries),
-      events(eventHorizon()),
+      // Pool: one completion per ROB entry plus one broadcast per
+      // physical register covers the common case; squashed events
+      // that are still pending may push it past that, and it doubles.
+      events(eventHorizon(), config.robEntries + config.numPhysRegs),
       retryLoads(config.ldqEntries),
       pc(prog.entry),
       statGroup("core"),
@@ -578,8 +582,7 @@ Core::loadMemoryStage(InstHandle h, DynInst &inst)
     if (fwd.kind == ForwardOutcome::Kind::Forward) {
         inst.l1Hit = true;
         ++st.loadForwards;
-        finishLoad(h, inst, cycle + cfg.l1d.latency, fwd.data,
-                   fwd.source);
+        finishLoad(h, inst, cycle + cfg.l1d.latency, fwd.data, fwd);
         return;
     }
     // Delay-on-Miss interposition: the scheme may park the demand
@@ -604,20 +607,20 @@ Core::loadMemoryStage(InstHandle h, DynInst &inst)
     // NoMatch: no older store with a known address holds this word,
     // so committed memory has the value.
     finishLoad(h, inst, res.completeAt, workingMem.read(inst.effAddr),
-               invalidSeqNum);
+               fwd);
 }
 
 void
 Core::finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
-                 Word value, SeqNum forward_source)
+                 Word value, const ForwardOutcome &fwd)
 {
     if (inv.on())
-        inv.onForward(inst, forward_source);
+        inv.onForward(inst, fwd.source);
     if (cshadow.on())
-        cshadow.onLoadValue(inst, forward_source);
+        cshadow.onLoadValue(inst, fwd.source, fwd.sourceTicket);
     inst.result = value;
     inst.completeAt = complete_at;
-    lsu.loadDataReturned(inst, forward_source);
+    lsu.loadDataReturned(inst, fwd.source);
     events.push(complete_at, cycle, CoreEvent{h, invalidPhysReg, 0});
 }
 
@@ -1119,8 +1122,6 @@ Core::squash(SeqNum from_seq, std::uint32_t new_pc)
     }
     lsu.squash(from_seq);
     iq.squash(from_seq);
-    if (cshadow.on())
-        cshadow.onSquash(from_seq);
     schemePtr->onSquash(from_seq);
 
     // Every sequence number below nextSeq is now renamed, committed,

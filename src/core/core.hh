@@ -396,8 +396,10 @@ class Core
     void executeStoreData(DynInst &inst);
     void executeBranch(DynInst &inst);
     void executeAluAtSelect(InstHandle h, DynInst &inst);
+    /** Complete a load's memory stage with @p value; @p fwd names the
+     *  forwarding store (NoMatch: the value came from memory). */
     void finishLoad(InstHandle h, DynInst &inst, Cycle complete_at,
-                    Word value, SeqNum forward_source);
+                    Word value, const ForwardOutcome &fwd);
 
     /** Latency of an op class from the configuration. */
     unsigned opLatency(OpClass cls) const;

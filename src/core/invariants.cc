@@ -1,6 +1,7 @@
 #include "core/invariants.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,7 +18,11 @@ InvariantChecker::defaultActive()
             return false;
         if (std::strcmp(env, "1") == 0)
             return true;
-        sb_warn("ignoring SB_INVARIANTS='", env, "' (want 0 or 1)");
+        // Read per core (tests flip the variable between cores), but
+        // warned about once per process rather than once per cell.
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            sb_warn("ignoring SB_INVARIANTS='", env, "' (want 0 or 1)");
     }
 #ifdef NDEBUG
     return false;

@@ -19,7 +19,8 @@
  *
  * Activation: `SB_INVARIANTS=1` forces the checks on, `=0` forces
  * them off; unset, they are on in debug builds (!NDEBUG) and off in
- * release. The conformance harness force-enables them per core
+ * release. Every core reads the variable; any other value is ignored
+ * with a warning printed once per process. The conformance harness force-enables them per core
  * (Core::setInvariantsEnabled) whatever the default, and fails any
  * fuzz cell whose violation count is nonzero — so a checker trip is
  * reported with a replayable seed instead of aborting the batch.

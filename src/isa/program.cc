@@ -8,87 +8,16 @@
 namespace sb
 {
 
-namespace
-{
-
-std::size_t
-probeStart(Addr addr, std::size_t mask)
-{
-    // splitmix64-style multiply-shift on the word index.
-    return static_cast<std::size_t>(
-               ((addr >> 3) * 0x9e3779b97f4a7c15ULL) >> 24)
-           & mask;
-}
-
-} // anonymous namespace
-
-const MemoryImage::Slot *
-MemoryImage::Table::probe(Addr aligned) const
-{
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = probeStart(aligned, mask);
-    while (slots[i].addr != emptySlot && slots[i].addr != aligned)
-        i = (i + 1) & mask;
-    return &slots[i];
-}
-
-const MemoryImage::Slot *
-MemoryImage::Table::find(Addr aligned) const
-{
-    if (slots.empty())
-        return nullptr;
-    const Slot *s = probe(aligned);
-    return s->addr == aligned ? s : nullptr;
-}
-
-void
-MemoryImage::Table::grow(std::size_t min_capacity)
-{
-    std::size_t cap = 64;
-    while (cap < min_capacity)
-        cap <<= 1;
-    std::vector<Slot> old;
-    old.swap(slots);
-    slots.assign(cap, Slot{});
-    const std::size_t mask = cap - 1;
-    for (const Slot &s : old) {
-        if (s.addr == emptySlot)
-            continue;
-        std::size_t i = probeStart(s.addr, mask);
-        while (slots[i].addr != emptySlot)
-            i = (i + 1) & mask;
-        slots[i] = s;
-    }
-}
-
-bool
-MemoryImage::Table::put(Addr aligned, Word value)
-{
-    // Keep the load factor under ~70% (count is pre-incremented for
-    // the possible insert).
-    if ((count + 1) * 10 >= slots.size() * 7)
-        grow(2 * slots.size() + ((count + 1) * 2));
-
-    Slot *s = const_cast<Slot *>(probe(aligned));
-    const bool inserted = s->addr == emptySlot;
-    if (inserted) {
-        s->addr = aligned;
-        ++count;
-    }
-    s->value = value;
-    return inserted;
-}
-
 void
 MemoryImage::freeze()
 {
     // An image that already has a base (a built image handed back to
     // a builder) keeps both layers; that stays correct, its copies
     // just duplicate the write layer.
-    if (base || top.count == 0)
+    if (base || top.size() == 0)
         return;
-    base = std::make_shared<const Table>(std::move(top));
-    top = Table{};
+    base = std::make_shared<const WordTable>(std::move(top));
+    top = WordTable{};
 }
 
 void
@@ -103,10 +32,10 @@ Word
 MemoryImage::read(Addr addr) const
 {
     const Addr a = align(addr);
-    if (const Slot *s = top.find(a))
+    if (const WordTable::Slot *s = top.find(a))
         return s->value;
     if (base)
-        if (const Slot *s = base->find(a))
+        if (const WordTable::Slot *s = base->find(a))
             return s->value;
     return backgroundValue(a);
 }
@@ -128,17 +57,17 @@ MemoryImage::fingerprint() const
     // written value.
     Word sum = 0x9ae16a3b2f90404fULL;
     Word mix = 0;
-    auto fold = [&](const Slot &s) {
+    auto fold = [&](const WordTable::Slot &s) {
         const Word h = fnv1aWord(fnv1aWord(fnv1aBasis, s.addr), s.value);
         sum += h;
         mix ^= h;
     };
     if (base)
-        for (const Slot &s : base->slots)
-            if (s.addr != emptySlot && !top.find(s.addr))
+        for (const WordTable::Slot &s : base->slots())
+            if (s.addr != WordTable::emptySlot && !top.find(s.addr))
                 fold(s);
-    for (const Slot &s : top.slots)
-        if (s.addr != emptySlot)
+    for (const WordTable::Slot &s : top.slots())
+        if (s.addr != WordTable::emptySlot)
             fold(s);
     return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + size();
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "common/word_table.hh"
 #include "isa/microop.hh"
 
 namespace sb
@@ -24,7 +25,8 @@ namespace sb
 
 /**
  * Sparse functional memory image. Word-granular (8 bytes), addresses
- * are rounded down to the containing word.
+ * are rounded down to the containing word. Each layer below is a
+ * WordTable (common/word_table.hh).
  *
  * Copy-on-write: ProgramBuilder::build() freezes the image it built
  * into an immutable base that every copy shares, so copying a
@@ -50,7 +52,7 @@ class MemoryImage
     std::size_t
     size() const
     {
-        return (base ? base->count : 0) + top.count - shadowed;
+        return (base ? base->size() : 0) + top.size() - shadowed;
     }
 
     /**
@@ -68,50 +70,13 @@ class MemoryImage
   private:
     friend class ProgramBuilder;
 
-    /**
-     * Stored addresses are 8-aligned, so an odd address can serve as
-     * the empty-slot sentinel.
-     */
-    struct Slot
-    {
-        Addr addr = emptySlot;
-        Word value = 0;
-    };
-
-    static constexpr Addr emptySlot = 1;
-
-    /**
-     * Flat open-addressing table (linear probe, power-of-two size).
-     * A table only ever inserts — no deletions, no tombstones —
-     * which makes this layout exact and keeps the two hot operations
-     * (the per-committed-store write and the load-miss read) a probe
-     * instead of node-based hashing.
-     */
-    struct Table
-    {
-        std::vector<Slot> slots; ///< Empty until the first put.
-        std::size_t count = 0;
-
-        /** The slot holding @p aligned, or nullptr. */
-        const Slot *find(Addr aligned) const;
-
-        /** Insert or overwrite; true if @p aligned was new. */
-        bool put(Addr aligned, Word value);
-
-      private:
-        /** The slot holding @p aligned, else the first empty slot on
-         *  its probe path (slots must be non-empty). */
-        const Slot *probe(Addr aligned) const;
-        void grow(std::size_t min_capacity);
-    };
-
     static Addr align(Addr addr) { return addr & ~Addr(7); }
 
     /** Make the write layer the shared base (build() only). */
     void freeze();
 
-    std::shared_ptr<const Table> base; ///< Shared by every copy.
-    Table top;                         ///< This copy's own writes.
+    std::shared_ptr<const WordTable> base; ///< Shared by every copy.
+    WordTable top;                         ///< This copy's own writes.
     std::size_t shadowed = 0; ///< Entries of `top` also in `base`.
 };
 

@@ -67,12 +67,14 @@ class Cache
     const StatGroup &stats() const { return statGroup; }
 
   private:
+    /** No member initializers: a trivial type, so the line array is
+     *  zero-filled in one pass (value-initialized) at construction. */
     struct Line
     {
-        Addr tag = 0;
-        Cycle lastUse = 0;
-        Cycle readyAt = 0;
-        bool valid = false;
+        Addr tag;
+        Cycle lastUse;
+        Cycle readyAt;
+        bool valid;
     };
 
     // lineBytes and numSets are powers of two (asserted at

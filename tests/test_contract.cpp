@@ -6,7 +6,8 @@
  * violates constant-time where the declared schemes do not, the
  * engine is timing-invisible, the conformance generator emits
  * secret-labelled buffers, and SB_INVARIANTS=1 forces the checks on
- * whatever the build default without changing a window cell's outcome.
+ * whatever the build default without changing a window cell's outcome
+ * (a malformed value is warned about once per process).
  */
 
 #include <gtest/gtest.h>
@@ -213,6 +214,28 @@ TEST(ContractShadow, SbInvariantsForcesTheChecksOn)
         sb::toJson(sb::ExperimentRunner::runOne(window)).dump();
     ::unsetenv("SB_INVARIANTS");
     EXPECT_EQ(forced_on, forced_off);
+}
+
+TEST(ContractShadow, MalformedSbInvariantsWarnsOncePerProcess)
+{
+    // Every core reads the variable, but only the first malformed
+    // reading in the process warns (no other test here sets one).
+    const auto gadget = v1Gadget();
+    sb::SchemeConfig scfg;
+    ::setenv("SB_INVARIANTS", "yes", 1);
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 2; ++i) {
+        sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                      gadget.program);
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv("SB_INVARIANTS");
+    const std::string_view warning = "ignoring SB_INVARIANTS='yes'";
+    std::size_t count = 0;
+    for (std::size_t at = err.find(warning); at != std::string::npos;
+         at = err.find(warning, at + 1))
+        ++count;
+    EXPECT_EQ(count, 1u) << err;
 }
 
 } // anonymous namespace

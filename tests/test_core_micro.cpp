@@ -570,7 +570,7 @@ TEST(ShadowTracker, PrevLatchLagsOneUpdate)
 sb::ContractShadow
 activeShadow()
 {
-    sb::ContractShadow shadow(64);
+    sb::ContractShadow shadow(64, 8, 8);
     shadow.setActive(true);
     return shadow;
 }
@@ -696,7 +696,7 @@ TEST(ContractShadow, TaintAndSecretRootsStayDistinct)
     sb::DynInst &pub = slab.get(makeLoad(slab, 10, 20));
     pub.effAddr = secret + 64;
     pub.effAddrValid = true;
-    spec.onLoadValue(pub, sb::invalidSeqNum);
+    spec.onLoadValue(pub, sb::invalidSeqNum, 0);
     spec.onLoadData(pub, true);
     spec.onConsume(slab.get(branchOn(20)), 0, 5, true, false, true);
     EXPECT_EQ(spec.transmitViolations(), 1u);
@@ -711,13 +711,162 @@ TEST(ContractShadow, TaintAndSecretRootsStayDistinct)
     sb::DynInst &sec = slab.get(makeLoad(slab, 10, 20));
     sec.effAddr = secret;
     sec.effAddrValid = true;
-    arch.onLoadValue(sec, sb::invalidSeqNum);
+    arch.onLoadValue(sec, sb::invalidSeqNum, 0);
     arch.onLoadData(sec, false);
     arch.onConsume(slab.get(branchOn(20)), 0, 5, true, false, true);
     EXPECT_EQ(arch.ctViolations(), 1u);
     EXPECT_EQ(arch.transmitViolations(), 0u);
     EXPECT_EQ(arch.sandboxViolations(), 0u);
     EXPECT_EQ(arch.consumeViolations(), 0u);
+}
+
+// --- ContractShadow: ticket-indexed label storage ---------------------
+
+/** A load of the word at @p addr, stamped with its LQ ticket. */
+sb::DynInst &
+ticketedLoad(sb::InstSlab &slab, sb::SeqNum seq, std::uint32_t ticket,
+             sb::Addr addr, sb::PhysReg dst)
+{
+    sb::DynInst &ld = slab.get(makeLoad(slab, seq, dst));
+    ld.lqTicket = ticket;
+    ld.effAddr = addr;
+    ld.effAddrValid = true;
+    return ld;
+}
+
+TEST(ContractShadow, LabelsSurviveTicketWraps)
+{
+    // Three-entry queues (slots rounded up to four), with tickets that
+    // wrap the 32-bit counters while three loads and three stores are
+    // in flight. Each keeps its own label.
+    sb::InstSlab slab(32);
+    const sb::Addr secret = 0x1000;
+    sb::ContractShadow shadow(64, 3, 3);
+    shadow.setActive(true);
+    shadow.markSecretRegion(secret, 64, 3);
+
+    const std::uint32_t tickets[3] = {0xFFFFFFFFu, 0, 1};
+    // Memory loads: only the middle one reads a secret word.
+    sb::DynInst *loads[3];
+    for (int i = 0; i < 3; ++i) {
+        loads[i] = &ticketedLoad(slab, 10 + i, tickets[i],
+                                 i == 1 ? secret : secret + 64,
+                                 static_cast<sb::PhysReg>(20 + i));
+        shadow.onLoadValue(*loads[i], sb::invalidSeqNum, 0);
+    }
+    for (int i = 2; i >= 0; --i) // Writeback out of order.
+        shadow.onLoadData(*loads[i], false);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(shadow.regLabel(20 + i).secret, i == 1) << i;
+    EXPECT_EQ(shadow.regLabel(21).owner, 3u);
+
+    // Stores: only the last one's data (preg 21) is secret.
+    sb::DynInst *stores[3];
+    for (int i = 0; i < 3; ++i) {
+        stores[i] = &slab.get(makeStore(slab, 20 + i, 12,
+                                        i == 2 ? 21 : 20));
+        stores[i]->sqTicket = tickets[i];
+        shadow.onStoreData(*stores[i]);
+    }
+    for (int i = 0; i < 3; ++i) {
+        sb::DynInst &ld = ticketedLoad(slab, 30 + i, 5 + i, secret + 128,
+                                       static_cast<sb::PhysReg>(30 + i));
+        shadow.onLoadValue(ld, stores[i]->seq, tickets[i]);
+        shadow.onLoadData(ld, false);
+        EXPECT_EQ(shadow.regLabel(30 + i).secret, i == 2) << i;
+    }
+}
+
+TEST(ContractShadow, SquashedLoadsStaleSlotNeverMatches)
+{
+    sb::InstSlab slab(16);
+    const sb::Addr secret = 0x1000;
+    sb::ContractShadow shadow(64, 8, 8);
+    shadow.setActive(true);
+    shadow.markSecretRegion(secret, 64);
+
+    // A load captures a secret label at ticket 5, then is squashed
+    // before writeback. The younger load reissued ticket 5 writes back
+    // without a capture of its own: it must not inherit the secret.
+    sb::DynInst &squashed = ticketedLoad(slab, 10, 5, secret, 20);
+    shadow.onLoadValue(squashed, sb::invalidSeqNum, 0);
+    sb::DynInst &younger = ticketedLoad(slab, 14, 5, secret + 64, 21);
+    shadow.onLoadData(younger, false);
+    EXPECT_FALSE(shadow.regLabel(21).secret);
+
+    // Likewise a squashed store's captured data label: the younger
+    // store on its SQ ticket never captured one, so a forward from it
+    // and its commit both see clean data.
+    sb::DynInst &secret_ld = ticketedLoad(slab, 15, 6, secret, 22);
+    shadow.onLoadValue(secret_ld, sb::invalidSeqNum, 0);
+    shadow.onLoadData(secret_ld, false);
+    ASSERT_TRUE(shadow.regLabel(22).secret);
+    sb::DynInst &old_store = slab.get(makeStore(slab, 16, 12, 22));
+    old_store.sqTicket = 2;
+    shadow.onStoreData(old_store); // Secret data (preg 22).
+    sb::DynInst &new_store = slab.get(makeStore(slab, 18, 12, 22));
+    new_store.sqTicket = 2;
+    new_store.effAddr = secret + 128;
+    new_store.effAddrValid = true;
+    sb::DynInst &fwd = ticketedLoad(slab, 19, 7, secret + 128, 23);
+    shadow.onLoadValue(fwd, new_store.seq, new_store.sqTicket);
+    shadow.onLoadData(fwd, false);
+    EXPECT_FALSE(shadow.regLabel(23).secret);
+    shadow.onStoreCommit(new_store);
+    sb::DynInst &reader = ticketedLoad(slab, 20, 0, secret + 128, 24);
+    shadow.onLoadValue(reader, sb::invalidSeqNum, 0);
+    shadow.onLoadData(reader, false);
+    EXPECT_FALSE(shadow.regLabel(24).secret);
+}
+
+TEST(ContractShadow, ForwardReadsTheLiveStoresLabelByTicket)
+{
+    sb::InstSlab slab(16);
+    const sb::Addr secret = 0x1000;
+    const sb::Addr pub = 0x2000;
+    sb::ContractShadow shadow(64, 8, 8);
+    shadow.setActive(true);
+    shadow.markSecretRegion(secret, 64);
+    shadow.onLoadData(ticketedLoad(slab, 1, 0, secret, 20), false);
+    ASSERT_FALSE(shadow.regLabel(20).secret); // No capture: clean.
+    sb::DynInst &src = ticketedLoad(slab, 2, 1, secret, 20);
+    shadow.onLoadValue(src, sb::invalidSeqNum, 0);
+    shadow.onLoadData(src, false);
+    ASSERT_TRUE(shadow.regLabel(20).secret);
+
+    // Two live stores to the public word: secret data at SQ ticket 3,
+    // clean data (preg 21) at ticket 4.
+    sb::DynInst &secret_st = slab.get(makeStore(slab, 5, 12, 20));
+    secret_st.sqTicket = 3;
+    secret_st.effAddr = pub;
+    secret_st.effAddrValid = true;
+    sb::DynInst &clean_st = slab.get(makeStore(slab, 6, 12, 21));
+    clean_st.sqTicket = 4;
+    clean_st.effAddr = pub;
+    clean_st.effAddrValid = true;
+    shadow.onStoreData(secret_st);
+    shadow.onStoreData(clean_st);
+
+    const auto forwardFrom = [&](const sb::DynInst &st, sb::SeqNum seq,
+                                 sb::PhysReg dst) {
+        sb::DynInst &ld = ticketedLoad(slab, seq, 2, pub, dst);
+        shadow.onLoadValue(ld, st.seq, st.sqTicket);
+        shadow.onLoadData(ld, false);
+        return shadow.regLabel(dst).secret;
+    };
+    EXPECT_TRUE(forwardFrom(secret_st, 7, 30));
+    EXPECT_FALSE(forwardFrom(clean_st, 8, 31));
+    EXPECT_TRUE(forwardFrom(secret_st, 9, 32)); // Forwards do not consume.
+
+    // Commit moves the label into memory and drops the captured one,
+    // so a forward from the committed (not yet drained) store reads
+    // clean data: the known under-approximation, kept as it was.
+    shadow.onStoreCommit(secret_st);
+    EXPECT_FALSE(forwardFrom(secret_st, 10, 33));
+    sb::DynInst &reader = ticketedLoad(slab, 11, 3, pub, 34);
+    shadow.onLoadValue(reader, sb::invalidSeqNum, 0);
+    shadow.onLoadData(reader, false);
+    EXPECT_TRUE(shadow.regLabel(34).secret);
 }
 
 } // anonymous namespace

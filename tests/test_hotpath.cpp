@@ -565,6 +565,107 @@ TEST(TimingWheel, DrainAfterSkippedCyclesFiresOnTime)
                                                            {1000, 7}}));
 }
 
+TEST(TimingWheel, FifoOrderHoldsAcrossPoolGrowth)
+{
+    // A four-node pool doubles several times; each bucket keeps push
+    // order, also when a drained bucket fills again a lap later.
+    sb::TimingWheel<int> wheel(64, 4);
+    EXPECT_EQ(wheel.poolCapacity(), 4u);
+    std::vector<int> want10, want11, wantLap;
+    for (int v = 0; v < 40; ++v) {
+        wheel.push(v % 2 ? 11 : 10, 9, v);
+        (v % 2 ? want11 : want10).push_back(v);
+    }
+    EXPECT_GE(wheel.poolCapacity(), 40u);
+    std::vector<int> got;
+    auto take = [&](int v) { got.push_back(v); };
+    wheel.drainDue(10, take);
+    EXPECT_EQ(got, want10);
+    // One lap later, cycle 10's bucket fills again.
+    const sb::Cycle lap = 10 + wheel.bucketCount();
+    for (int v = 100; v < 110; ++v) {
+        wheel.push(lap, 11, v);
+        wantLap.push_back(v);
+    }
+    got.clear();
+    wheel.drainDue(11, take);
+    EXPECT_EQ(got, want11);
+    got.clear();
+    wheel.drainDue(lap, take);
+    EXPECT_EQ(got, wantLap);
+    EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimingWheel, HandlerPushThatGrowsThePoolMidDrain)
+{
+    // The two due events fill the pool; the first handler's pushes
+    // grow (and move) it before the handler reads its own event, and
+    // the drain must still reach the second event.
+    sb::TimingWheel<int> wheel(64, 2);
+    wheel.push(5, 4, 1);
+    wheel.push(5, 4, 2);
+    std::vector<int> got;
+    wheel.drainDue(5, [&](int &v) {
+        if (v == 1) {
+            for (int w = 10; w < 30; ++w)
+                wheel.push(6, 5, w);
+        }
+        got.push_back(v);
+    });
+    EXPECT_EQ(got, (std::vector<int>{1, 2}));
+    EXPECT_GT(wheel.poolCapacity(), 2u);
+    got.clear();
+    wheel.drainDue(6, [&](int v) { got.push_back(v); });
+    std::vector<int> want;
+    for (int w = 10; w < 30; ++w)
+        want.push_back(w);
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimingWheel, MaturedOverflowAppendsBehindPooledBucketEvents)
+{
+    sb::TimingWheel<int> wheel(16, 2); // 32 buckets, two nodes.
+    wheel.push(40, 1, 1);  // 39 ahead: the overflow lane.
+    wheel.push(40, 10, 2); // 30 ahead: straight into the bucket.
+    wheel.push(20, 10, 3);
+    wheel.push(21, 10, 4); // Third node: the pool grows.
+    EXPECT_EQ(wheel.nextDue(10, 5000), 20u);
+    EXPECT_EQ(wheel.nextDue(20, 5000), 21u);
+    EXPECT_EQ(wheel.nextDue(21, 39), 39u);
+    std::vector<std::pair<sb::Cycle, int>> got;
+    sb::Cycle now = 10;
+    while (!wheel.empty()) {
+        now = wheel.nextDue(now, 1'000'000);
+        wheel.drainDue(now, [&](int v) { got.emplace_back(now, v); });
+    }
+    // Event 1 joins cycle 40's bucket when it matures (at the drain of
+    // cycle 20), behind event 2, which was pushed there first.
+    EXPECT_EQ(got, (std::vector<std::pair<sb::Cycle, int>>{
+                       {20, 3}, {21, 4}, {40, 2}, {40, 1}}));
+}
+
+TEST(TimingWheel, ClearReturnsEveryNodeToThePool)
+{
+    sb::TimingWheel<int> wheel(64, 8);
+    for (int round = 0; round < 3; ++round) {
+        for (int v = 0; v < 8; ++v)
+            wheel.push(20 + v % 3, 10, v);
+        EXPECT_EQ(wheel.size(), 8u);
+        wheel.clear();
+        EXPECT_TRUE(wheel.empty());
+        EXPECT_EQ(wheel.nextDue(10, 500), 500u);
+    }
+    EXPECT_EQ(wheel.poolCapacity(), 8u);
+    // The refilled wheel still drains in order.
+    for (int v = 0; v < 8; ++v)
+        wheel.push(20, 10, v);
+    std::vector<int> got;
+    wheel.drainDue(20, [&](int v) { got.push_back(v); });
+    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(wheel.poolCapacity(), 8u);
+}
+
 // --- Ring ------------------------------------------------------------
 
 std::vector<int>
