@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's substrate
  * components: cache probes, TAGE predictions, rename throughput,
- * issue-queue wakeup/select, the timing wheel, core construction,
- * full-core simulation rate, and the synthesis models. These guard the simulator's own performance
+ * issue-queue wakeup/select, the timing wheel, gadget program builds,
+ * core construction, full-core simulation rate, and the synthesis
+ * models. These guard the simulator's own performance
  * (the methodology needs large instruction windows, paper Sec. 7).
  */
 
@@ -23,6 +24,7 @@
 #include "memory/memory_system.hh"
 #include "secure/factory.hh"
 #include "synth/timing_model.hh"
+#include "trace/gadgets.hh"
 #include "trace/spec_suite.hh"
 
 namespace
@@ -196,16 +198,21 @@ BM_TimingWheelSteadyState(benchmark::State &state)
 BENCHMARK(BM_TimingWheelSteadyState);
 
 /**
- * Per-cell set-up: build the scheme and a Mega core on a generated
- * fuzz program, then destroy both (a fuzz or gadget cell pays this
- * once).
+ * Per-cell set-up: build the scheme and a Mega core, then destroy both
+ * (a fuzz or gadget cell pays this once). Arg 0 runs on a generated
+ * fuzz program (90 ops), arg 1 on the spectre-v1 gadget (1,057 ops):
+ * the gap is what the core allocates per static op.
  */
 void
 BM_CoreConstruct(benchmark::State &state)
 {
     sb::GeneratorParams params;
     params.seed = 7;
-    const sb::Program prog = sb::generateProgram(params);
+    const sb::Program prog =
+        state.range(0) == 0
+            ? sb::generateProgram(params)
+            : sb::buildGadgetProgram(sb::GadgetKind::SpectreV1, 42, 1)
+                  .program;
     const sb::CoreConfig cfg = sb::CoreConfig::mega();
     for (auto _ : state) {
         sb::SchemeConfig scfg;
@@ -215,7 +222,19 @@ BM_CoreConstruct(benchmark::State &state)
         benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_CoreConstruct)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CoreConstruct)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/** A gadget cell's program build: code plus its 4,150-word image. */
+void
+BM_GadgetBuild(benchmark::State &state)
+{
+    for (auto _ : state) {
+        const sb::GadgetProgram g =
+            sb::buildGadgetProgram(sb::GadgetKind::SpectreV1, 42, 1);
+        benchmark::DoNotOptimize(g.program.memory.size());
+    }
+}
+BENCHMARK(BM_GadgetBuild)->Unit(benchmark::kMicrosecond);
 
 /** Full-core simulation throughput (instructions per second). */
 void

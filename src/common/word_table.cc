@@ -68,9 +68,9 @@ bool
 WordTable::put(Addr aligned, Word value)
 {
     // Keep the load factor under ~70% (count is pre-incremented for
-    // the possible insert).
+    // the possible insert); doubling leaves it at ~35%.
     if ((count + 1) * 10 >= table.size() * 7)
-        grow(2 * table.size() + ((count + 1) * 2));
+        grow(2 * table.size());
 
     Slot *s = const_cast<Slot *>(probe(aligned));
     const bool inserted = s->addr == emptySlot;

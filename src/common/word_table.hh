@@ -3,6 +3,13 @@
  * Flat open-addressing table from 8-aligned word addresses to 64-bit
  * words (linear probe, power-of-two size, load factor under ~70%).
  *
+ * An insert that would pass the 70% bound doubles the table, so after
+ * a growth it is about 35% full and a table never holds more than
+ * about three slots per entry. A writer that knows how many entries
+ * are coming calls reserve() first and pays one allocation at the
+ * final size instead of a chain of growths, each of which briefly
+ * holds the old table and the new one at once.
+ *
  * The table only ever inserts or overwrites: no deletions, hence no
  * tombstones, which keeps every lookup one probe sequence instead of
  * node-based hashing. A user that needs "remove" stores a value that
@@ -39,7 +46,7 @@ class WordTable
     /** Insert or overwrite; true if @p aligned was new. */
     bool put(Addr aligned, Word value);
 
-    /** Grow so that @p entries fit without another rehash. */
+    /** Grow so that @p entries (in total) fit without a rehash. */
     void reserve(std::size_t entries);
 
     std::size_t size() const { return count; }

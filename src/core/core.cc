@@ -148,6 +148,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
 {
     const std::uint64_t target = committedCount + max_insts;
     const Cycle limit = cycle + max_cycles;
+    stopRequestedFlag = false;
     // Wall-clock supervision is sampled every 4096 cycles: cheap
     // enough to vanish in the run loop, frequent enough that a wedged
     // or interrupted cell ends within milliseconds of its deadline.
@@ -170,6 +171,8 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
             if (wallStopRequested())
                 watchdogTrippedFlag = true;
         }
+        if (stopRequestedFlag)
+            break;
         if (measure && !tickActive && !watchdogTrippedFlag) {
             // The supervision poll is a trigger too, so a deadline
             // trips on the same cycle as in a stepped run.
@@ -1017,13 +1020,15 @@ Core::fetchPhase()
             fetchHalted = true;
             break;
         }
-        // The decode cache hands back a prebuilt template (identity
-        // fields and static prediction bits preset); stamping it into
-        // the freshly allocated slot is also the slot's reset.
+        // The decode cache says which front-end path the op takes;
+        // the freshly allocated slot is reset and stamped with its
+        // identity here.
         const DecodedOp &d = dcache.lookup(pc);
         const InstHandle h = slab.alloc();
         DynInst &inst = slab.get(h);
-        inst = d.tmpl;
+        inst = DynInst{};
+        inst.pc = pc;
+        inst.uop = program->code[pc];
         inst.seq = nextSeq++;
         inst.tenant = currentTenant;
 
@@ -1031,6 +1036,7 @@ Core::fetchPhase()
             // Always taken; the BTB supplies the target. An untrained
             // entry predicts fall-through, so laying the preferred
             // target right after the jr makes a cold BTB harmless.
+            inst.predTaken = true;
             inst.predTarget = btb.predict(pc);
             fetchQueue.push_back(h);
             ++n;
@@ -1038,6 +1044,7 @@ Core::fetchPhase()
             break; // Redirect: resume at the target next cycle.
         }
         if (d.kind == FetchKind::Jmp) {
+            inst.predTaken = true;
             fetchQueue.push_back(h);
             ++n;
             pc = inst.uop.target;

@@ -25,8 +25,8 @@
  * slab (core/inst_slab.hh); every pipeline structure stores 32-bit
  * InstHandles. Records are allocated at fetch, freed at commit or
  * during the squash walk; structures that can outlive an instruction
- * revalidate handles through the slab. Fetch+decode of hot loop
- * bodies is memoized per static PC (core/decode_cache.hh).
+ * revalidate handles through the slab. Each static op's fetch
+ * classification is memoized per PC (core/decode_cache.hh).
  * Completions and delayed wakeup broadcasts are timed events on one
  * timing wheel (core/timing_wheel.hh), whose next non-empty bucket is
  * also the idle skip's event trigger.
@@ -217,6 +217,14 @@ class Core
 
     /** Advance exactly one cycle (never skips). */
     void tick();
+
+    /**
+     * End the current run() after the tick in progress, without an
+     * idle skip after it; the next run() carries on from there. For
+     * hooks (a commit hook pausing at a PC); run() drops a request
+     * made outside it.
+     */
+    void requestStop() { stopRequestedFlag = true; }
 
     // --- Accessors ------------------------------------------------------
     Cycle now() const { return cycle; }
@@ -561,6 +569,7 @@ class Core
     bool tickActive = false;
     std::uint64_t skippedCount = 0; ///< Cycles skipped by run().
     bool watchdogTrippedFlag = false;
+    bool stopRequestedFlag = false; ///< requestStop() during run().
     /** Wall-clock supervision (setWallDeadline / setInterruptible);
      *  polled from run(), never from tick(), so the pipeline loop is
      *  untouched. */

@@ -1,15 +1,17 @@
 /**
  * @file
- * Decoded-micro-op block cache keyed by static PC.
+ * Decode cache keyed by static PC: each op's fetch classification.
  *
- * Fetch used to redo the same work on every dynamic instance of a hot
- * loop body: classify the op, preset static prediction bits, fill the
- * identity fields of a fresh DynInst. The program's code vector is
- * immutable for the life of a Core, so all of that is a pure function
- * of the static PC — this cache memoizes it. A hit stamps one
- * prebuilt DynInst template into the slab record (a single struct
- * copy that also serves as the record reset) and dispatches fetch on
- * a precomputed FetchKind instead of re-deriving it from the op.
+ * Fetch would otherwise re-derive, on every dynamic instance of a hot
+ * loop body, which front-end path an op takes (fall through, TAGE,
+ * static jump, BTB, halt). The program's code vector is immutable for
+ * the life of a Core, so that is a pure function of the static PC —
+ * this cache memoizes it in two bytes per op. Fetch fills the slab
+ * record itself: a reset to DynInst{}, then the PC, the op and the
+ * static prediction bit of the always-taken jumps. A table of
+ * prebuilt DynInst templates would hold the same facts in 176 bytes
+ * per op, which for a thousand-op program is most of what a Core
+ * allocates.
  *
  * Entries are valid as long as the backing Program's code at that PC
  * is unchanged. Nothing mutates code while a Core runs it (mitigation
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "core/dyn_inst.hh"
 #include "isa/program.hh"
 
 namespace sb
@@ -47,10 +48,6 @@ enum class FetchKind : std::uint8_t
 /** One decoded static micro-op. */
 struct DecodedOp
 {
-    /** Template record: identity fields and static prediction bits
-     *  preset, everything else default — assigning it into a slab
-     *  slot both resets and initializes the record. */
-    DynInst tmpl;
     FetchKind kind = FetchKind::Plain;
     bool valid = false;
 };
@@ -93,17 +90,12 @@ class DecodeCache
     build(DecodedOp &d, std::uint32_t pc)
     {
         const MicroOp &uop = program->code[pc];
-        d.tmpl = DynInst{};
-        d.tmpl.pc = pc;
-        d.tmpl.uop = uop;
         if (uop.isHalt()) {
             d.kind = FetchKind::Halt;
         } else if (uop.op == Op::JmpReg) {
             d.kind = FetchKind::JmpReg;
-            d.tmpl.predTaken = true;
         } else if (uop.op == Op::Jmp) {
             d.kind = FetchKind::Jmp;
-            d.tmpl.predTaken = true;
         } else if (uop.op == Op::JmpRegRet) {
             // Retpoline-style indirect: the front end deliberately
             // falls through (into the capture pad) and never consults

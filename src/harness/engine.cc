@@ -22,9 +22,9 @@ ExperimentEngine::ExperimentEngine(Options options)
         if (!diskCache->ok())
             diskCache.reset();
     }
-    // Workers are spawned lazily on the first batch with work, so an
-    // engine that only ever serves cached/model-only requests never
-    // parks idle threads.
+    // Pool threads are spawned lazily on the first batch with work,
+    // so an engine that only ever serves cached/model-only requests
+    // never parks idle threads.
 }
 
 ExperimentEngine::~ExperimentEngine()
@@ -49,35 +49,41 @@ ExperimentEngine::workerLoop()
         });
         if (shuttingDown)
             return;
-        while (batchSpecs && nextIndex < batchSpecs->size()) {
-            const std::size_t idx = nextIndex++;
-            const RunSpec &spec = (*batchSpecs)[idx];
-            const std::string &key = (*batchKeys)[idx];
-            std::vector<RunOutcome> *results = batchResults;
-            lock.unlock();
-            RunOutcome out;
-            if (interruptRequested()) {
-                // Drain the batch with stubs instead of simulating:
-                // run() still sees every cell complete, the caller
-                // gets partial results and a nonzero exit.
-                out = outcomeHeader(spec, "interrupted");
-            } else {
-                RunHooks hooks;
-                hooks.wallDeadlineSec = opt.cellTimeoutSec;
-                hooks.interruptible = true;
-                out = ExperimentRunner::runOne(spec, hooks);
-            }
-            // Flush to disk as cells complete so an interrupted grid
-            // run keeps its progress (empty key: cell is banned from
-            // the cache after a collision; timed-out / interrupted
-            // stubs are supervision artifacts, not results).
-            if (diskCache && !key.empty() && outcomeIsCacheable(out))
-                diskCache->store(key, out);
-            lock.lock();
-            (*results)[idx] = std::move(out);
-            if (++completedCount == results->size())
-                batchDone.notify_all();
+        serveBatch(lock);
+    }
+}
+
+void
+ExperimentEngine::serveBatch(std::unique_lock<std::mutex> &lock) noexcept
+{
+    while (batchSpecs && nextIndex < batchSpecs->size()) {
+        const std::size_t idx = nextIndex++;
+        const RunSpec &spec = (*batchSpecs)[idx];
+        const std::string &key = (*batchKeys)[idx];
+        std::vector<RunOutcome> *results = batchResults;
+        lock.unlock();
+        RunOutcome out;
+        if (interruptRequested()) {
+            // Drain the batch with stubs instead of simulating: run()
+            // still sees every cell complete, the caller gets partial
+            // results and a nonzero exit.
+            out = outcomeHeader(spec, "interrupted");
+        } else {
+            RunHooks hooks;
+            hooks.wallDeadlineSec = opt.cellTimeoutSec;
+            hooks.interruptible = true;
+            out = ExperimentRunner::runOne(spec, hooks);
         }
+        // Flush to disk as cells complete so an interrupted grid run
+        // keeps its progress (empty key: cell is banned from the cache
+        // after a collision; timed-out / interrupted stubs are
+        // supervision artifacts, not results).
+        if (diskCache && !key.empty() && outcomeIsCacheable(out))
+            diskCache->store(key, out);
+        lock.lock();
+        (*results)[idx] = std::move(out);
+        if (++completedCount == results->size())
+            batchDone.notify_all();
     }
 }
 
@@ -188,29 +194,28 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
             report.quarantinedKeys.end());
         accounting.simulated += toRun.size();
     } else if (!toRun.empty()) {
+        // The calling thread is one of the workers: jobs = N starts
+        // N - 1 pool threads, so a one-job engine hands nothing off.
         if (pool.empty()) {
-            pool.reserve(numJobs);
-            for (unsigned i = 0; i < numJobs; ++i)
+            pool.reserve(numJobs - 1);
+            for (unsigned i = 1; i < numJobs; ++i)
                 pool.emplace_back([this] { workerLoop(); });
         }
-        {
-            std::lock_guard<std::mutex> lock(poolMutex);
-            batchSpecs = &toRun;
-            batchKeys = &toRunKeys;
-            batchResults = &ran;
-            nextIndex = 0;
-            completedCount = 0;
-        }
+        std::unique_lock<std::mutex> lock(poolMutex);
+        batchSpecs = &toRun;
+        batchKeys = &toRunKeys;
+        batchResults = &ran;
+        nextIndex = 0;
+        completedCount = 0;
         workReady.notify_all();
-        {
-            std::unique_lock<std::mutex> lock(poolMutex);
-            batchDone.wait(lock, [this, &toRun] {
-                return completedCount == toRun.size();
-            });
-            batchSpecs = nullptr;
-            batchKeys = nullptr;
-            batchResults = nullptr;
-        }
+        serveBatch(lock);
+        batchDone.wait(lock, [this, &toRun] {
+            return completedCount == toRun.size();
+        });
+        batchSpecs = nullptr;
+        batchKeys = nullptr;
+        batchResults = nullptr;
+        lock.unlock();
         accounting.simulated += toRun.size();
         accounting.interrupted |= interruptRequested();
     }

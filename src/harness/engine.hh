@@ -4,7 +4,11 @@
  * ExperimentRunner::runOne, with three things on top:
  *  - a persistent worker pool (threads live for the engine's
  *    lifetime, not per batch), sized by resolveJobs() so SB_JOBS and
- *    --jobs bound simulation parallelism everywhere;
+ *    --jobs bound simulation parallelism everywhere. The thread that
+ *    calls run() is one of the workers: it serves cells of its own
+ *    batch through the same per-cell code (supervision hooks,
+ *    interrupt stubs, the per-cell cache store) next to jobs - 1
+ *    pool threads, so a one-job engine starts no thread at all;
  *  - in-batch deduplication: specs with the same specKey() are
  *    simulated once and fanned back out, so scenarios sharing grid
  *    cells (fig7 / fig8 / table3 / ...) pay for each cell once;
@@ -63,7 +67,8 @@ class ExperimentEngine
   public:
     struct Options
     {
-        /** Worker threads; 0 defers to SB_JOBS then hardware. */
+        /** Workers, the calling thread included (N - 1 pool
+         *  threads); 0 defers to SB_JOBS then hardware. */
         unsigned jobs = 0;
         /** Result-cache directory; empty disables the disk cache. */
         std::string cacheDir;
@@ -97,7 +102,14 @@ class ExperimentEngine
     const ResultCache *cache() const { return diskCache.get(); }
 
   private:
+    /** A pool thread: serve every published batch until shutdown. */
     void workerLoop();
+    /** Claim and run cells of the published batch until none is left
+     *  (pool threads and run()'s caller; @p lock holds poolMutex).
+     *  A cell that throws ends the process on either kind of worker:
+     *  the batch lives in run()'s frame, which pool threads may still
+     *  be reading. */
+    void serveBatch(std::unique_lock<std::mutex> &lock) noexcept;
 
     unsigned numJobs;
     Options opt;
@@ -106,7 +118,8 @@ class ExperimentEngine
 
     // Persistent-pool state, all guarded by poolMutex. A batch is
     // published by pointing batchSpecs/batchKeys/batchResults at
-    // run()-local vectors; workers claim indices via nextIndex.
+    // run()-local vectors; workers (the caller too) claim indices via
+    // nextIndex.
     std::mutex poolMutex;
     std::condition_variable workReady;
     std::condition_variable batchDone;

@@ -154,8 +154,10 @@ class GadgetCell final : public CellDriver
             if (v < 256)
                 commitCycle[v] = at;
         }
-        if (pc == gadget.barrierPc)
+        if (pc == gadget.barrierPc && !roundsDone) {
             roundsDone = true;
+            running->requestStop();
+        }
     }
 
     void drive(Core &core, RunOutcome &out) override;
@@ -165,6 +167,7 @@ class GadgetCell final : public CellDriver
     std::uint8_t secret = 0;
     std::vector<Cycle> commitCycle = std::vector<Cycle>(256, 0);
     bool roundsDone = false;
+    Core *running = nullptr; ///< The core drive() runs.
 };
 
 void
@@ -174,15 +177,12 @@ GadgetCell::drive(Core &core, RunOutcome &out)
     using gadget_layout::probeStride;
 
     core.enableObservationTrace();
+    running = &core;
 
     // Phase 1: run the victim rounds, pausing before the probe
-    // commits so the residency oracle sees the post-attack state.
-    // Single-commit granularity: the serialised barrier means whole
-    // hops can pass inside one coarser run() chunk, letting probes
-    // slip past the pause. A tripped core returns from run() at once.
-    while (!roundsDone && !core.halted() && !core.watchdogTripped()
-           && core.now() < 10'000'000)
-        core.run(1, 10'000'000);
+    // commits so the residency oracle sees the post-attack state:
+    // the first barrier commit stops the run at the end of its tick.
+    core.run(100'000'000, 10'000'000);
 
     int oracle_byte = -1;
     int oracle_hits = 0;

@@ -28,6 +28,12 @@ MemoryImage::write(Addr addr, Word value)
         ++shadowed;
 }
 
+void
+MemoryImage::reserve(std::size_t words)
+{
+    top.reserve(top.size() + words);
+}
+
 Word
 MemoryImage::read(Addr addr) const
 {

@@ -43,6 +43,11 @@ class MemoryImage
     /** Write one 64-bit word. */
     void write(Addr addr, Word value);
 
+    /** Size the write layer so that @p words more writes to new
+     *  addresses fit without growing it: a builder that knows its
+     *  image's size allocates it once, at its final size. */
+    void reserve(std::size_t words);
+
     /** Read one word; uninitialised locations yield hash(addr). */
     Word read(Addr addr) const;
 

@@ -79,6 +79,9 @@ buildChase(ProgramBuilder &b, Rng &rng)
         const unsigned j = rng.below(i);
         std::swap(chain.order[i], chain.order[j]);
     }
+    // The chain is nearly all of the image: one allocation holds it
+    // and the gadget's few dozen other words.
+    b.memory().reserve(2 * chaseNodes);
     for (unsigned i = 0; i < chaseNodes; ++i) {
         const Addr node = chain.nodeAddr(i);
         const Addr next = chain.nodeAddr(i + 1);

@@ -109,12 +109,22 @@ makePointerChaseKernel(const PointerChaseParams &p)
     // cache-resident chains run beside DRAM-bound ones.
     std::vector<Addr> heads(p.chains);
     std::vector<unsigned> hops(p.chains, 1);
+    std::vector<std::uint64_t> chainBytes(p.chains);
+    std::uint64_t nodes = 0;
+    for (unsigned c = 0; c < p.chains; ++c) {
+        const std::uint64_t bytes = p.heterogeneous
+                                        ? p.footprintBytes >> (5 * c)
+                                        : p.footprintBytes / p.chains;
+        chainBytes[c] =
+            floorPow2(std::max<std::uint64_t>(bytes, 16u << 10));
+        nodes += chainBytes[c] / 64;
+    }
+    // Two words per node, and nothing else: the image is allocated
+    // once, at its final size (mcf's is 8 MB).
+    b.memory().reserve(2 * nodes);
     Addr regionBase = dataBase;
     for (unsigned c = 0; c < p.chains; ++c) {
-        std::uint64_t bytes = p.heterogeneous
-                                  ? p.footprintBytes >> (5 * c)
-                                  : p.footprintBytes / p.chains;
-        bytes = floorPow2(std::max<std::uint64_t>(bytes, 16u << 10));
+        const std::uint64_t bytes = chainBytes[c];
         const std::uint64_t slots = bytes / 64;
         if (p.heterogeneous && c > 0)
             hops[c] = std::min(p.maxHopsPerIter, 1u << c);

@@ -1,10 +1,12 @@
 /**
  * @file
  * Heap-allocation census: a replaced global operator new counts every
- * allocation the process makes, and each test counts across one piece
- * of work. The timing wheel and the contract shadow allocate nothing
- * after construction, and a whole fuzz cell (program generation, core
- * construction, the run and the harvest) stays under a fixed budget.
+ * allocation the process makes, and its bytes, and each test counts
+ * across one piece of work. The timing wheel and the contract shadow
+ * allocate nothing after construction, a whole fuzz cell (program
+ * generation, core construction, the run and the harvest) stays under
+ * a fixed budget, and what constructing a Core allocates does not
+ * grow with the program's code.
  */
 
 #include <gtest/gtest.h>
@@ -17,14 +19,20 @@
 #include <vector>
 
 #include "core/contract_shadow.hh"
+#include "core/core.hh"
+#include "core/decode_cache.hh"
 #include "core/timing_wheel.hh"
 #include "harness/conformance.hh"
 #include "harness/experiment.hh"
+#include "isa/generator.hh"
+#include "secure/factory.hh"
+#include "trace/gadgets.hh"
 
 namespace
 {
 
 std::atomic<std::uint64_t> allocations{0};
+std::atomic<std::uint64_t> allocatedBytes{0};
 
 } // anonymous namespace
 
@@ -34,6 +42,7 @@ void *
 operator new(std::size_t bytes)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    allocatedBytes.fetch_add(bytes, std::memory_order_relaxed);
     if (void *p = std::malloc(bytes ? bytes : 1))
         return p;
     throw std::bad_alloc();
@@ -58,6 +67,12 @@ std::uint64_t
 allocationCount()
 {
     return allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+allocatedByteCount()
+{
+    return allocatedBytes.load(std::memory_order_relaxed);
 }
 
 TEST(AllocCensus, TimingWheelSteadyStateAllocatesNothing)
@@ -148,6 +163,45 @@ TEST(AllocCensus, FuzzCellStaysUnderBudget)
                     cells[i].workload.c_str(),
                     static_cast<unsigned long long>(count));
     }
+}
+
+/** Bytes allocated while constructing a Mega STT-Rename Core on
+ *  @p prog (the scheme is built first and not counted). */
+std::uint64_t
+coreConstructionBytes(const sb::Program &prog)
+{
+    sb::SchemeConfig scfg;
+    scfg.scheme = sb::Scheme::SttRename;
+    std::unique_ptr<sb::SecureScheme> scheme = sb::makeScheme(scfg);
+    const std::uint64_t before = allocatedByteCount();
+    sb::Core core(sb::CoreConfig::mega(), scfg, std::move(scheme), prog);
+    return allocatedByteCount() - before;
+}
+
+TEST(AllocCensus, CoreConstructionDoesNotScaleWithCode)
+{
+    // The decode cache is the one per-static-op table a Core
+    // allocates; at two bytes an entry it is noise next to the
+    // core's fixed structures.
+    static_assert(sizeof(sb::DecodedOp) <= 4);
+
+    sb::GeneratorParams params;
+    params.seed = 5;
+    const sb::Program fuzz = sb::generateProgram(params);
+    const sb::GadgetProgram gadget =
+        sb::buildGadgetProgram(sb::GadgetKind::SpectreV1, 42, 1);
+    ASSERT_GT(gadget.program.code.size(), 10 * fuzz.code.size());
+
+    // The first construction also pays one-time, process-wide set-up.
+    coreConstructionBytes(fuzz);
+    const std::uint64_t small = coreConstructionBytes(fuzz);
+    const std::uint64_t large = coreConstructionBytes(gadget.program);
+    std::printf("Core construction: %zu ops %llu bytes, %zu ops %llu "
+                "bytes\n",
+                fuzz.code.size(), static_cast<unsigned long long>(small),
+                gadget.program.code.size(),
+                static_cast<unsigned long long>(large));
+    EXPECT_LE(large, small + 8 * 1024);
 }
 
 } // anonymous namespace

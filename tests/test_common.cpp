@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: RNG, statistics, configurations, and
- * table rendering.
+ * Unit tests for src/common: RNG, statistics, configurations, table
+ * rendering, and the word table's sizing.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/word_table.hh"
 
 namespace
 {
@@ -224,6 +225,69 @@ TEST(Table, NumberFormatting)
 {
     EXPECT_EQ(sb::TextTable::num(1.23456, 2), "1.23");
     EXPECT_EQ(sb::TextTable::pct(0.5, 1), "50.0%");
+}
+
+TEST(WordTable, GrowthLeavesItAThirdToTwoThirdsFull)
+{
+    // An insert past the 70% bound doubles the table, so right after
+    // every growth it is 35-70% full (a 4x step would leave 17.5%).
+    sb::WordTable table;
+    std::size_t capacity = 0;
+    unsigned growths = 0;
+    for (sb::Addr i = 0; i < 100'000; ++i) {
+        table.put(8 * (i * 7919), i);
+        const std::size_t now = table.slots().size();
+        if (now != capacity) {
+            if (capacity != 0) {
+                ++growths;
+                const double load = static_cast<double>(table.size())
+                                    / static_cast<double>(now);
+                EXPECT_GE(load, 0.35) << "after growing to " << now;
+                EXPECT_LE(load, 0.70) << "after growing to " << now;
+            }
+            capacity = now;
+        }
+        ASSERT_LT(table.size() * 10, capacity * 7);
+    }
+    EXPECT_GE(growths, 10u);
+}
+
+TEST(WordTable, ReserveThenPutsNeverGrow)
+{
+    for (const std::size_t n : {1u, 44u, 45u, 89u, 90u, 5000u, 100'000u}) {
+        sb::WordTable table;
+        table.reserve(n);
+        const std::size_t capacity = table.slots().size();
+        for (std::size_t i = 0; i < n; ++i)
+            table.put(8 * i, i);
+        EXPECT_EQ(table.slots().size(), capacity) << n << " entries";
+        EXPECT_EQ(table.size(), n);
+    }
+    // A reserve on a filled table counts what it already holds.
+    sb::WordTable table;
+    for (sb::Addr i = 0; i < 1000; ++i)
+        table.put(8 * i, i);
+    table.reserve(table.size() + 3000);
+    const std::size_t capacity = table.slots().size();
+    for (sb::Addr i = 1000; i < 4000; ++i)
+        table.put(8 * i, i);
+    EXPECT_EQ(table.slots().size(), capacity);
+}
+
+TEST(WordTable, EveryEntrySurvivesGrowth)
+{
+    sb::WordTable table;
+    for (sb::Addr i = 0; i < 5000; ++i)
+        EXPECT_TRUE(table.put(8 * i, i));
+    for (sb::Addr i = 0; i < 5000; i += 2)
+        EXPECT_FALSE(table.put(8 * i, i + 1)); // Overwrites.
+    ASSERT_EQ(table.size(), 5000u);
+    for (sb::Addr i = 0; i < 5000; ++i) {
+        const sb::WordTable::Slot *s = table.find(8 * i);
+        ASSERT_NE(s, nullptr) << i;
+        EXPECT_EQ(s->value, i % 2 == 0 ? i + 1 : i);
+    }
+    EXPECT_EQ(table.find(8 * 5000), nullptr);
 }
 
 } // anonymous namespace

@@ -236,6 +236,71 @@ TEST_P(CoreExecTest, CoresOnOneProgramKeepPrivateMemory)
     EXPECT_EQ(p.memory.fingerprint(), image);
 }
 
+TEST_P(CoreExecTest, StopFromCommitHookEndsRunOnThatTick)
+{
+    // Cold loads 4 KB apart leave quiet stretches the run skips.
+    sb::ProgramBuilder b;
+    b.movi(1, 0);
+    b.movi(2, 60);
+    b.movi(3, 1);
+    b.movi(5, 0x100000);
+    const auto loop = b.here();
+    b.load(6, 5, 0); // pc 4
+    b.add(4, 4, 6);
+    b.addi(5, 5, 4096);
+    b.add(1, 1, 3);
+    b.blt(1, 2, loop);
+    b.halt();
+    const sb::Program p = b.build();
+
+    struct Commit
+    {
+        std::uint32_t pc;
+        sb::Cycle at;
+        bool operator==(const Commit &o) const
+        {
+            return pc == o.pc && at == o.at;
+        }
+    };
+    std::vector<Commit> ref_commits;
+    auto ref = makeCore(p);
+    ref->setCommitHook([&](const sb::DynInst &inst, sb::Cycle at) {
+        ref_commits.push_back({inst.pc, at});
+    });
+    const auto r_ref = runToHalt(p, *ref);
+    ASSERT_TRUE(r_ref.halted);
+
+    // Stop at the 20th load's commit.
+    std::vector<Commit> commits;
+    unsigned loads = 0;
+    sb::Cycle stop_at = 0;
+    auto core = makeCore(p);
+    core->setCommitHook([&](const sb::DynInst &inst, sb::Cycle at) {
+        commits.push_back({inst.pc, at});
+        if (inst.pc == 4 && ++loads == 20) {
+            stop_at = at;
+            core->requestStop();
+        }
+    });
+    core->requestStop(); // Outside run(): dropped.
+    const auto r_stop = runToHalt(p, *core);
+    EXPECT_FALSE(r_stop.halted);
+    ASSERT_NE(stop_at, 0u);
+    EXPECT_EQ(core->now(), stop_at);
+    // Every commit of that tick happened, none of a later one.
+    std::uint64_t by_then = 0;
+    for (const Commit &c : ref_commits)
+        by_then += c.at <= stop_at ? 1 : 0;
+    EXPECT_EQ(core->committedInstructions(), by_then);
+
+    // The next run() carries on as if nothing had stopped it.
+    const auto r_rest = runToHalt(p, *core);
+    EXPECT_TRUE(r_rest.halted);
+    EXPECT_EQ(r_rest.cycles, r_ref.cycles);
+    EXPECT_EQ(r_rest.instructions, r_ref.instructions);
+    EXPECT_TRUE(commits == ref_commits);
+}
+
 TEST_P(CoreExecTest, RunsOnEverySmallConfigToo)
 {
     sb::ProgramBuilder b;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include "common/json.hh"
@@ -207,13 +208,49 @@ TEST(Engine, ThreadCountIndependent)
     for (const char *b : {"557.xz", "541.leela", "503.bwaves"})
         specs.push_back(quickSpec(b, sb::Scheme::Nda));
 
+    // jobs = 2 is the caller and one pool thread sharing the batch.
     sb::ExperimentEngine serial(engineOpts(1));
-    sb::ExperimentEngine parallel(engineOpts(4));
     const auto rs = serial.run(specs);
-    const auto rp = parallel.run(specs);
-    ASSERT_EQ(rs.size(), rp.size());
-    for (std::size_t i = 0; i < rs.size(); ++i)
-        expectSameOutcome(rs[i], rp[i]);
+    for (const unsigned jobs : {2u, 4u}) {
+        sb::ExperimentEngine parallel(engineOpts(jobs));
+        const auto rp = parallel.run(specs);
+        ASSERT_EQ(rs.size(), rp.size());
+        for (std::size_t i = 0; i < rs.size(); ++i)
+            expectSameOutcome(rs[i], rp[i]);
+    }
+}
+
+/** Threads of this process: one /proc/self/task entry each. */
+std::size_t
+threadCount()
+{
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                      std::filesystem::directory_iterator{}));
+}
+
+TEST(Engine, CallerIsOneOfTheWorkers)
+{
+    if (!std::filesystem::is_directory("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    const std::vector<sb::RunSpec> specs = {
+        quickSpec("557.xz", sb::Scheme::Baseline),
+        quickSpec("541.leela", sb::Scheme::Nda),
+    };
+    const std::size_t before = threadCount();
+
+    // A one-job engine serves its batch on the calling thread.
+    sb::ExperimentEngine one(engineOpts(1));
+    const auto got = one.run(specs);
+    EXPECT_EQ(threadCount(), before);
+    EXPECT_EQ(one.stats().simulated, 2u);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        expectSameOutcome(got[i], sb::ExperimentRunner::runOne(specs[i]));
+
+    // jobs = N keeps N - 1 pool threads next to the caller.
+    sb::ExperimentEngine three(engineOpts(3));
+    three.run(specs);
+    EXPECT_EQ(threadCount(), before + 2);
 }
 
 TEST(Engine, CacheRoundTripIsBitExact)

@@ -18,6 +18,7 @@
 #include "branch/tage.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "core/core.hh"
 #include "core/decode_cache.hh"
 #include "core/inst_slab.hh"
 #include "core/issue_queue.hh"
@@ -27,6 +28,7 @@
 #include "iq_order.hh"
 #include "isa/program.hh"
 #include "memory/cache.hh"
+#include "secure/factory.hh"
 
 namespace
 {
@@ -429,26 +431,46 @@ TEST(DecodeCache, ClassifiesFetchKinds)
     EXPECT_EQ(cache.lookup(3).kind, sb::FetchKind::Jmp);
     EXPECT_EQ(cache.lookup(5).kind, sb::FetchKind::JmpReg);
     EXPECT_EQ(cache.lookup(6).kind, sb::FetchKind::Halt);
-    // Unconditional jumps are statically taken.
-    EXPECT_TRUE(cache.lookup(3).tmpl.predTaken);
-    EXPECT_TRUE(cache.lookup(5).tmpl.predTaken);
-    EXPECT_FALSE(cache.lookup(0).tmpl.predTaken);
 }
 
-TEST(DecodeCache, TemplateCarriesIdentityAndDefaults)
+TEST(DecodeCache, FetchStampsIdentityAndStaticPrediction)
 {
-    const sb::Program p = dc::tinyProgram();
-    sb::DecodeCache cache;
-    cache.attach(p);
-    const auto &d = cache.lookup(1);
-    EXPECT_EQ(d.tmpl.pc, 1u);
-    EXPECT_EQ(d.tmpl.uop.op, p.code[1].op);
-    // Everything dynamic is default: stamping the template is the
-    // slab record's reset.
-    EXPECT_EQ(d.tmpl.seq, 0u);
-    EXPECT_FALSE(d.tmpl.completed);
-    EXPECT_FALSE(d.tmpl.squashed);
-    EXPECT_EQ(d.tmpl.iqSlot, -1);
+    sb::ProgramBuilder b;
+    b.movi(1, 3);     // 0
+    b.addi(1, 1, -1); // 1
+    b.bne(1, 0, 1);   // 2: CondBranch, taken twice
+    b.movi(2, 6);     // 3
+    b.jmp(5);         // 4: Jmp
+    b.jr(2);          // 5: JmpReg to the halt
+    b.halt();         // 6
+    const sb::Program p = b.build("stamp");
+
+    sb::SchemeConfig scfg;
+    sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg), p);
+    std::vector<std::uint32_t> pcs;
+    sb::SeqNum last_seq = 0;
+    core.setCommitHook([&](const sb::DynInst &inst, sb::Cycle) {
+        const sb::MicroOp &op = p.code[inst.pc];
+        EXPECT_EQ(inst.uop.op, op.op) << "pc " << inst.pc;
+        EXPECT_EQ(inst.uop.dst, op.dst) << "pc " << inst.pc;
+        EXPECT_EQ(inst.uop.src1, op.src1) << "pc " << inst.pc;
+        EXPECT_EQ(inst.uop.imm, op.imm) << "pc " << inst.pc;
+        EXPECT_EQ(inst.uop.target, op.target) << "pc " << inst.pc;
+        EXPECT_GT(inst.seq, last_seq);
+        last_seq = inst.seq;
+        // Unconditional jumps are statically taken; nothing else
+        // that falls through is.
+        if (op.op == sb::Op::Jmp || op.op == sb::Op::JmpReg) {
+            EXPECT_TRUE(inst.predTaken) << "pc " << inst.pc;
+        } else if (!op.isBranch()) {
+            EXPECT_FALSE(inst.predTaken) << "pc " << inst.pc;
+        }
+        pcs.push_back(inst.pc);
+    });
+    const sb::RunResult r = core.run(1000, 10'000);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(pcs, (std::vector<std::uint32_t>{0, 1, 2, 1, 2, 1, 2, 3,
+                                               4, 5, 6}));
 }
 
 TEST(DecodeCache, AttachResetsCountersAndResizes)

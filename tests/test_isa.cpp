@@ -217,6 +217,49 @@ TEST(MemoryImage, BuiltImageIsSharedButNeverAliased)
     EXPECT_NE(written.fingerprint(), before.fingerprint);
 }
 
+TEST(MemoryImage, ReserveChangesNothingVisible)
+{
+    // reserve() only sizes a write layer up front: the slot layout
+    // differs, what the image holds does not. Both layers are
+    // covered, a builder's (frozen into the base) and a copy's.
+    constexpr sb::Addr base = 0x40000;
+    constexpr unsigned words = 3000;
+    auto build = [&](bool reserve) {
+        sb::ProgramBuilder b;
+        b.memory().write(base - 8, 1);
+        if (reserve)
+            b.memory().reserve(words);
+        for (unsigned w = 0; w < words; ++w)
+            b.memory().write(base + 64 * w, 3 * w + 1);
+        b.halt();
+        const sb::Program p = b.build();
+        sb::MemoryImage copy = p.memory;
+        if (reserve)
+            copy.reserve(words);
+        // Even words overwrite a base word, odd ones add a new word.
+        for (unsigned w = 0; w < words; w += 3)
+            copy.write(base + 64 * w + 8 * (w % 2), w);
+        return std::make_pair(p.memory, copy);
+    };
+    const auto plain = build(false);
+    const auto reserved = build(true);
+    auto expectSame = [&](const sb::MemoryImage &a,
+                          const sb::MemoryImage &b) {
+        EXPECT_EQ(a.size(), b.size());
+        EXPECT_EQ(a.fingerprint(), b.fingerprint());
+        for (sb::Addr addr = base - 8; addr < base + 64 * words;
+             addr += 8) {
+            ASSERT_EQ(a.read(addr), b.read(addr)) << std::hex << addr;
+            ASSERT_EQ(a.contains(addr), b.contains(addr))
+                << std::hex << addr;
+        }
+    };
+    expectSame(plain.first, reserved.first);
+    expectSame(plain.second, reserved.second);
+    EXPECT_EQ(plain.first.size(), words + 1);
+    EXPECT_EQ(plain.second.size(), words + 1 + words / 6);
+}
+
 TEST(ProgramBuilder, BackwardBranchTargets)
 {
     sb::ProgramBuilder b;

@@ -15,6 +15,7 @@
 #include "harness/verify.hh"
 #include "isa/transform.hh"
 #include "secure/factory.hh"
+#include "trace/gadgets.hh"
 
 namespace
 {
@@ -123,6 +124,90 @@ TEST(GadgetCells, RunOneRunsTheAttack)
         sb::Scheme::SttRename));
     EXPECT_EQ(safe.stat("gadget_leaked"), 0u);
     EXPECT_EQ(safe.transmitViolations, 0u);
+}
+
+/** Where a gadget cell's first phase leaves the core. */
+struct BarrierPause
+{
+    sb::Cycle cycle = 0;
+    std::uint64_t committed = 0;
+    std::vector<bool> probeCached; ///< Probe slots 1..255.
+};
+
+/**
+ * Run @p spec's gadget to its first barrier commit the way a gadget
+ * cell's phase 1 does (one run() that a commit hook stops), or with
+ * the single-commit stepping loop it replaced.
+ */
+BarrierPause
+pauseAtBarrier(const sb::RunSpec &spec, bool stepping)
+{
+    sb::GadgetKind kind{};
+    std::uint8_t secret = 0;
+    std::uint64_t seed = 0;
+    EXPECT_TRUE(sb::parseGadgetWorkload(spec.workload, kind, secret, seed));
+    const sb::GadgetProgram g = sb::buildGadgetProgram(kind, secret, seed);
+    sb::Core core(spec.core, spec.scheme, sb::makeScheme(spec.scheme),
+                  g.program);
+    core.setContractShadowEnabled(true);
+    core.enableObservationTrace();
+    bool reached = false;
+    core.setCommitHook([&](const sb::DynInst &inst, sb::Cycle) {
+        if (inst.pc != g.barrierPc || reached)
+            return;
+        reached = true;
+        if (!stepping)
+            core.requestStop();
+    });
+    if (stepping) {
+        while (!reached && !core.halted() && !core.watchdogTripped()
+               && core.now() < 10'000'000)
+            core.run(1, 10'000'000);
+    } else {
+        core.run(100'000'000, 10'000'000);
+    }
+    EXPECT_TRUE(reached) << spec.workload;
+    BarrierPause pause;
+    pause.cycle = core.now();
+    pause.committed = core.committedInstructions();
+    for (unsigned v = 1; v < 256; ++v)
+        pause.probeCached.push_back(core.memorySystem().cached(
+            sb::gadget_layout::array2Base
+            + sb::Addr(v) * sb::gadget_layout::probeStride));
+    return pause;
+}
+
+TEST(GadgetCells, BarrierPauseMatchesSteppingForEveryGadgetAndScheme)
+{
+    for (const sb::GadgetKind kind : sb::allGadgets()) {
+        for (const sb::Scheme scheme : sb::allSchemes()) {
+            const sb::RunSpec spec =
+                gadgetSpec(kind, sb::verifySecretA, scheme);
+            const std::string cell =
+                spec.workload + " " + sb::schemeName(scheme);
+            const BarrierPause stepped = pauseAtBarrier(spec, true);
+            const BarrierPause paused = pauseAtBarrier(spec, false);
+            EXPECT_EQ(paused.cycle, stepped.cycle) << cell;
+            EXPECT_EQ(paused.committed, stepped.committed) << cell;
+            EXPECT_TRUE(paused.probeCached == stepped.probeCached) << cell;
+
+            // The cell's residency oracle reads that same pause.
+            int oracle = -1;
+            unsigned hits = 0;
+            for (unsigned v = 1; v < 256; ++v) {
+                if (stepped.probeCached[v - 1]) {
+                    oracle = static_cast<int>(v);
+                    ++hits;
+                }
+            }
+            if (hits != 1)
+                oracle = -1;
+            EXPECT_EQ(sb::ExperimentRunner::runOne(spec).stat(
+                          "gadget_oracle_byte"),
+                      static_cast<std::uint64_t>(oracle + 1))
+                << cell;
+        }
+    }
 }
 
 TEST(Battery, SpecsComeInAdjacentSecretPairs)

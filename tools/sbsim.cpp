@@ -10,7 +10,8 @@
  *
  * Common options, accepted identically by run/all/verify/fuzz (one
  * shared parser — parseCommonOpt — so the verbs cannot drift):
- *   --jobs N        worker threads (default: SB_JOBS, else hardware)
+ *   --jobs N        workers, this thread and N - 1 more (default:
+ *                   SB_JOBS, else hardware)
  *   --cache-dir D   result-cache directory (default: .sbsim-cache)
  *   --no-cache      disable the on-disk result cache
  *   --json          also write SBSIM_<scenario>.json outcome dumps
