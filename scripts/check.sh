@@ -22,8 +22,10 @@
 #   scripts/check.sh --docs    # Also run the markdown docs link check
 #   scripts/check.sh --shards  # Also run the shard-tier smoke
 #                              # (cold sharded run == in-process run
-#                              # over every cell kind, and a crash
-#                              # storm that must converge)
+#                              # over every cell kind, a crash storm
+#                              # that must converge, and SIGINT to
+#                              # sharded, threaded and fuzz runs,
+#                              # which must exit 130)
 #   scripts/check.sh --tenants # Also run the multi-tenant server mix
 #                              # and gate on its cross-tenant verdict
 #
@@ -262,6 +264,41 @@ if [ "$run_shards" = 1 ]; then
         echo "crash storm: converged or quarantined loudly (exit $storm)"
     else
         echo "FAIL: crash-storm run exited $storm" >&2
+        status=1
+    fi
+    # Interrupt smoke: SIGINT one second into runs that take several
+    # times that (sharded, threaded, and the fuzz verb). Each must
+    # print its partial results, exit 128+SIGINT = 130, and leave no
+    # sbsim process (a shard worker included) behind.
+    irq_runs=("run table5 --no-cache --shards 2"
+              "run table5 --no-cache --jobs 2"
+              "fuzz --programs 3000 --no-cache --jobs 2")
+    irq_pids=()
+    for k in "${!irq_runs[@]}"; do
+        # shellcheck disable=SC2086 # each entry is an argument list
+        (cd "$build_dir" \
+         && exec ./sbsim ${irq_runs[$k]} > /dev/null \
+              2> "$shard_tmp/irq$k.err") &
+        irq_pids+=("$!")
+    done
+    sleep 1
+    kill -INT "${irq_pids[@]}"
+    for k in "${!irq_runs[@]}"; do
+        code=0
+        wait "${irq_pids[$k]}" || code=$?
+        if [ "$code" = 130 ] \
+           && grep -q "interrupted; partial results" "$shard_tmp/irq$k.err"; then
+            echo "interrupt smoke: sbsim ${irq_runs[$k]}: exit 130, partial results"
+        else
+            echo "FAIL: sbsim ${irq_runs[$k]} exited $code on SIGINT" >&2
+            cat "$shard_tmp/irq$k.err" >&2
+            status=1
+        fi
+    done
+    # Same process group: the runs above and any worker they forked.
+    if pgrep -g 0 -x sbsim > /dev/null; then
+        echo "FAIL: sbsim processes left after the interrupt smoke" >&2
+        pgrep -a -g 0 -x sbsim >&2 || true
         status=1
     fi
     rm -rf "$shard_tmp"

@@ -1,11 +1,11 @@
 /**
  * @file
- * gem5-style logging primitives: panic(), fatal(), warn(), inform().
+ * gem5-style logging primitives: panic(), fatal(), warn().
  *
  * panic() is for simulator bugs (conditions that must never happen
  * regardless of user input) and aborts. fatal() is for user errors
  * (bad configuration, invalid arguments) and exits cleanly with an
- * error code. warn()/inform() never stop the simulation.
+ * error code. warn() never stops the simulation.
  */
 
 #ifndef SB_COMMON_LOGGING_HH
@@ -22,7 +22,6 @@ namespace sb
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 namespace detail
 {
@@ -52,10 +51,6 @@ concat(Args &&...args)
 /** Non-fatal warning to stderr. */
 #define sb_warn(...) \
     ::sb::warnImpl(::sb::detail::concat(__VA_ARGS__))
-
-/** Informational message to stdout. */
-#define sb_inform(...) \
-    ::sb::informImpl(::sb::detail::concat(__VA_ARGS__))
 
 /** Checked invariant: panics with the condition text when violated. */
 #define sb_assert(cond, ...)                                              \

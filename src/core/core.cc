@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/signals.hh"
 
 namespace sb
 {
@@ -149,11 +148,11 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     const std::uint64_t target = committedCount + max_insts;
     const Cycle limit = cycle + max_cycles;
     stopRequestedFlag = false;
-    // Wall-clock supervision is sampled every 4096 cycles: cheap
-    // enough to vanish in the run loop, frequent enough that a wedged
-    // or interrupted cell ends within milliseconds of its deadline.
-    const bool supervised = wallDeadlineArmed || interruptibleFlag;
-    unsigned untilCheck = untilSupervisionPoll;
+    // The stop check is polled every 4096 cycles: cheap enough to
+    // vanish in the run loop, frequent enough that a wedged or
+    // interrupted cell ends within milliseconds.
+    const bool checked = static_cast<bool>(stopCheck);
+    unsigned untilCheck = untilStopPoll;
     // Idle skip (see the declaration): `measure` says the last tick
     // was quiet, so this one's counter changes are the per-cycle
     // change of the whole quiet stretch.
@@ -166,19 +165,21 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                 counterSnap[i] = counterRefs[i]->value();
         }
         tick();
-        if (supervised && --untilCheck == 0) {
+        if (checked && --untilCheck == 0) {
             untilCheck = 4096;
-            if (wallStopRequested())
+            if (stopCheck()) {
+                stoppedFlag = true;
                 watchdogTrippedFlag = true;
+            }
         }
         if (stopRequestedFlag)
             break;
         if (measure && !tickActive && !watchdogTrippedFlag) {
-            // The supervision poll is a trigger too, so a deadline
-            // trips on the same cycle as in a stepped run.
+            // The poll is a trigger too, so the check fires on the
+            // same cycle as in a stepped run.
             const Cycle next = quietUntil(
-                supervised ? std::min<Cycle>(limit, cycle + untilCheck)
-                           : limit);
+                checked ? std::min<Cycle>(limit, cycle + untilCheck)
+                        : limit);
             if (next > cycle + 1) {
                 const Cycle n = next - 1 - cycle;
                 for (std::size_t i = 0; i < counterRefs.size(); ++i)
@@ -186,13 +187,13 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                         (counterRefs[i]->value() - counterSnap[i]) * n;
                 cycle += n;
                 skippedCount += n;
-                if (supervised)
+                if (checked)
                     untilCheck -= static_cast<unsigned>(n);
             }
         }
         measure = may_skip && !tickActive;
     }
-    untilSupervisionPoll = untilCheck;
+    untilStopPoll = untilCheck;
     // After a halt, keep ticking until committed stores have drained
     // to memory, so the functional image reflects all committed work.
     while (haltedFlag && lsu.sqSize() > 0 && cycle < limit)
@@ -228,20 +229,6 @@ Core::syncEngineStats()
     st.slabHighWater += slab.highWater();
 }
 
-void
-Core::setWallDeadline(double seconds)
-{
-    if (seconds <= 0) {
-        wallDeadlineArmed = false;
-        return;
-    }
-    wallDeadline = std::chrono::steady_clock::now()
-                   + std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(seconds));
-    wallDeadlineArmed = true;
-}
-
 Cycle
 Core::quietUntil(Cycle bound) const
 {
@@ -259,21 +246,6 @@ Core::quietUntil(Cycle bound) const
     if (!rob.empty())
         bound = std::min(bound, lastCommitCycle + stallLimit() + 1);
     return events.nextDue(cycle, bound);
-}
-
-bool
-Core::wallStopRequested()
-{
-    if (interruptibleFlag && interruptRequested()) {
-        interruptHitFlag = true;
-        return true;
-    }
-    if (wallDeadlineArmed
-        && std::chrono::steady_clock::now() >= wallDeadline) {
-        wallDeadlineHitFlag = true;
-        return true;
-    }
-    return false;
 }
 
 void

@@ -35,7 +35,6 @@
 #ifndef SB_CORE_CORE_HH
 #define SB_CORE_CORE_HH
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -200,7 +199,8 @@ class Core
          std::unique_ptr<SecureScheme> scheme, const Program &program);
 
     /**
-     * Run until @p max_insts commits, @p max_cycles, or a halt.
+     * Run until @p max_insts commits, @p max_cycles, a halt, or a
+     * stop: requestStop(), the soft watchdog or the stop check.
      *
      * Skips idle cycles bit-identically. A quiet tick, one in which
      * no pipeline phase did work, leaves the core at a fixed point:
@@ -365,24 +365,19 @@ class Core
     bool watchdogTripped() const { return watchdogTrippedFlag; }
 
     /**
-     * Arm a wall-clock deadline for run(): once @p seconds of real
-     * time elapse the run ends with RunResult::watchdogTripped set
-     * (and wallDeadlineHit() true, so callers can tell a timed-out
-     * cell from a commit-stall). Checked every few thousand cycles —
-     * the steady-state loop stays branch-cheap and timing-identical.
-     * 0 disarms.
+     * run() polls @p check every 4096 cycles, counted across run()
+     * calls; an idle skip never jumps a poll. Once it returns true,
+     * this run() and every later one end with
+     * RunResult::watchdogTripped set and stopped() true. Why it fired
+     * is the caller's to know.
      */
-    void setWallDeadline(double seconds);
+    void setStopCheck(std::function<bool()> check)
+    {
+        stopCheck = std::move(check);
+    }
 
-    /** Also end run() early (as a watchdog trip) once an interrupt
-     *  was requested (common/signals.hh). Off by default. */
-    void setInterruptible(bool enable) { interruptibleFlag = enable; }
-
-    /** True once the wall-clock deadline ended the run. */
-    bool wallDeadlineHit() const { return wallDeadlineHitFlag; }
-
-    /** True once an interrupt request ended the run. */
-    bool interruptHit() const { return interruptHitFlag; }
+    /** True once the stop check ended the run. */
+    bool stopped() const { return stoppedFlag; }
 
   private:
     // --- Pipeline phases (called back-to-front from tick()) -----------
@@ -570,20 +565,12 @@ class Core
     std::uint64_t skippedCount = 0; ///< Cycles skipped by run().
     bool watchdogTrippedFlag = false;
     bool stopRequestedFlag = false; ///< requestStop() during run().
-    /** Wall-clock supervision (setWallDeadline / setInterruptible);
-     *  polled from run(), never from tick(), so the pipeline loop is
-     *  untouched. */
-    std::chrono::steady_clock::time_point wallDeadline{};
-    bool wallDeadlineArmed = false;
-    bool wallDeadlineHitFlag = false;
-    bool interruptibleFlag = false;
-    bool interruptHitFlag = false;
-    /** Supervised cycles left until the next poll. Kept across run()
-     *  calls, so a caller stepping the core one commit at a time is
-     *  polled as often as one long run. */
-    unsigned untilSupervisionPoll = 4096;
-    /** Poll the wall-clock supervision; true ends the run. */
-    bool wallStopRequested();
+    /** Polled from run(), never from tick(), so the pipeline loop
+     *  is untouched. */
+    std::function<bool()> stopCheck;
+    bool stoppedFlag = false;
+    /** Cycles until the next poll, kept across run() calls. */
+    unsigned untilStopPoll = 4096;
     InvariantChecker inv;
 
     /** Emit a trace event if a hook is attached. */

@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "harness/cell_driver.hh"
-#include "harness/engine.hh"
 #include "harness/scenario.hh"
 #include "secure/factory.hh"
 
@@ -73,7 +72,9 @@ parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
     if (std::sscanf(rest.c_str(), ":seed=%" SCNu64 ":iters=%u",
                     &parsed_seed, &parsed_iters)
             != 2
-        || parsed_iters == 0)
+        || parsed_iters == 0
+        || fuzzWorkloadName(parsed_profile, parsed_seed, parsed_iters)
+               != workload)
         return false;
 
     profile = parsed_profile;
@@ -122,11 +123,9 @@ class FuzzCell final : public CellDriver
             reg_hash = fnv1aWord(reg_hash, core.readArchReg(reg));
         const ContractShadow &shadow = core.contractShadow();
         const ContractViolation &first = shadow.firstSandboxViolation();
-        // A deadlock is this kind's own (cacheable) verdict; a
-        // deadline or interrupt trip is runOne's supervision marker.
-        const bool deadlocked = r.watchdogTripped
-                                && !core.wallDeadlineHit()
-                                && !core.interruptHit();
+        // A deadlock is this kind's own (cacheable) verdict; a run
+        // the stop check ended carries runOne's supervision marker.
+        const bool deadlocked = r.watchdogTripped && !core.stopped();
 
         out.cycles = r.cycles;
         out.instructions = useful;
@@ -396,17 +395,6 @@ foldFuzzOutcomes(const FuzzParams &params,
         }
     }
     return report;
-}
-
-FuzzReport
-runFuzz(const FuzzParams &params)
-{
-    ExperimentEngine::Options options;
-    options.jobs = params.jobs;
-    options.cacheDir = params.cacheDir;
-    ExperimentEngine engine(options);
-    const std::vector<RunSpec> specs = fuzzSpecs(params);
-    return foldFuzzOutcomes(params, engine.run(specs));
 }
 
 Json

@@ -57,7 +57,8 @@ bool isFuzzWorkload(const std::string &workload);
 
 /**
  * Decode a fuzzWorkloadName(). Returns false on anything malformed,
- * leaving the outputs untouched.
+ * leaving the outputs untouched: a name is accepted only in the form
+ * fuzzWorkloadName() writes it.
  */
 bool parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                        std::uint64_t &seed, unsigned &iterations);
@@ -119,10 +120,6 @@ struct FuzzParams
     unsigned outerIterations = 32;
     /** Per-cell cycle budget (soft watchdog trips well before). */
     std::uint64_t maxCycles = 4'000'000;
-    /** Worker threads; 0 defers to SB_JOBS then hardware. */
-    unsigned jobs = 0;
-    /** Result-cache directory; empty disables the disk cache. */
-    std::string cacheDir;
     /** Software mitigation applied to every non-oracle cell. When set
      *  the campaign grows an extra *unmitigated* Baseline cell per
      *  program (the oracle) and every scheme — including Baseline —
@@ -182,9 +179,6 @@ std::vector<RunSpec> fuzzSpecs(const FuzzParams &params);
 /** Fold engine outcomes (in fuzzSpecs() order) into the verdict. */
 FuzzReport foldFuzzOutcomes(const FuzzParams &params,
                             const std::vector<RunOutcome> &outcomes);
-
-/** Run the whole campaign through an ExperimentEngine. */
-FuzzReport runFuzz(const FuzzParams &params);
 
 /** Machine-readable report (the SBSIM_fuzz.json document). */
 Json toJson(const FuzzReport &report);

@@ -87,6 +87,27 @@ ExperimentEngine::serveBatch(std::unique_lock<std::mutex> &lock) noexcept
     }
 }
 
+void
+ExperimentEngine::serve(const std::vector<RunSpec> &specs,
+                        const std::vector<std::string> &keys,
+                        std::vector<RunOutcome> &results)
+{
+    std::unique_lock<std::mutex> lock(poolMutex);
+    batchSpecs = &specs;
+    batchKeys = &keys;
+    batchResults = &results;
+    nextIndex = 0;
+    completedCount = 0;
+    workReady.notify_all();
+    serveBatch(lock);
+    batchDone.wait(lock, [this, &specs] {
+        return completedCount == specs.size();
+    });
+    batchSpecs = nullptr;
+    batchKeys = nullptr;
+    batchResults = nullptr;
+}
+
 std::vector<RunOutcome>
 ExperimentEngine::run(const std::vector<RunSpec> &specs)
 {
@@ -173,12 +194,11 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
         ShardDispatcher dispatcher(std::move(shardOpt));
         ran = dispatcher.run(toRun, toRunKeys);
         // Workers persist their results before replying; store only
-        // what nobody persisted (the degraded / uncached-worker
-        // paths), and never supervision stubs.
-        const std::vector<bool> &persisted =
-            dispatcher.persistedByWorker();
+        // what a worker ran without persisting, and never supervision
+        // stubs. Handed-back cells are stored as they are served.
+        const std::vector<bool> &unpersisted = dispatcher.unpersisted();
         for (std::size_t j = 0; j < ran.size(); ++j)
-            if (diskCache && !toRunKeys[j].empty() && !persisted[j]
+            if (diskCache && !toRunKeys[j].empty() && unpersisted[j]
                 && outcomeIsCacheable(ran[j]))
                 diskCache->store(toRunKeys[j], ran[j]);
         const ShardReport &report = dispatcher.report();
@@ -187,12 +207,25 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
         accounting.shardHangs += report.hangs;
         accounting.shardRetries += report.retries;
         accounting.shardDegraded |= report.degraded;
-        accounting.interrupted |= report.interrupted;
         accounting.quarantinedKeys.insert(
             accounting.quarantinedKeys.end(),
             report.quarantinedKeys.begin(),
             report.quarantinedKeys.end());
-        accounting.simulated += toRun.size();
+        // What the dispatcher handed back (it degraded, or was
+        // interrupted) is served like any in-process batch, on this
+        // thread alone: a sharded engine starts no pool, since its
+        // next batch forks.
+        const std::vector<std::size_t> &left = dispatcher.unfinished();
+        std::vector<RunSpec> leftSpecs;
+        std::vector<std::string> leftKeys;
+        for (const std::size_t j : left) {
+            leftSpecs.push_back(toRun[j]);
+            leftKeys.push_back(toRunKeys[j]);
+        }
+        std::vector<RunOutcome> leftRan(left.size());
+        serve(leftSpecs, leftKeys, leftRan);
+        for (std::size_t k = 0; k < left.size(); ++k)
+            ran[left[k]] = std::move(leftRan[k]);
     } else if (!toRun.empty()) {
         // The calling thread is one of the workers: jobs = N starts
         // N - 1 pool threads, so a one-job engine hands nothing off.
@@ -201,24 +234,11 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
             for (unsigned i = 1; i < numJobs; ++i)
                 pool.emplace_back([this] { workerLoop(); });
         }
-        std::unique_lock<std::mutex> lock(poolMutex);
-        batchSpecs = &toRun;
-        batchKeys = &toRunKeys;
-        batchResults = &ran;
-        nextIndex = 0;
-        completedCount = 0;
-        workReady.notify_all();
-        serveBatch(lock);
-        batchDone.wait(lock, [this, &toRun] {
-            return completedCount == toRun.size();
-        });
-        batchSpecs = nullptr;
-        batchKeys = nullptr;
-        batchResults = nullptr;
-        lock.unlock();
-        accounting.simulated += toRun.size();
-        accounting.interrupted |= interruptRequested();
+        serve(toRun, toRunKeys, ran);
     }
+    accounting.simulated += toRun.size();
+    if (!toRun.empty())
+        accounting.interrupted |= interruptRequested();
     for (std::size_t j = 0; j < toRunCell.size(); ++j) {
         cells[toRunCell[j]].outcome = std::move(ran[j]);
         cells[toRunCell[j]].resolved = true;

@@ -8,7 +8,9 @@
  *    calls run() is one of the workers: it serves cells of its own
  *    batch through the same per-cell code (supervision hooks,
  *    interrupt stubs, the per-cell cache store) next to jobs - 1
- *    pool threads, so a one-job engine starts no thread at all;
+ *    pool threads, so a one-job engine starts no thread at all.
+ *    Cells a shard dispatcher hands back (harness/shard.hh) run
+ *    through the same code on the calling thread;
  *  - in-batch deduplication: specs with the same specKey() are
  *    simulated once and fanned back out, so scenarios sharing grid
  *    cells (fig7 / fig8 / table3 / ...) pay for each cell once;
@@ -104,6 +106,11 @@ class ExperimentEngine
   private:
     /** A pool thread: serve every published batch until shutdown. */
     void workerLoop();
+    /** Serve @p specs (cache addresses @p keys) into @p results with
+     *  this thread and the pool, if any. */
+    void serve(const std::vector<RunSpec> &specs,
+               const std::vector<std::string> &keys,
+               std::vector<RunOutcome> &results);
     /** Claim and run cells of the published batch until none is left
      *  (pool threads and run()'s caller; @p lock holds poolMutex).
      *  A cell that throws ends the process on either kind of worker:

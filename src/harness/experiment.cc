@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -8,6 +9,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/signals.hh"
 #include "core/core.hh"
 #include "harness/cell_driver.hh"
 #include "harness/conformance.hh"
@@ -222,14 +224,30 @@ ExperimentRunner::runOne(const RunSpec &spec,
         });
     }
 
-    // Supervision binds every kind. A deadline must end the run, not
-    // escalate a stall into the hard panic: a slow-but-healthy cell is
-    // a timeout, not a bug.
-    if (hooks.wallDeadlineSec > 0)
-        core.setWallDeadline(hooks.wallDeadlineSec);
-    if (hooks.wallDeadlineSec > 0 || kind.judgesLiveness)
+    // Supervision binds every kind, and runOne alone says why a cell
+    // was stopped: the check tests the interrupt, then the deadline,
+    // and records which one fired. A deadline must end the run, not
+    // escalate a stall into the hard panic: a slow-but-healthy cell
+    // is a timeout, not a bug.
+    enum class Stop { None, Interrupt, Deadline } why = Stop::None;
+    const bool timed = hooks.wallDeadlineSec > 0;
+    if (timed || hooks.interruptible) {
+        using Clock = std::chrono::steady_clock;
+        const Clock::time_point deadline =
+            Clock::now()
+            + std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(hooks.wallDeadlineSec));
+        core.setStopCheck([&why, interruptible = hooks.interruptible,
+                           timed, deadline] {
+            if (interruptible && interruptRequested())
+                why = Stop::Interrupt;
+            else if (timed && Clock::now() >= deadline)
+                why = Stop::Deadline;
+            return why != Stop::None;
+        });
+    }
+    if (timed || kind.judgesLiveness)
         core.setSoftWatchdog(100000);
-    core.setInterruptible(hooks.interruptible);
 
     RunOutcome out = outcomeHeader(spec);
     cell->drive(core, out);
@@ -243,9 +261,9 @@ ExperimentRunner::runOne(const RunSpec &spec,
     }
     // Supervision artifacts, not measurements: marked so aggregation
     // and the cache can tell them apart.
-    if (core.interruptHit())
+    if (why == Stop::Interrupt)
         out.stats["interrupted"] = 1;
-    else if (core.wallDeadlineHit()
+    else if (why == Stop::Deadline
              || (core.watchdogTripped() && !kind.judgesLiveness))
         out.stats["watchdog_tripped"] = 1;
     return out;

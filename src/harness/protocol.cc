@@ -1,11 +1,8 @@
 #include "harness/protocol.hh"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 
 #include "harness/reporting.hh"
 
@@ -36,6 +33,8 @@ decodeLen(const char *in)
                  << 24;
 }
 
+} // anonymous namespace
+
 bool
 writeAll(int fd, const char *data, std::size_t size)
 {
@@ -51,8 +50,6 @@ writeAll(int fd, const char *data, std::size_t size)
     }
     return true;
 }
-
-} // anonymous namespace
 
 bool
 writeFrame(int fd, const std::string &payload)
@@ -72,42 +69,12 @@ writeFrame(int fd, const std::string &payload)
 }
 
 RecvStatus
-readFrame(int fd, std::string &payload, int timeoutMs)
+readFrame(int fd, FrameReader &reader, std::string &payload)
 {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        timeoutMs < 0 ? Clock::time_point::max()
-                      : Clock::now() + std::chrono::milliseconds(timeoutMs);
-
-    FrameReader reader;
     char chunk[4096];
-    while (true) {
-        if (reader.next(payload))
-            return RecvStatus::Ok;
+    while (!reader.next(payload)) {
         if (reader.corrupt())
             return RecvStatus::Error;
-
-        int waitMs = -1;
-        if (timeoutMs >= 0) {
-            const auto left = std::chrono::duration_cast<
-                std::chrono::milliseconds>(deadline - Clock::now());
-            if (left.count() <= 0)
-                return RecvStatus::Timeout;
-            waitMs = static_cast<int>(left.count());
-        }
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        const int ready = ::poll(&pfd, 1, waitMs);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return RecvStatus::Error;
-        }
-        if (ready == 0)
-            return RecvStatus::Timeout;
-
         const ssize_t n = ::read(fd, chunk, sizeof(chunk));
         if (n < 0) {
             if (errno == EINTR)
@@ -118,6 +85,7 @@ readFrame(int fd, std::string &payload, int timeoutMs)
             return RecvStatus::Closed;
         reader.feed(chunk, static_cast<std::size_t>(n));
     }
+    return RecvStatus::Ok;
 }
 
 bool
@@ -164,14 +132,6 @@ makeDoneMsg(std::uint64_t id, const RunOutcome &outcome, bool cached)
     j.set("id", Json::num(id));
     j.set("cached", Json::boolean(cached));
     j.set("outcome", toJson(outcome));
-    return j;
-}
-
-Json
-makeShutdownCmd()
-{
-    Json j = Json::object();
-    j.set("cmd", Json::str("shutdown"));
     return j;
 }
 

@@ -16,16 +16,18 @@
  *   dispatcher -> worker  {"cmd":"run","id":I}
  *   worker -> dispatcher  {"cmd":"done","id":I,"cached":B,
  *                          "outcome":{...}}
- *   dispatcher -> worker  {"cmd":"shutdown"}
  *
- * A worker is a fork of the dispatcher and holds the batch it was
- * forked with, so `run` names a cell by its index I in that batch;
- * only the outcome travels as data.
+ * There is no shutdown message: the dispatcher stops a worker by
+ * closing its stream, and the worker exits 0 on EOF. A worker is a
+ * fork of the dispatcher and holds the batch it was forked with, so
+ * `run` names a cell by its index I in that batch; only the outcome
+ * travels as data.
  */
 
 #ifndef SB_HARNESS_PROTOCOL_HH
 #define SB_HARNESS_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -39,31 +41,29 @@ namespace sb
 constexpr std::uint32_t maxFrameBytes = 64u << 20;
 
 /**
- * Write one frame (length prefix + @p payload) to @p fd, retrying
- * EINTR and partial writes. Returns false on error (EPIPE from a
- * dead peer included; install SIGPIPE ignore first).
+ * write() all @p size bytes of @p data to @p fd, retrying EINTR and
+ * partial writes. Returns false on error (EPIPE from a dead peer
+ * included; install SIGPIPE ignore first).
  */
+bool writeAll(int fd, const char *data, std::size_t size);
+
+/** Write one frame (length prefix + @p payload) to @p fd with
+ *  writeAll(). Returns false on error or an oversized payload. */
 bool writeFrame(int fd, const std::string &payload);
 
 enum class RecvStatus
 {
-    Ok,      ///< A complete frame was received.
-    Closed,  ///< Peer closed the stream (EOF) at a frame boundary
-             ///< or mid-frame (a crashed peer looks the same).
-    Timeout, ///< No complete frame within the deadline.
-    Error,   ///< read()/poll() error, or an oversized frame length.
+    Ok,     ///< A complete frame was received.
+    Closed, ///< Peer closed the stream (EOF) at a frame boundary
+            ///< or mid-frame (a crashed peer looks the same).
+    Error,  ///< read() error, or an oversized frame length.
 };
 
 /**
- * Blocking single-frame read with a poll()-based timeout.
- * @p timeoutMs < 0 waits forever. Used by the worker (one request at
- * a time); the dispatcher multiplexes many workers with FrameReader.
- */
-RecvStatus readFrame(int fd, std::string &payload, int timeoutMs);
-
-/**
- * Incremental frame decoder for a nonblocking stream: feed() raw
- * bytes as they arrive, next() extracts complete frames in order.
+ * Incremental frame decoder for a stream: feed() raw bytes as they
+ * arrive, next() extracts complete frames in order. One reader lives
+ * as long as its stream, since one read() may carry the start of the
+ * next frame.
  */
 class FrameReader
 {
@@ -85,13 +85,20 @@ class FrameReader
     bool corruptFlag = false;
 };
 
+/**
+ * Blocking read of the next frame of @p fd's stream, whose bytes
+ * read so far @p reader holds. Used by the worker (one request at a
+ * time); the dispatcher multiplexes many workers, feeding each
+ * worker's FrameReader from a nonblocking stream.
+ */
+RecvStatus readFrame(int fd, FrameReader &reader, std::string &payload);
+
 // --- Message builders ---------------------------------------------------
 
 Json makeHelloMsg();
 Json makeRunCmd(std::uint64_t id);
 Json makeDoneMsg(std::uint64_t id, const RunOutcome &outcome,
                  bool cached);
-Json makeShutdownCmd();
 
 /** The `cmd` field of a parsed message ("" when absent/malformed). */
 std::string messageCmd(const Json &msg);

@@ -13,6 +13,7 @@
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "harness/protocol.hh"
 #include "harness/reporting.hh"
 
 namespace sb
@@ -20,23 +21,6 @@ namespace sb
 
 namespace
 {
-
-/** write() the whole buffer, retrying on EINTR / partial writes. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    std::size_t done = 0;
-    while (done < size) {
-        const ssize_t n = ::write(fd, data + done, size - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** flock() retrying on EINTR (signals must not skip the lock). */
 bool

@@ -53,8 +53,8 @@ toMsClamped(TimePoint deadline, TimePoint now)
     return static_cast<int>(std::min<long long>(ms, 500));
 }
 
-/** Worker exit code for a protocol/stream failure (vs 0 for a clean
- *  shutdown or EOF). */
+/** Worker exit code for a protocol/stream failure (vs 0 at EOF, how
+ *  the dispatcher stops a worker). */
 constexpr int workerStreamError = 3;
 
 /** SB_FAULT=crash exit code; distinctive in waitpid status. */
@@ -63,8 +63,8 @@ constexpr int workerFaultExit = 70;
 /**
  * The body of a forked worker: announce readiness on @p fd, then
  * answer each `run` frame (a cell index into @p specs) with a `done`
- * frame until EOF or shutdown. Returns the exit code; the caller
- * _exits with it.
+ * frame until the dispatcher closes the stream. Returns the exit
+ * code; the caller _exits with it.
  */
 int
 serveCells(int fd, const std::vector<RunSpec> &specs,
@@ -91,23 +91,21 @@ serveCells(int fd, const std::vector<RunSpec> &specs,
     if (!writeFrame(fd, makeHelloMsg().dump()))
         return workerStreamError;
 
+    FrameReader reader;
     std::string payload;
     while (true) {
-        // Block indefinitely: an idle worker costs nothing, and a
-        // dying dispatcher delivers EOF which ends the loop.
-        const RecvStatus status = readFrame(fd, payload, -1);
+        // Block indefinitely: an idle worker costs nothing, and the
+        // dispatcher ends it by closing the stream (or by dying).
+        const RecvStatus status = readFrame(fd, reader, payload);
         if (status == RecvStatus::Closed)
-            return 0; // Dispatcher went away; nothing left to serve.
+            return 0; // Nothing left to serve.
         if (status != RecvStatus::Ok)
             return workerStreamError;
 
         Json msg;
         if (!Json::parse(payload, msg))
             return workerStreamError;
-        const std::string cmd = messageCmd(msg);
-        if (cmd == "shutdown")
-            return 0;
-        if (cmd != "run" || !msg.has("id")
+        if (messageCmd(msg) != "run" || !msg.has("id")
             || msg.at("id").kind() != Json::Kind::Uint
             || msg.at("id").asUint() >= specs.size())
             return workerStreamError;
@@ -200,7 +198,7 @@ struct ShardDispatcher::Batch
         Pending, ///< In the pending FIFO.
         Delayed, ///< Failed; waiting out its backoff.
         Running, ///< In flight on a worker.
-        Done,    ///< Resolved (result, quarantine stub, or interrupt).
+        Done,    ///< Resolved (result or quarantine stub).
     };
 
     const std::vector<RunSpec> *specs = nullptr;
@@ -306,15 +304,16 @@ ShardDispatcher::reapWorker(Worker &worker)
 void
 ShardDispatcher::shutdownWorkers()
 {
-    // Best effort: ask politely, give the cohort a moment, then kill.
+    // Closing its stream ends an idle worker (it exits 0 on EOF); a
+    // busy one gets a moment to finish its cell, then is killed.
     bool anyAlive = false;
-    const std::string bye = makeShutdownCmd().dump();
     for (Worker &worker : workers) {
-        if (worker.pid <= 0)
-            continue;
-        anyAlive = true;
-        if (worker.fd >= 0)
-            writeFrame(worker.fd, bye);
+        if (worker.fd >= 0) {
+            ::close(worker.fd);
+            worker.fd = -1;
+        }
+        worker.state = Worker::State::Dead;
+        anyAlive |= worker.pid > 0;
     }
     if (!anyAlive)
         return;
@@ -338,11 +337,6 @@ ShardDispatcher::shutdownWorkers()
             ::usleep(10000);
         }
         worker.pid = -1;
-        if (worker.fd >= 0) {
-            ::close(worker.fd);
-            worker.fd = -1;
-        }
-        worker.state = Worker::State::Dead;
     }
 }
 
@@ -474,7 +468,7 @@ ShardDispatcher::handleFrames(Worker &worker, Batch &batch)
             const std::size_t cell = worker.cell;
             batch.results[cell] = std::move(outcome);
             batch.state[cell] = Batch::CellState::Done;
-            persisted[cell] = msg.at("cached").asBool();
+            unpersistedCells[cell] = !msg.at("cached").asBool();
             --batch.remaining;
             worker.cell = npos;
             worker.state = Worker::State::Idle;
@@ -487,29 +481,6 @@ ShardDispatcher::handleFrames(Worker &worker, Batch &batch)
         return false;
     }
     return !worker.reader.corrupt();
-}
-
-void
-ShardDispatcher::runRemainingInProcess(Batch &batch)
-{
-    RunHooks hooks;
-    hooks.wallDeadlineSec = opt.cellTimeoutSec;
-    hooks.interruptible = true;
-    for (std::size_t cell = 0; cell < batch.results.size(); ++cell) {
-        if (batch.state[cell] == Batch::CellState::Done)
-            continue;
-        if (interruptRequested()) {
-            rep.interrupted = true;
-            batch.results[cell] =
-                outcomeHeader((*batch.specs)[cell], "interrupted");
-        } else {
-            batch.results[cell] =
-                ExperimentRunner::runOne((*batch.specs)[cell], hooks);
-            ++rep.inProcess;
-        }
-        batch.state[cell] = Batch::CellState::Done;
-        --batch.remaining;
-    }
 }
 
 std::vector<RunOutcome>
@@ -526,7 +497,8 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
     batch.attempts.assign(specs.size(), 0);
     batch.notBefore.assign(specs.size(), TimePoint{});
     batch.remaining = specs.size();
-    persisted.assign(specs.size(), false);
+    unpersistedCells.assign(specs.size(), false);
+    unfinishedCells.clear();
     if (specs.empty())
         return {};
 
@@ -544,12 +516,7 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
 
     std::vector<pollfd> pfds;
     std::vector<std::size_t> pfdWorker;
-    while (batch.remaining > 0) {
-        if (interruptRequested()) {
-            rep.interrupted = true;
-            break;
-        }
-
+    while (batch.remaining > 0 && !interruptRequested()) {
         // Promote delayed cells whose backoff has elapsed.
         const TimePoint now = Clock::now();
         TimePoint nextEvent = now + std::chrono::milliseconds(500);
@@ -588,10 +555,9 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
         if (!anyLive) {
             // No worker can be kept alive: the architecture degrades,
             // the batch does not fail.
-            sb_warn("shard: no live workers; degrading to in-process "
-                    "execution of ", batch.remaining, " cell(s)");
+            sb_warn("shard: no live workers; handing ", batch.remaining,
+                    " cell(s) back for in-process execution");
             rep.degraded = true;
-            runRemainingInProcess(batch);
             break;
         }
 
@@ -629,17 +595,9 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
         }
     }
 
-    if (rep.interrupted) {
-        for (std::size_t cell = 0; cell < batch.results.size(); ++cell) {
-            if (batch.state[cell] == Batch::CellState::Done)
-                continue;
-            batch.results[cell] =
-                outcomeHeader((*batch.specs)[cell], "interrupted");
-            batch.state[cell] = Batch::CellState::Done;
-            --batch.remaining;
-        }
-    }
-
+    for (std::size_t cell = 0; cell < batch.state.size(); ++cell)
+        if (batch.state[cell] != Batch::CellState::Done)
+            unfinishedCells.push_back(cell);
     shutdownWorkers();
     return std::move(batch.results);
 }

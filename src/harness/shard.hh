@@ -32,12 +32,14 @@
  *    report's poisoned-cell list instead of aborting the batch;
  *  - a slot whose respawns keep dying without completing a single
  *    cell is abandoned; when every slot is abandoned the dispatcher
- *    DEGRADES to in-process execution of the remaining cells, so
- *    workers that never finish a cell can slow a batch down but
- *    never fail it;
- *  - SIGINT/SIGTERM (common/signals.hh) stops dispatch, terminates
- *    and reaps workers, and returns partial results with the
- *    unfinished cells marked stats["interrupted"] = 1.
+ *    DEGRADES: it stops and hands its unfinished cells back
+ *    (unfinished()) for the engine to run in-process, so workers that
+ *    never finish a cell can slow a batch down but never fail it;
+ *  - SIGINT/SIGTERM (common/signals.hh) stops it the same way; the
+ *    engine then stubs the handed-back cells as interrupted.
+ *
+ * The dispatcher handles process faults only: what becomes of a cell
+ * no worker finished is the engine's decision, for both backends.
  *
  * Workers persist their results through the shared crash-safe
  * ResultCache before replying, so a worker killed between store and
@@ -93,9 +95,7 @@ struct ShardReport
     std::uint64_t crashes = 0;   ///< Worker exits / broken streams.
     std::uint64_t hangs = 0;     ///< Kill-deadline SIGKILLs.
     std::uint64_t retries = 0;   ///< Cells re-dispatched after failure.
-    std::uint64_t inProcess = 0; ///< Cells run by the dispatcher itself.
-    bool degraded = false;       ///< Every slot abandoned; ran in-process.
-    bool interrupted = false;    ///< Stopped by SIGINT/SIGTERM.
+    bool degraded = false;       ///< Every slot abandoned; cells handed back.
     /** specKeys of quarantined cells (poisoned-cell list). */
     std::vector<std::string> quarantinedKeys;
 };
@@ -110,20 +110,27 @@ class ShardDispatcher
     ShardDispatcher &operator=(const ShardDispatcher &) = delete;
 
     /**
-     * Execute every cell; results match the input order. @p keys
-     * parallels @p specs (a cell's cache address, or "" for
-     * uncacheable cells). Quarantined / interrupted cells come back
-     * as stub outcomes with the corresponding marker stat. Forks
-     * the workers: no other thread may be simulating meanwhile.
+     * Execute the cells the workers can; results match the input
+     * order. @p keys parallels @p specs (a cell's cache address, or
+     * "" for uncacheable cells). A quarantined cell comes back as a
+     * stub marked stats["quarantined"], an unfinished() one empty.
+     * Forks the workers: no other thread may be simulating meanwhile.
      */
     std::vector<RunOutcome> run(const std::vector<RunSpec> &specs,
                                 const std::vector<std::string> &keys);
 
-    /** Per-cell: true when a worker already persisted the result to
-     *  the shared cache (the caller need not store it again). */
-    const std::vector<bool> &persistedByWorker() const
+    /** Cells the last run() handed back (it degraded or was
+     *  interrupted), in input order. */
+    const std::vector<std::size_t> &unfinished() const
     {
-        return persisted;
+        return unfinishedCells;
+    }
+
+    /** Per cell: a worker ran it without persisting the result (its
+     *  cache was off or unusable), so the caller should store it. */
+    const std::vector<bool> &unpersisted() const
+    {
+        return unpersistedCells;
     }
 
     const ShardReport &report() const { return rep; }
@@ -139,12 +146,12 @@ class ShardDispatcher
     void onWorkerDeath(Worker &worker, Batch &batch, bool hang);
     void assignWork(Worker &worker, Batch &batch);
     bool handleFrames(Worker &worker, Batch &batch);
-    void runRemainingInProcess(Batch &batch);
 
     ShardOptions opt;
     ShardReport rep;
     std::vector<Worker> workers;
-    std::vector<bool> persisted;
+    std::vector<std::size_t> unfinishedCells;
+    std::vector<bool> unpersistedCells;
 };
 
 } // namespace sb

@@ -64,13 +64,16 @@ parseTenantWorkload(const std::string &workload, ServerMixParams &out)
         != 5) {
         return false;
     }
-    if (hostile > 1)
+    ServerMixParams parsed;
+    parsed.tenants = tenants;
+    parsed.requests = requests;
+    parsed.work = work;
+    parsed.hostile = hostile != 0;
+    parsed.seed = seed;
+    if (tenantWorkloadName(parsed) != workload
+        || !serverMixParamsValid(parsed))
         return false;
-    out.tenants = tenants;
-    out.requests = requests;
-    out.work = work;
-    out.hostile = hostile != 0;
-    out.seed = seed;
+    out = parsed;
     return true;
 }
 

@@ -41,7 +41,9 @@ bool isTenantWorkload(const std::string &workload);
 
 /**
  * Decode a tenantWorkloadName(). Returns false on anything malformed,
- * leaving @p out untouched.
+ * leaving @p out untouched: a name is accepted only in the form
+ * tenantWorkloadName() writes it, with fields buildServerMix()
+ * accepts.
  */
 bool parseTenantWorkload(const std::string &workload,
                          ServerMixParams &out);

@@ -81,7 +81,11 @@ parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
     if (!parseUint(secret_tok.substr(7), secret_val)
         || !parseUint(seed_tok.substr(5), seed_val))
         return false;
-    if (secret_val < 1 || secret_val > 255)
+    if (secret_val < 1 || secret_val > 255
+        || gadgetWorkloadName(parsed_kind,
+                              static_cast<std::uint8_t>(secret_val),
+                              seed_val)
+               != workload)
         return false;
 
     kind = parsed_kind;

@@ -66,7 +66,8 @@ bool isGadgetWorkload(const std::string &workload);
 
 /**
  * Decode a gadgetWorkloadName(). Returns false on anything
- * malformed, leaving the outputs untouched.
+ * malformed, leaving the outputs untouched: a name is accepted only
+ * in the form gadgetWorkloadName() writes it.
  */
 bool parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
                          std::uint8_t &secret, std::uint64_t &seed);

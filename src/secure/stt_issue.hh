@@ -33,10 +33,7 @@ namespace sb
 class SttIssueScheme : public SecureScheme
 {
   public:
-    explicit SttIssueScheme(const SchemeConfig &config)
-        : schemeCfg(config)
-    {
-    }
+    explicit SttIssueScheme(const SchemeConfig & /* config */) {}
 
     const char *name() const override { return "STT-Issue"; }
     Scheme kind() const override { return Scheme::SttIssue; }
@@ -52,7 +49,6 @@ class SttIssueScheme : public SecureScheme
     bool onSelect(DynInst &inst, bool addr_half) override;
 
   private:
-    SchemeConfig schemeCfg;
     std::vector<YRoT> taintTable;
 };
 

@@ -192,15 +192,20 @@ emitTenantSetup(ProgramBuilder &b, unsigned t, const ServerMixParams &p)
 
 } // anonymous namespace
 
+bool
+serverMixParamsValid(const ServerMixParams &p)
+{
+    return p.tenants >= 2 && p.tenants <= 16 && p.requests >= 1
+           && p.requests <= 128 && p.work >= 1 && p.work <= 256;
+}
+
 ServerMixProgram
 buildServerMix(const ServerMixParams &p)
 {
-    sb_assert(p.tenants >= 2 && p.tenants <= 16,
-              "server mix needs 2..16 tenants, got ", p.tenants);
-    sb_assert(p.requests >= 1 && p.requests <= 128,
-              "server mix needs 1..128 requests, got ", p.requests);
-    sb_assert(p.work >= 1 && p.work <= 256,
-              "server mix needs 1..256 work, got ", p.work);
+    sb_assert(serverMixParamsValid(p),
+              "server mix needs 2..16 tenants, 1..128 requests and "
+              "1..256 work, got ",
+              p.tenants, "/", p.requests, "/", p.work);
 
     ProgramBuilder b;
 

@@ -35,9 +35,10 @@ struct ServerMixParams
 {
     /** Protection domains sharing the core (2..16). */
     unsigned tenants = 4;
-    /** Requests served per tenant (round-robin rounds). */
+    /** Requests served per tenant (round-robin rounds; 1..128). */
     unsigned requests = 24;
-    /** Unrolled kernel iterations per request (work per request). */
+    /** Unrolled kernel iterations per request (work per request;
+     *  1..256). */
     unsigned work = 24;
     /** Arm tenant 0 with the cross-tenant v1 gadget. */
     bool hostile = true;
@@ -57,6 +58,9 @@ struct ServerMixProgram
     /** Total requests across all tenants (== requestEnds.size()). */
     unsigned totalRequests = 0;
 };
+
+/** Are @p p's fields in the ranges buildServerMix() accepts? */
+bool serverMixParamsValid(const ServerMixParams &p);
 
 ServerMixProgram buildServerMix(const ServerMixParams &p);
 

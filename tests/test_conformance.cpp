@@ -253,9 +253,15 @@ TEST(FuzzWorkload, RoundTripsAndRejectsMalformed)
     EXPECT_EQ(seed, 0xdeadbeefULL);
     EXPECT_EQ(iters, 48u);
 
+    // Only the spelling fuzzWorkloadName() writes: no sign, no
+    // padding, no trailing bytes, no wrapped values.
     for (const char *bad :
          {"fuzz:", "fuzz:nope:seed=1:iters=2", "fuzz:mixed:seed=1",
-          "fuzz:mixed:seed=1:iters=0", "541.leela", "gadget:x"}) {
+          "fuzz:mixed:seed=1:iters=0", "541.leela", "gadget:x",
+          "fuzz:mixed:seed=1:iters=-1", "fuzz:mixed:seed=1:iters=32junk",
+          "fuzz:mixed:seed=+1:iters=32", "fuzz:mixed:seed= 1:iters=32",
+          "fuzz:mixed:seed=01:iters=32",
+          "fuzz:mixed:seed=1:iters=4294967296"}) {
         EXPECT_FALSE(sb::parseFuzzWorkload(bad, profile, seed, iters))
             << bad;
     }

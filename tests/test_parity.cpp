@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -175,16 +176,21 @@ struct RunLog
     std::string verdicts;
     std::uint64_t skipped = 0;
     sb::Cycle cycles = 0;
+    /** The cycle of each stop-check poll, when a check was armed. */
+    std::vector<sb::Cycle> polls;
 };
 
 /** A core that logs each run() call; @p stepped attaches a no-op
- *  trace hook, which makes run() step every cycle. */
+ *  trace hook, which makes run() step every cycle. With @p fire_at
+ *  set it also arms a stop check that logs each poll and fires from
+ *  its @p fire_at -th poll on (0: never), as a deadline does. */
 class LoggedCore
 {
   public:
     LoggedCore(const sb::CoreConfig &cfg, const sb::SchemeConfig &scheme,
                std::unique_ptr<sb::SecureScheme> impl,
-               const sb::Program &prog, bool stepped)
+               const sb::Program &prog, bool stepped,
+               std::optional<std::size_t> fire_at = std::nullopt)
         : core(cfg, scheme,
                impl ? std::move(impl) : sb::makeScheme(scheme), prog)
     {
@@ -198,6 +204,12 @@ class LoggedCore
         if (stepped) {
             core.setTraceHook(
                 [](const char *, const sb::DynInst &, sb::Cycle) {});
+        }
+        if (fire_at) {
+            core.setStopCheck([this, n = *fire_at] {
+                log.polls.push_back(core.now());
+                return n != 0 && log.polls.size() >= n;
+            });
         }
     }
 
@@ -255,9 +267,11 @@ struct SkipCase
 RunLog
 runCase(const SkipCase &c, const sb::CoreConfig &cfg,
         const sb::SchemeConfig &scheme, bool stepped,
-        std::unique_ptr<sb::SecureScheme> impl = nullptr)
+        std::unique_ptr<sb::SecureScheme> impl = nullptr,
+        std::optional<std::size_t> fire_at = std::nullopt)
 {
-    LoggedCore lc(cfg, scheme, std::move(impl), *c.program, stepped);
+    LoggedCore lc(cfg, scheme, std::move(impl), *c.program, stepped,
+                  fire_at);
     c.script(lc);
     return lc.finish();
 }
@@ -293,11 +307,24 @@ runToHalt(LoggedCore &lc)
     lc.run(100'000'000, 2'000'000);
 }
 
-TEST(IdleSkip, SkippedRunsEqualSteppedRuns)
+/** The programs the IdleSkip tests run and the run() calls made on
+ *  each; the cases point into this object. */
+struct SkipCases
 {
+    SkipCases();
+    SkipCases(const SkipCases &) = delete;
+    SkipCases &operator=(const SkipCases &) = delete;
+
     const sb::Workload mcf = sb::SpecSuite::make("505.mcf");
     const sb::Workload leela = sb::SpecSuite::make("541.leela");
+    std::vector<sb::GadgetProgram> gadgets;
+    std::vector<sb::Program> generated;
+    sb::ServerMixProgram server;
     std::vector<SkipCase> cases;
+};
+
+SkipCases::SkipCases()
+{
     for (const sb::Workload *w : {&mcf, &leela}) {
         cases.push_back({w->name + " window", &w->program,
                          [](LoggedCore &lc) {
@@ -313,9 +340,9 @@ TEST(IdleSkip, SkippedRunsEqualSteppedRuns)
                              lc.run(1'000'000, 1'499);
                      }});
 
-    // The gadget cell's shape: the victim rounds one commit per run()
-    // call up to the probe barrier, then the probe in one call.
-    std::vector<sb::GadgetProgram> gadgets;
+    // The victim rounds one commit per run() call up to the probe
+    // barrier, then the probe in one call: many short run()s, across
+    // which the skip's state must carry over.
     for (sb::GadgetKind kind : sb::allGadgets())
         gadgets.push_back(sb::buildGadgetProgram(kind, 0xA7, 42));
     for (std::size_t i = 0; i < gadgets.size(); ++i) {
@@ -336,7 +363,6 @@ TEST(IdleSkip, SkippedRunsEqualSteppedRuns)
              }});
     }
 
-    std::vector<sb::Program> generated;
     for (sb::OpMixProfile profile : sb::allOpMixProfiles()) {
         sb::GeneratorParams params;
         params.seed = 0x5EED + static_cast<unsigned>(profile);
@@ -353,9 +379,14 @@ TEST(IdleSkip, SkippedRunsEqualSteppedRuns)
     sb::ServerMixParams mix;
     mix.requests = 3;
     mix.work = 8;
-    const sb::ServerMixProgram server = sb::buildServerMix(mix);
+    server = sb::buildServerMix(mix);
     cases.push_back({"hostile server mix", &server.program, runToHalt});
+}
 
+TEST(IdleSkip, SkippedRunsEqualSteppedRuns)
+{
+    const SkipCases all;
+    const std::vector<SkipCase> &cases = all.cases;
     for (auto make_core : {mega, medium}) {
         const sb::CoreConfig cfg = make_core();
         for (const sb::SchemeConfig &scheme : sb::allSchemeConfigs()) {
@@ -398,6 +429,80 @@ TEST(IdleSkip, DeadlockTripsTheWatchdogOnTheSteppedCycle)
     ASSERT_NE(skip.runs.front().find("watchdog=1"), std::string::npos);
     // The stall is one quiet stretch up to the watchdog deadline.
     EXPECT_GT(skip.skipped, 99'900u);
+}
+
+/**
+ * @p c under a stop check, skipped and stepped. A check that never
+ * fires must not move the run, and is polled on every 4096th cycle in
+ * both; one that fires at its third poll stops both on that poll's
+ * cycle, for good. @p impl makes the scheme (null: the spec's).
+ * Returns whether the run lasted three polls, so the check fired.
+ */
+bool
+expectSupervisedRunsEqual(const SkipCase &c, const sb::CoreConfig &cfg,
+                          const sb::SchemeConfig &scheme,
+                          std::unique_ptr<sb::SecureScheme> (*impl)(),
+                          const std::string &what)
+{
+    const RunLog plain = runCase(c, cfg, scheme, false, impl());
+    const RunLog quiet_skip = runCase(c, cfg, scheme, false, impl(), 0);
+    const RunLog quiet_step = runCase(c, cfg, scheme, true, impl(), 0);
+    expectSameRun(plain, quiet_step, what + " never-firing check");
+    expectSameRun(quiet_skip, quiet_step, what + " never-firing check");
+    EXPECT_EQ(quiet_skip.polls, quiet_step.polls) << what;
+    for (std::size_t i = 0; i < quiet_step.polls.size(); ++i)
+        EXPECT_EQ(quiet_step.polls[i], 4096 * (i + 1)) << what;
+
+    const RunLog fired_skip = runCase(c, cfg, scheme, false, impl(), 3);
+    const RunLog fired_step = runCase(c, cfg, scheme, true, impl(), 3);
+    expectSameRun(fired_skip, fired_step, what + " check firing at 3");
+    const std::vector<sb::Cycle> first3(
+        quiet_step.polls.begin(),
+        quiet_step.polls.begin()
+            + std::min<std::size_t>(3, quiet_step.polls.size()));
+    EXPECT_EQ(fired_skip.polls, first3) << what;
+    EXPECT_EQ(fired_step.polls, first3) << what;
+    if (first3.size() < 3)
+        return false;
+    EXPECT_EQ(fired_skip.cycles, first3.back()) << what;
+    return true;
+}
+
+TEST(IdleSkip, StopCheckPollsOnTheSteppedCycles)
+{
+    const SkipCases all;
+    for (auto make_core : {mega, medium}) {
+        const sb::CoreConfig cfg = make_core();
+        for (const sb::SchemeConfig &scheme : sb::allSchemeConfigs()) {
+            const std::string what =
+                cfg.name + " " + sb::schemeName(scheme.scheme);
+            std::size_t fired = 0;
+            for (const SkipCase &c : all.cases) {
+                fired += expectSupervisedRunsEqual(
+                    c, cfg, scheme,
+                    [] { return std::unique_ptr<sb::SecureScheme>(); },
+                    what + " " + c.name);
+            }
+            // The gadgets and 505.mcf's window outlast three polls.
+            EXPECT_GE(fired, all.gadgets.size() + 1) << what;
+        }
+    }
+
+    // The stall: a check polled between the quiet stretch's skips
+    // stops it long before the watchdog would.
+    sb::GeneratorParams params;
+    params.seed = 7;
+    const sb::Program prog = sb::generateProgram(params);
+    const SkipCase c{"deadlock", &prog, [](LoggedCore &lc) {
+                         lc.run(100'000'000, 4'000'000);
+                     }};
+    EXPECT_TRUE(expectSupervisedRunsEqual(
+        c, sb::CoreConfig::mega(), sb::SchemeConfig{},
+        [] {
+            return std::unique_ptr<sb::SecureScheme>(
+                std::make_unique<DeadlockScheme>());
+        },
+        c.name));
 }
 
 } // anonymous namespace

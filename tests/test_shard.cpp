@@ -132,13 +132,37 @@ TEST(Protocol, FrameRoundTripOverPipe)
     ASSERT_EQ(::pipe(fds), 0);
     const std::string payload = "{\"cmd\":\"hello\"}";
     ASSERT_TRUE(sb::writeFrame(fds[1], payload));
+    sb::FrameReader reader;
     std::string got;
-    ASSERT_EQ(sb::readFrame(fds[0], got, 1000), sb::RecvStatus::Ok);
+    ASSERT_EQ(sb::readFrame(fds[0], reader, got), sb::RecvStatus::Ok);
     EXPECT_EQ(got, payload);
 
     // EOF at a frame boundary reads as Closed, not an error.
     ::close(fds[1]);
-    EXPECT_EQ(sb::readFrame(fds[0], got, 1000), sb::RecvStatus::Closed);
+    EXPECT_EQ(sb::readFrame(fds[0], reader, got),
+              sb::RecvStatus::Closed);
+    ::close(fds[0]);
+}
+
+TEST(Protocol, BackToBackFramesReadOnePerCall)
+{
+    // Both frames are in the pipe before the first read, so one
+    // read() takes in both: the second must survive in the reader
+    // for the next call instead of being dropped with it.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_TRUE(sb::writeFrame(fds[1], "{\"cmd\":\"run\",\"id\":1}"));
+    ASSERT_TRUE(sb::writeFrame(fds[1], "{\"cmd\":\"run\",\"id\":2}"));
+    ::close(fds[1]);
+
+    sb::FrameReader reader;
+    std::string got;
+    ASSERT_EQ(sb::readFrame(fds[0], reader, got), sb::RecvStatus::Ok);
+    EXPECT_EQ(got, "{\"cmd\":\"run\",\"id\":1}");
+    ASSERT_EQ(sb::readFrame(fds[0], reader, got), sb::RecvStatus::Ok);
+    EXPECT_EQ(got, "{\"cmd\":\"run\",\"id\":2}");
+    EXPECT_EQ(sb::readFrame(fds[0], reader, got),
+              sb::RecvStatus::Closed);
     ::close(fds[0]);
 }
 
@@ -428,9 +452,10 @@ TEST(CellTimeout, DeadlineOverrunIsMarkedAndUncacheable)
         EXPECT_TRUE(sb::outcomeIsCacheable(watched)) << spec.workload;
     }
 
-    // The gadget trips at the first poll, inside its victim phase,
-    // which steps the core one commit at a time and alone runs past
-    // that cycle: the poll countdown spans those run() calls.
+    // The gadget trips at the first poll, inside its victim phase
+    // (one run() that the first barrier commit ends), and its probe
+    // phase's run() ends at once: a fired check ends every later
+    // run() too.
     EXPECT_EQ(tripped[1].cycles, 4096u);
 
     // The folds report a cut-short cell as such, never judge its
@@ -481,8 +506,9 @@ TEST(ShardDispatcher, MatchesInProcessBitExact)
     EXPECT_FALSE(report.degraded);
     EXPECT_TRUE(report.quarantinedKeys.empty());
     // Workers persist before replying: every cell is already on disk.
-    for (const bool persisted : dispatcher.persistedByWorker())
-        EXPECT_TRUE(persisted);
+    for (const bool unstored : dispatcher.unpersisted())
+        EXPECT_FALSE(unstored);
+    EXPECT_TRUE(dispatcher.unfinished().empty());
     sb::ResultCache cache(dir);
     EXPECT_EQ(cache.size(), specs.size());
 }
@@ -506,7 +532,7 @@ TEST(ShardDispatcher, CoreOffItsPresetMatchesRunOneAndItsCacheEntry)
     const auto results = dispatcher.run(specs, keysOf(specs));
     ASSERT_EQ(results.size(), 1u);
     expectSameOutcome(results[0], expected);
-    EXPECT_TRUE(dispatcher.persistedByWorker()[0]);
+    EXPECT_FALSE(dispatcher.unpersisted()[0]);
 
     sb::ExperimentEngine::Options opt;
     opt.jobs = 1;
@@ -607,9 +633,10 @@ TEST(ShardDispatcher, PoisonedCellIsQuarantinedNotFatal)
 TEST(ShardDispatcher, WorkersThatNeverFinishACellDegradeToInProcess)
 {
     // Every worker dies before its first reply: each slot is
-    // abandoned after its barren respawns and the dispatcher must
-    // finish the batch itself, bit-exactly. Attempts are uncapped so
-    // quarantine cannot take a cell away from the in-process tail.
+    // abandoned after its barren respawns, and the dispatcher must
+    // hand every cell back for the engine to run in-process (through
+    // the loop the Engine.* tests pin bit-exact), storing none.
+    // Attempts are uncapped so quarantine cannot take a cell away.
     ScopedFault fault("crash:1");
     const auto specs = std::vector<sb::RunSpec>{
         quickSpec("557.xz", sb::Scheme::Baseline),
@@ -624,13 +651,13 @@ TEST(ShardDispatcher, WorkersThatNeverFinishACellDegradeToInProcess)
 
     const sb::ShardReport &report = dispatcher.report();
     EXPECT_TRUE(report.degraded);
-    EXPECT_EQ(report.inProcess, specs.size());
     EXPECT_GE(report.crashes, 1u);
-
+    EXPECT_TRUE(report.quarantinedKeys.empty());
+    EXPECT_EQ(dispatcher.unfinished(),
+              (std::vector<std::size_t>{0, 1}));
+    for (const bool unstored : dispatcher.unpersisted())
+        EXPECT_FALSE(unstored);
     ASSERT_EQ(results.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        expectSameOutcome(results[i],
-                          sb::ExperimentRunner::runOne(specs[i]));
 }
 
 // --- Engine integration -------------------------------------------------
@@ -672,29 +699,37 @@ TEST(EngineShards, InterruptDrainsBatchWithPartialResults)
 {
     // A pending interrupt makes the engine stub every remaining cell
     // instead of simulating: partial results, marked outcomes, stats
-    // flagged — and nothing poisonous stored in the cache.
-    sb::installSignalHandlers();
-    ::raise(SIGTERM);
-    ASSERT_TRUE(sb::interruptRequested());
+    // flagged — and nothing poisonous stored in the cache. A sharded
+    // engine gets the same: its dispatcher hands every cell back
+    // unfinished, and the engine stubs them.
+    for (const unsigned shards : {0u, 2u}) {
+        SCOPED_TRACE(shards);
+        sb::installSignalHandlers();
+        ::raise(SIGTERM);
+        ASSERT_TRUE(sb::interruptRequested());
 
-    const std::string dir = freshDir("sb_shard_interrupt");
-    sb::ExperimentEngine::Options opt;
-    opt.jobs = 2;
-    opt.cacheDir = dir;
-    sb::ExperimentEngine engine(opt);
-    const auto specs = smallBatch();
-    const auto results = engine.run(specs);
-    sb::clearInterruptForTesting();
+        const std::string dir =
+            freshDir("sb_shard_interrupt" + std::to_string(shards));
+        sb::ExperimentEngine::Options opt;
+        opt.jobs = 2;
+        opt.cacheDir = dir;
+        opt.shards = shards;
+        sb::ExperimentEngine engine(opt);
+        const auto specs = smallBatch();
+        const auto results = engine.run(specs);
+        sb::clearInterruptForTesting();
 
-    ASSERT_EQ(results.size(), specs.size());
-    for (const auto &out : results) {
-        EXPECT_EQ(out.stat("interrupted"), 1u);
-        EXPECT_FALSE(sb::outcomeIsCacheable(out));
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(results[i].stat("interrupted"), 1u);
+            EXPECT_FALSE(sb::outcomeIsCacheable(results[i]));
+            EXPECT_TRUE(sb::outcomeMatchesSpec(results[i], specs[i]));
+        }
+        EXPECT_TRUE(engine.stats().interrupted);
+        EXPECT_EQ(engine.stats().interruptedCells, specs.size());
+        sb::ResultCache cache(dir);
+        EXPECT_EQ(cache.size(), 0u);
     }
-    EXPECT_TRUE(engine.stats().interrupted);
-    EXPECT_EQ(engine.stats().interruptedCells, specs.size());
-    sb::ResultCache cache(dir);
-    EXPECT_EQ(cache.size(), 0u);
 }
 
 } // anonymous namespace

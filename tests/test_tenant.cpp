@@ -171,6 +171,32 @@ TEST(ServerMix, WorkloadNameRoundTripsAndRejectsGarbage)
     EXPECT_EQ(q.seed, 99u);
     EXPECT_FALSE(sb::parseTenantWorkload("mt:tenants=3", q));
     EXPECT_FALSE(sb::parseTenantWorkload("nonsense", q));
+    // Only the spelling tenantWorkloadName() writes, and only shapes
+    // buildServerMix() accepts: rejected here, not by its assert.
+    for (const char *bad :
+         {"mt:tenants=-1:requests=24:work=24:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=24:hostile=1:seed=7junk",
+          "mt:tenants=+4:requests=24:work=24:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work= 24:hostile=1:seed=7",
+          "mt:tenants=1:requests=24:work=24:hostile=1:seed=7",
+          "mt:tenants=17:requests=24:work=24:hostile=1:seed=7",
+          "mt:tenants=4:requests=0:work=24:hostile=1:seed=7",
+          "mt:tenants=4:requests=129:work=24:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=0:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=257:hostile=1:seed=7",
+          "mt:tenants=4:requests=24:work=24:hostile=2:seed=7"}) {
+        EXPECT_FALSE(sb::parseTenantWorkload(bad, q)) << bad;
+    }
+    // The whole accepted range, and the scenario's own cell.
+    for (const char *good :
+         {"mt:tenants=2:requests=1:work=1:hostile=0:seed=0",
+          "mt:tenants=16:requests=128:work=256:hostile=1:seed=7"}) {
+        EXPECT_TRUE(sb::parseTenantWorkload(good, q)) << good;
+    }
+    ASSERT_TRUE(sb::parseTenantWorkload(
+        sb::tenantWorkloadName(sb::ServerMixParams{}), q));
+    EXPECT_EQ(sb::tenantWorkloadName(q),
+              sb::tenantWorkloadName(sb::ServerMixParams{}));
 }
 
 TEST(ServerMix, BenignMixRunsToHaltAcrossShapes)

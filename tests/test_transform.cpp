@@ -352,7 +352,9 @@ TEST(MitigationFuzz, FiftyProgramsSevenSchemesStayEquivalentUnderSlh)
 {
     sb::FuzzParams params; // 50 programs, full roster, mega core.
     params.mitigation = sb::Mitigation::Slh;
-    const sb::FuzzReport report = sb::runFuzz(params);
+    sb::ExperimentEngine engine;
+    const sb::FuzzReport report =
+        sb::foldFuzzOutcomes(params, engine.run(sb::fuzzSpecs(params)));
     EXPECT_EQ(report.cells,
               50 * (sb::allSchemeConfigs().size() + 1));
     for (const sb::FuzzFailure &f : report.failures) {

@@ -83,7 +83,12 @@ TEST(GadgetWorkloads, ParseRejectsMalformed)
           "gadget:spectre-v1:secret=0:seed=2",
           "gadget:spectre-v1:secret=256:seed=2",
           "gadget:spectre-v1:secret=x:seed=2",
-          "gadget:spectre-v1:seed=2:secret=167"}) {
+          "gadget:spectre-v1:seed=2:secret=167",
+          // Only the spelling gadgetWorkloadName() writes.
+          "gadget:spectre-v1:secret=+167:seed= 42",
+          "gadget:spectre-v1:secret=+167:seed=42",
+          "gadget:spectre-v1:secret=167:seed= 42",
+          "gadget:spectre-v1:secret=0167:seed=42"}) {
         EXPECT_FALSE(sb::parseGadgetWorkload(bad, kind, secret, seed))
             << bad;
     }

@@ -42,8 +42,8 @@
  *                   writes SBSIM_verify_<M>.json.
  *
  * SIGINT/SIGTERM stop dispatch gracefully: in-flight work is cut
- * short, finished cells stay in the cache, the partial grid summary
- * still prints, and the process exits 128+signal.
+ * short, finished cells stay in the cache, the partial report still
+ * prints, and every simulating verb exits 128+signal.
  *
  * Fuzz options (sbsim fuzz only):
  *   --programs N    random programs per campaign (default 50)
@@ -58,9 +58,10 @@
  * All requested scenarios are collected into one ExperimentEngine
  * batch, so overlapping grid cells are simulated once (in-batch
  * dedup) and persist across invocations (content-addressed cache).
- * run/all exit 1 when any scenario's printed verdict fails (the
- * security battery, conformance, contract_check, mitigation_grid,
- * multi_tenant) or a cell was quarantined.
+ * Every verb exits 1 when a printed verdict fails (the security
+ * battery, conformance, contract_check, mitigation_grid,
+ * multi_tenant, a mitigation's closure, a fuzz campaign) or a cell
+ * was quarantined.
  * `sbsim all` additionally writes BENCH_gridspeed.json with the grid
  * throughput accounting (cells requested / simulated / deduped /
  * cached, wall-clock) so the perf trajectory tracks grid cost next
@@ -202,6 +203,48 @@ parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
     return 0;
 }
 
+/** The engine options every simulating verb starts from. A request
+ *  with no @p cells opens no cache, so it creates no directory. */
+sb::ExperimentEngine::Options
+engineOptions(const CommonOpts &common, bool cells)
+{
+    sb::ExperimentEngine::Options options;
+    options.jobs = common.jobs;
+    if (common.useCache && cells)
+        options.cacheDir = common.cacheDir;
+    return options;
+}
+
+/** How every simulating verb ends: an interrupt exits 128+signal;
+ *  otherwise a @p failed verdict or a quarantined cell exits 1. */
+int
+exitStatus(const sb::ExperimentEngine &engine,
+           const std::vector<std::string> &failed)
+{
+    const sb::EngineStats &st = engine.stats();
+    if (st.interrupted) {
+        std::fprintf(stderr,
+                     "sbsim: interrupted; partial results "
+                     "(%llu cell(s) unfinished)\n",
+                     static_cast<unsigned long long>(
+                         st.interruptedCells));
+        const int sig = sb::interruptSignal();
+        return sig > 0 ? 128 + sig : 130;
+    }
+    for (const std::string &name : failed)
+        std::fprintf(stderr, "sbsim: %s verdict FAIL\n", name.c_str());
+    if (!failed.empty())
+        return 1;
+    if (!st.quarantinedKeys.empty()) {
+        std::fprintf(stderr,
+                     "sbsim: %zu cell(s) quarantined; results "
+                     "incomplete\n",
+                     st.quarantinedKeys.size());
+        return 1;
+    }
+    return 0;
+}
+
 int
 listScenarios()
 {
@@ -333,28 +376,23 @@ fuzzMain(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    params.jobs = common.jobs;
-    params.cacheDir = common.useCache ? common.cacheDir : std::string();
 
-    const std::size_t stride =
-        sb::allSchemeConfigs().size()
-        + (params.mitigation != sb::Mitigation::None ? 1 : 0);
+    const std::vector<sb::RunSpec> specs = sb::fuzzSpecs(params);
+    sb::ExperimentEngine engine(engineOptions(common, true));
     std::printf("sbsim fuzz: %u program(s), %zu cells, base seed %llu, "
                 "mitigation %s, cache %s\n",
-                params.programs, params.programs * stride,
+                params.programs, specs.size(),
                 static_cast<unsigned long long>(params.baseSeed),
                 sb::mitigationName(params.mitigation),
                 common.useCache ? common.cacheDir.c_str() : "off");
-    const sb::FuzzReport report = sb::runFuzz(params);
+    const sb::FuzzReport report =
+        sb::foldFuzzOutcomes(params, engine.run(specs));
     printFuzzReport(report, stdout);
     if (common.emitJson)
         sb::writeJsonFile("SBSIM_fuzz.json", sb::toJson(report));
-    if (!report.ok()) {
-        std::fprintf(stderr,
-                     "sbsim fuzz: conformance oracle failed\n");
-        return 1;
-    }
-    return 0;
+    if (report.ok())
+        return exitStatus(engine, {});
+    return exitStatus(engine, {"fuzz"});
 }
 
 /**
@@ -370,11 +408,7 @@ verifyMitigationMain(sb::Mitigation m, const CommonOpts &common)
     const std::vector<sb::RunSpec> specs = sb::mitigationBatterySpecs(
         sb::CoreConfig::mega(), sb::allSchemeConfigs(), m);
 
-    sb::ExperimentEngine::Options options;
-    options.jobs = common.jobs;
-    options.cacheDir =
-        common.useCache ? common.cacheDir : std::string();
-    sb::ExperimentEngine engine(options);
+    sb::ExperimentEngine engine(engineOptions(common, true));
 
     std::printf("sbsim verify: mitigation %s, %zu cells, %u jobs, "
                 "cache %s\n",
@@ -390,19 +424,10 @@ verifyMitigationMain(sb::Mitigation m, const CommonOpts &common)
                               + sb::mitigationName(m) + ".json",
                           sb::toJson(report));
 
-    if (engine.stats().interrupted) {
-        std::fprintf(stderr, "sbsim: interrupted; partial results\n");
-        const int sig = sb::interruptSignal();
-        return sig > 0 ? 128 + sig : 130;
-    }
-    if (!report.ok()) {
-        std::fprintf(stderr,
-                     "sbsim verify: mitigation %s failed its closure "
-                     "contract\n",
-                     sb::mitigationName(m));
-        return 1;
-    }
-    return 0;
+    if (report.ok())
+        return exitStatus(engine, {});
+    return exitStatus(engine, {std::string("verify --mitigation ")
+                               + sb::mitigationName(m)});
 }
 
 } // anonymous namespace
@@ -547,13 +572,8 @@ main(int argc, char **argv)
     }
     offsets.push_back(specs.size());
 
-    sb::ExperimentEngine::Options options;
-    options.jobs = common.jobs;
-    // Model-only requests (zero cells) should not create a cache
-    // directory as a side effect.
-    options.cacheDir = common.useCache && !specs.empty()
-                           ? common.cacheDir
-                           : std::string();
+    sb::ExperimentEngine::Options options =
+        engineOptions(common, !specs.empty());
     options.shards = shards;
     options.cellTimeoutSec = cell_timeout;
     sb::ExperimentEngine engine(options);
@@ -625,30 +645,5 @@ main(int argc, char **argv)
 
     if (command == "all")
         writeGridspeedJson(names, engine);
-    if (st.interrupted) {
-        std::fprintf(stderr,
-                     "sbsim: interrupted; partial results "
-                     "(%llu cell(s) unfinished)\n",
-                     static_cast<unsigned long long>(
-                         st.interruptedCells));
-        const int sig = sb::interruptSignal();
-        return sig > 0 ? 128 + sig : 130;
-    }
-    if (command == "verify" && !failed.empty()) {
-        std::fprintf(stderr,
-                     "sbsim verify: security contract violated\n");
-        return 1;
-    }
-    for (const std::string &name : failed)
-        std::fprintf(stderr, "sbsim: %s verdict FAIL\n", name.c_str());
-    if (!failed.empty())
-        return 1;
-    if (!st.quarantinedKeys.empty()) {
-        std::fprintf(stderr,
-                     "sbsim: %zu cell(s) quarantined; results "
-                     "incomplete\n",
-                     st.quarantinedKeys.size());
-        return 1;
-    }
-    return 0;
+    return exitStatus(engine, failed);
 }
