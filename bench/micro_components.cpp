@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the simulator's substrate
  * components: cache probes, TAGE predictions, rename throughput,
  * issue-queue wakeup/select, the timing wheel, gadget program builds,
- * core construction, full-core simulation rate, and the synthesis
- * models. These guard the simulator's own performance
- * (the methodology needs large instruction windows, paper Sec. 7).
+ * built-image reads, core construction, full-core simulation rate,
+ * and the synthesis models. These guard the simulator's own
+ * performance (the methodology needs large instruction windows, paper
+ * Sec. 7).
  */
 
 #include <benchmark/benchmark.h>
@@ -235,6 +236,59 @@ BM_GadgetBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GadgetBuild)->Unit(benchmark::kMicrosecond);
+
+/** @p count addresses along 505.mcf's first pointer chain (each a
+ *  stored word), each moved by @p offset bytes. */
+std::vector<sb::Addr>
+mcfChainAddrs(const sb::MemoryImage &mem, std::size_t count,
+              sb::Addr offset)
+{
+    std::vector<sb::Addr> addrs;
+    sb::Addr node = 1u << 20; // The chain's head.
+    for (std::size_t i = 0; i < count; ++i) {
+        addrs.push_back(node + offset);
+        node = mem.read(node);
+    }
+    return addrs;
+}
+
+/**
+ * A load's functional read of a stored word of a built image (the
+ * memoized 505.mcf, 270,848 words): arg 4,096 reads stay within a
+ * cache-resident slice of the image, arg 65,536 spread over half of
+ * the chain's 131,072 nodes.
+ */
+void
+BM_ImageReadHit(benchmark::State &state)
+{
+    const sb::Workload w = sb::SpecSuite::make("505.mcf");
+    const std::vector<sb::Addr> addrs =
+        mcfChainAddrs(w.program.memory, state.range(0), 0);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(w.program.memory.read(addrs[i]));
+        i = i + 1 == addrs.size() ? 0 : i + 1;
+    }
+}
+BENCHMARK(BM_ImageReadHit)->Arg(1 << 12)->Arg(1 << 16);
+
+/** The same reads of words the image does not hold: half in the pages
+ *  of its nodes (the words after a node's two), half 1 GiB above. */
+void
+BM_ImageReadMiss(benchmark::State &state)
+{
+    const sb::Workload w = sb::SpecSuite::make("505.mcf");
+    std::vector<sb::Addr> addrs =
+        mcfChainAddrs(w.program.memory, state.range(0), 16);
+    for (std::size_t k = 1; k < addrs.size(); k += 2)
+        addrs[k] += sb::Addr(1) << 30;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(w.program.memory.read(addrs[i]));
+        i = i + 1 == addrs.size() ? 0 : i + 1;
+    }
+}
+BENCHMARK(BM_ImageReadMiss)->Arg(1 << 12)->Arg(1 << 16);
 
 /** Full-core simulation throughput (instructions per second). */
 void

@@ -269,7 +269,9 @@ if [ "$run_shards" = 1 ]; then
     # Interrupt smoke: SIGINT one second into runs that take several
     # times that (sharded, threaded, and the fuzz verb). Each must
     # print its partial results, exit 128+SIGINT = 130, and leave no
-    # sbsim process (a shard worker included) behind.
+    # sbsim process (a shard worker included) behind. The fuzz report
+    # must count its cut-short cells in one line, listing none of them
+    # as a failure with a repro.
     irq_runs=("run table5 --no-cache --shards 2"
               "run table5 --no-cache --jobs 2"
               "fuzz --programs 3000 --no-cache --jobs 2")
@@ -277,7 +279,7 @@ if [ "$run_shards" = 1 ]; then
     for k in "${!irq_runs[@]}"; do
         # shellcheck disable=SC2086 # each entry is an argument list
         (cd "$build_dir" \
-         && exec ./sbsim ${irq_runs[$k]} > /dev/null \
+         && exec ./sbsim ${irq_runs[$k]} > "$shard_tmp/irq$k.out" \
               2> "$shard_tmp/irq$k.err") &
         irq_pids+=("$!")
     done
@@ -293,6 +295,16 @@ if [ "$run_shards" = 1 ]; then
             echo "FAIL: sbsim ${irq_runs[$k]} exited $code on SIGINT" >&2
             cat "$shard_tmp/irq$k.err" >&2
             status=1
+        fi
+        if [[ ${irq_runs[$k]} == fuzz* ]]; then
+            if ! grep -q "repro:" "$shard_tmp/irq$k.out" \
+               && [ "$(grep -c unfinished "$shard_tmp/irq$k.out")" = 1 ]; then
+                echo "interrupt smoke: sbsim ${irq_runs[$k]}: one unfinished line, no repro"
+            else
+                echo "FAIL: sbsim ${irq_runs[$k]} listed cut-short cells" >&2
+                grep -m 5 "repro:\|unfinished" "$shard_tmp/irq$k.out" >&2 || true
+                status=1
+            fi
         fi
     done
     # Same process group: the runs above and any worker they forked.

@@ -13,7 +13,8 @@
  * The table only ever inserts or overwrites: no deletions, hence no
  * tombstones, which keeps every lookup one probe sequence instead of
  * node-based hashing. A user that needs "remove" stores a value that
- * means absent. MemoryImage keeps its functional memory layers in it,
+ * means absent. MemoryImage keeps its private write layer in it (a
+ * built image's shared base is a PagedWords, common/paged_words.hh),
  * and the contract shadow its secret memory labels.
  */
 

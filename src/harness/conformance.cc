@@ -253,6 +253,8 @@ foldFuzzOutcomes(const FuzzParams &params,
     report.cells = static_cast<unsigned>(outcomes.size());
     report.coreName = params.core.name;
     report.mitigation = params.mitigation;
+    for (const RunOutcome &outcome : outcomes)
+        report.unfinished += !outcomeIsCacheable(outcome);
 
     // The contract each scheme declares is constant per scheme:
     // resolve the descriptors once, not per (program, scheme) cell.
@@ -284,12 +286,11 @@ foldFuzzOutcomes(const FuzzParams &params,
         };
 
         // A cell supervision cut short ran only part of its program:
-        // its stats say nothing about liveness or equivalence.
-        if (!outcomeIsCacheable(outcomes[base_idx])) {
-            add(Scheme::Baseline, "unfinished",
-                "baseline run cut short by supervision: no oracle");
+        // its stats say nothing about liveness or equivalence (it is
+        // counted above), and without its oracle no cell of this
+        // program can be judged.
+        if (!outcomeIsCacheable(outcomes[base_idx]))
             continue;
-        }
         if (!baseline.halted || baseline.watchdogTripped) {
             add(Scheme::Baseline, "deadlock",
                 baseline.watchdogTripped
@@ -313,11 +314,8 @@ foldFuzzOutcomes(const FuzzParams &params,
                 outcomes[base_idx + s + (mitigated ? 1 : 0)];
             const ConformanceCell cell = conformanceCell(outcome);
 
-            if (!outcomeIsCacheable(outcome)) {
-                add(scheme, "unfinished", "run cut short by supervision",
-                    params.mitigation);
+            if (!outcomeIsCacheable(outcome))
                 continue;
-            }
             if (!cell.halted || cell.watchdogTripped) {
                 add(scheme, "deadlock",
                     cell.watchdogTripped
@@ -419,8 +417,26 @@ toJson(const FuzzReport &report)
         failures.push(std::move(entry));
     }
     doc.set("failures", std::move(failures));
+    if (report.unfinished > 0)
+        doc.set("unfinished", Json::num(std::uint64_t(report.unfinished)));
     return doc;
 }
+
+namespace
+{
+
+/** The one line that stands for every cut-short cell. */
+void
+printUnfinished(const FuzzReport &report, std::FILE *out)
+{
+    if (report.unfinished > 0)
+        std::fprintf(out,
+                     "%u cell(s) unfinished (cut short by supervision): "
+                     "not judged\n",
+                     report.unfinished);
+}
+
+} // anonymous namespace
 
 void
 printFuzzReport(const FuzzReport &report, std::FILE *out)
@@ -439,7 +455,7 @@ printFuzzReport(const FuzzReport &report, std::FILE *out)
                      report.programs, allSchemeConfigs().size(),
                      report.coreName.c_str());
     }
-    if (report.failures.empty()) {
+    if (report.failures.empty() && report.unfinished == 0) {
         std::fprintf(out,
                      "all %u cells architecturally %s to "
                      "Baseline; no deadlocks, no invariant "
@@ -460,6 +476,7 @@ printFuzzReport(const FuzzReport &report, std::FILE *out)
                      f.detail.c_str(),
                      f.repro(report.coreName).c_str());
     }
+    printUnfinished(report, out);
     std::fprintf(out, "verdict: FAIL (%zu failure(s))\n",
                  report.failures.size());
 }
@@ -505,7 +522,7 @@ printContractReport(const FuzzParams &params,
     const FuzzReport report = foldFuzzOutcomes(params, outcomes);
     unsigned contract_failures = 0;
     for (const FuzzFailure &f : report.failures) {
-        if (f.kind != "contract" && f.kind != "unfinished")
+        if (f.kind != "contract")
             continue;
         ++contract_failures;
         std::fprintf(out,
@@ -517,15 +534,16 @@ printContractReport(const FuzzParams &params,
                      f.detail.c_str(),
                      f.repro(report.coreName).c_str());
     }
-    if (contract_failures == 0) {
+    printUnfinished(report, out);
+    const bool pass = contract_failures == 0 && report.unfinished == 0;
+    if (pass) {
         std::fprintf(out,
                      "every declared dataflow contract held: no "
                      "transiently-acquired secret reached a "
                      "transmitter operand\n");
     }
-    std::fprintf(out, "verdict: %s\n",
-                 contract_failures == 0 ? "PASS" : "FAIL");
-    return contract_failures == 0;
+    std::fprintf(out, "verdict: %s\n", pass ? "PASS" : "FAIL");
+    return pass;
 }
 
 void

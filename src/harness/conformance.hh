@@ -148,8 +148,7 @@ struct FuzzFailure
     /** "divergence" | "deadlock" | "invariant" | "monitor" (nonzero
      *  shadow transmit/consume count against a declared STT/NDA
      *  obligation) | "contract" (shadow-engine sandboxing breach
-     *  against a declared dataflow policy) | "unfinished" (supervision
-     *  cut the cell short, so it carries no verdict). */
+     *  against a declared dataflow policy). */
     std::string kind;
     std::string detail;
 
@@ -165,8 +164,16 @@ struct FuzzReport
     std::string coreName;
     Mitigation mitigation = Mitigation::None;
     std::vector<FuzzFailure> failures;
+    /** Cells supervision cut short (timed out, interrupted or
+     *  quarantined): counted, never judged. A program whose Baseline
+     *  oracle is among them has none of its cells judged. */
+    unsigned unfinished = 0;
 
-    bool ok() const { return cells > 0 && failures.empty(); }
+    bool
+    ok() const
+    {
+        return cells > 0 && failures.empty() && unfinished == 0;
+    }
 };
 
 /** The campaign's RunSpecs: for each program, every scheme in roster
@@ -183,7 +190,8 @@ FuzzReport foldFuzzOutcomes(const FuzzParams &params,
 /** Machine-readable report (the SBSIM_fuzz.json document). */
 Json toJson(const FuzzReport &report);
 
-/** Human-readable report, with repro lines for every failure. */
+/** Human-readable report, with repro lines for every failure and one
+ *  line counting the unfinished cells. */
 void printFuzzReport(const FuzzReport &report, std::FILE *out);
 
 /** Register the "conformance" and "contract_check" scenarios (the
@@ -193,8 +201,9 @@ void printFuzzReport(const FuzzReport &report, std::FILE *out);
 void registerConformanceScenarios(ScenarioRegistry &registry);
 
 /** The contract_check report: per-scheme shadow-violation totals
- *  plus every "contract" (or cut-short) failure with its repro.
- *  Returns the printed verdict: true when there is none. */
+ *  plus every "contract" failure with its repro, and one line
+ *  counting the cut-short cells. Returns the printed verdict: true
+ *  when there is neither. */
 bool printContractReport(const FuzzParams &params,
                          const std::vector<RunOutcome> &outcomes,
                          std::FILE *out);

@@ -9,18 +9,6 @@ namespace sb
 {
 
 void
-MemoryImage::freeze()
-{
-    // An image that already has a base (a built image handed back to
-    // a builder) keeps both layers; that stays correct, its copies
-    // just duplicate the write layer.
-    if (base || top.size() == 0)
-        return;
-    base = std::make_shared<const WordTable>(std::move(top));
-    top = WordTable{};
-}
-
-void
 MemoryImage::write(Addr addr, Word value)
 {
     const Addr a = align(addr);
@@ -41,8 +29,8 @@ MemoryImage::read(Addr addr) const
     if (const WordTable::Slot *s = top.find(a))
         return s->value;
     if (base)
-        if (const WordTable::Slot *s = base->find(a))
-            return s->value;
+        if (const Word *w = base->find(a))
+            return *w;
     return backgroundValue(a);
 }
 
@@ -57,24 +45,26 @@ Word
 MemoryImage::fingerprint() const
 {
     // Hash each (addr, value) pair independently and combine with a
-    // commutative fold, so the table's slot order (which differs with
-    // capacity and insertion history) cannot leak into the digest.
+    // commutative fold, so neither layer's storage order (which
+    // differs with capacity and write history) can leak into the
+    // digest.
     // A base entry the write layer shadows is folded once, with its
     // written value.
     Word sum = 0x9ae16a3b2f90404fULL;
     Word mix = 0;
-    auto fold = [&](const WordTable::Slot &s) {
-        const Word h = fnv1aWord(fnv1aWord(fnv1aBasis, s.addr), s.value);
+    auto fold = [&](Addr addr, Word value) {
+        const Word h = fnv1aWord(fnv1aWord(fnv1aBasis, addr), value);
         sum += h;
         mix ^= h;
     };
     if (base)
-        for (const WordTable::Slot &s : base->slots())
-            if (s.addr != WordTable::emptySlot && !top.find(s.addr))
-                fold(s);
+        base->forEach([&](Addr addr, Word value) {
+            if (!top.find(addr))
+                fold(addr, value);
+        });
     for (const WordTable::Slot &s : top.slots())
         if (s.addr != WordTable::emptySlot)
-            fold(s);
+            fold(s.addr, s.value);
     return (sum ^ (mix * 0xff51afd7ed558ccdULL)) + size();
 }
 
@@ -393,8 +383,7 @@ ProgramBuilder::build(std::string name)
     }
     Program p;
     p.code = std::move(code);
-    mem.freeze();
-    p.memory = std::move(mem);
+    p.memory.base = std::make_shared<const PagedWords>(std::move(mem));
     p.name = std::move(name);
     p.secretRegions = std::move(secrets);
     p.switchPoints = std::move(switches);

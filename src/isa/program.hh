@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/paged_words.hh"
 #include "common/types.hh"
 #include "common/word_table.hh"
 #include "isa/microop.hh"
@@ -25,17 +26,17 @@ namespace sb
 
 /**
  * Sparse functional memory image. Word-granular (8 bytes), addresses
- * are rounded down to the containing word. Each layer below is a
- * WordTable (common/word_table.hh).
+ * are rounded down to the containing word.
  *
- * Copy-on-write: ProgramBuilder::build() freezes the image it built
- * into an immutable base that every copy shares, so copying a
- * Program, a Workload or the image itself (each Core's working
- * memory) costs only the private write layer on top, which is empty
- * straight after a build. Writes land in that layer alone; reads
- * look in it first, then in the base. size() and fingerprint() cover
- * the union, the write layer shadowing the base, so they equal those
- * of one flat image given the same writes.
+ * Copy-on-write: ProgramBuilder::build() freezes the writes it logged
+ * into a read-only base (a PagedWords, common/paged_words.hh) that
+ * every copy shares, so copying a Program, a Workload or the image
+ * itself (each Core's working memory) costs only the private write
+ * layer on top (a WordTable, common/word_table.hh), which is empty
+ * straight after a build. Writes land in that layer alone; reads look
+ * in it first, then in the base. size() and fingerprint() cover the
+ * union, the write layer shadowing the base, so they equal those of
+ * one flat image given the same writes.
  */
 class MemoryImage
 {
@@ -44,8 +45,7 @@ class MemoryImage
     void write(Addr addr, Word value);
 
     /** Size the write layer so that @p words more writes to new
-     *  addresses fit without growing it: a builder that knows its
-     *  image's size allocates it once, at its final size. */
+     *  addresses fit without growing it. */
     void reserve(std::size_t words);
 
     /** Read one word; uninitialised locations yield hash(addr). */
@@ -77,11 +77,8 @@ class MemoryImage
 
     static Addr align(Addr addr) { return addr & ~Addr(7); }
 
-    /** Make the write layer the shared base (build() only). */
-    void freeze();
-
-    std::shared_ptr<const WordTable> base; ///< Shared by every copy.
-    WordTable top;                         ///< This copy's own writes.
+    std::shared_ptr<const PagedWords> base; ///< Shared by every copy.
+    WordTable top;                          ///< This copy's own writes.
     std::size_t shadowed = 0; ///< Entries of `top` also in `base`.
 };
 
@@ -202,8 +199,9 @@ class ProgramBuilder
     std::uint32_t fence(); ///< Speculation barrier (drains the ROB).
     std::uint32_t halt();
 
-    /** Direct access to the memory image being built. */
-    MemoryImage &memory() { return mem; }
+    /** The memory image being built: it takes writes, not reads;
+     *  build() freezes it into the built image's shared base. */
+    PagedWords::Builder &memory() { return mem; }
 
     /** Annotate a byte range of the initial image as secret-labelled
      *  (word-granular; the range is widened to 8-byte alignment),
@@ -231,7 +229,7 @@ class ProgramBuilder
 
     std::vector<MicroOp> code;
     std::vector<std::int64_t> futureTargets; ///< -1 until bound.
-    MemoryImage mem;
+    PagedWords::Builder mem;
     std::vector<SecretRegion> secrets;
     std::vector<SwitchPoint> switches;
     std::vector<TenantEntry> tenantStarts;

@@ -39,7 +39,8 @@ class SpecSuite
     /**
      * The stand-in for one benchmark (fatal on unknown name). Each is
      * built once per process, on first use; every call returns a
-     * copy that shares the built data image (see MemoryImage).
+     * copy of its code that shares the image's frozen, paged base
+     * (see MemoryImage).
      */
     static Workload make(const std::string &name);
 

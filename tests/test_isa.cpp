@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
+#include <vector>
 
+#include "common/rng.hh"
 #include "isa/microop.hh"
 #include "isa/program.hh"
 
@@ -258,6 +261,135 @@ TEST(MemoryImage, ReserveChangesNothingVisible)
     expectSame(plain.second, reserved.second);
     EXPECT_EQ(plain.first.size(), words + 1);
     EXPECT_EQ(plain.second.size(), words + 1 + words / 6);
+}
+
+// --- A built image's paged base -------------------------------------
+
+using Writes = std::vector<std::pair<sb::Addr, sb::Word>>;
+
+/** The last word of the address space. */
+constexpr sb::Addr lastWord = ~sb::Addr(7);
+
+/** @p writes given to a builder (the built image's paged base) and,
+ *  the last write to each word only, to a never-built image in an
+ *  order shuffled by @p seed. */
+std::pair<sb::MemoryImage, sb::MemoryImage>
+builtAndFlat(const Writes &writes, std::uint64_t seed)
+{
+    sb::ProgramBuilder b;
+    for (const auto &[addr, value] : writes)
+        b.memory().write(addr, value);
+    b.halt();
+    const sb::Program p = b.build();
+
+    std::map<sb::Addr, sb::Word> last;
+    for (const auto &[addr, value] : writes)
+        last[addr & ~sb::Addr(7)] = value;
+    Writes order(last.begin(), last.end());
+    sb::Rng rng(seed);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+    sb::MemoryImage flat;
+    for (const auto &[addr, value] : order)
+        flat.write(addr, value);
+    return {p.memory, flat};
+}
+
+/** Both images agree on size(), fingerprint() and every written word
+ *  and its neighbours: misses inside a page that holds words and in
+ *  pages that hold none. */
+void
+expectSameImage(const std::pair<sb::MemoryImage, sb::MemoryImage> &images,
+                const Writes &writes)
+{
+    const auto &[built, flat] = images;
+    EXPECT_EQ(built.size(), flat.size());
+    EXPECT_EQ(built.fingerprint(), flat.fingerprint());
+    for (const auto &write : writes) {
+        for (const sb::Addr delta : {sb::Addr(0), sb::Addr(8), -sb::Addr(8),
+                                     sb::Addr(4096), -sb::Addr(4096)}) {
+            const sb::Addr addr = write.first + delta;
+            ASSERT_EQ(built.read(addr), flat.read(addr)) << std::hex << addr;
+            ASSERT_EQ(built.contains(addr), flat.contains(addr))
+                << std::hex << addr;
+        }
+    }
+}
+
+TEST(PagedBase, MatchesAFlatImageWordForWord)
+{
+    const sb::Addr high = sb::Addr(1) << 63;
+    const Writes writes = {
+        {0x0, 1},    {0xff8, 2},  // Both ends of page 0...
+        {0x1000, 3}, {0x1ff8, 4}, // ...and of page 1.
+        {0x21f8, 5}, {0x2200, 6}, // Words 63 and 64 of a page.
+        {0x2003, 7},              // A sub-word address.
+        {sb::Addr(1) << 40, 8},   // Pages far apart.
+        {high, 9},
+        {high + 0x1ff8, 10},
+        {lastWord & ~sb::Addr(0xfff), 11}, // The top page's two ends.
+        {lastWord, 12},
+        {0xff8, 13}, // Overwrites: the last write wins.
+        {high, 14},
+        {lastWord, 15},
+        {0x2004, 16},
+    };
+    const auto images = builtAndFlat(writes, 1);
+    expectSameImage(images, writes);
+
+    const sb::MemoryImage &built = images.first;
+    EXPECT_EQ(built.size(), 12u);
+    EXPECT_EQ(built.read(0xff8), 13u);
+    EXPECT_EQ(built.read(high), 14u);
+    EXPECT_EQ(built.read(lastWord + 5), 15u);
+    EXPECT_EQ(built.read(0x2000), 16u);
+    EXPECT_EQ(built.read(0x21f8), 5u);
+    EXPECT_EQ(built.read(0x2200), 6u);
+    for (const sb::Addr miss : {sb::Addr(0x1ff0), sb::Addr(0x2208),
+                                sb::Addr(0x3000), high + 8,
+                                lastWord - 8}) {
+        EXPECT_FALSE(built.contains(miss)) << std::hex << miss;
+        EXPECT_EQ(built.read(miss), sb::MemoryImage::backgroundValue(miss))
+            << std::hex << miss;
+    }
+}
+
+TEST(PagedBase, IndexGrowsPastSixtyFourPages)
+{
+    // 300 random pages anywhere in the address space: every tenth
+    // full (512 words), the rest holding a few random words; then
+    // 500 overwrites of earlier writes.
+    sb::Rng rng(26);
+    Writes writes;
+    for (unsigned page = 0; page < 300; ++page) {
+        const sb::Addr base = rng.next() & ~sb::Addr(0xfff);
+        if (page % 10 == 0) {
+            for (sb::Addr w = 0; w < 512; ++w)
+                writes.push_back({base + 8 * w, rng.next()});
+        } else {
+            for (std::uint64_t n = 1 + rng.below(40); n > 0; --n)
+                writes.push_back({base + 8 * rng.below(512), rng.next()});
+        }
+    }
+    for (unsigned n = 0; n < 500; ++n)
+        writes.push_back({writes[rng.below(writes.size())].first,
+                          rng.next()});
+    expectSameImage(builtAndFlat(writes, 2), writes);
+}
+
+TEST(PagedBase, EmptyBuilderHoldsNothing)
+{
+    sb::ProgramBuilder b;
+    b.halt();
+    const sb::Program p = b.build();
+    const sb::MemoryImage none;
+    EXPECT_EQ(p.memory.size(), 0u);
+    EXPECT_EQ(p.memory.fingerprint(), none.fingerprint());
+    for (const sb::Addr addr : {sb::Addr(0), sb::Addr(0x1000),
+                                sb::Addr(1) << 63, lastWord}) {
+        EXPECT_FALSE(p.memory.contains(addr));
+        EXPECT_EQ(p.memory.read(addr), none.read(addr));
+    }
 }
 
 TEST(ProgramBuilder, BackwardBranchTargets)

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -469,20 +470,44 @@ TEST(CellTimeout, DeadlineOverrunIsMarkedAndUncacheable)
     EXPECT_TRUE(pair.unfinished);
     EXPECT_FALSE(pair.leaked || pair.diverged || pair.pass());
 
-    // ...nor a fuzz deadlock whose seed repro would not reproduce.
+    // ...nor a fuzz failure whose seed repro would not reproduce: the
+    // fuzz report counts cut-short cells, and the count fails it.
     sb::FuzzParams campaign;
     campaign.programs = 1;
     std::vector<sb::RunOutcome> cells(sb::allSchemeConfigs().size(),
                                       tripped[2]);
     cells.front() = normal[2]; // A healthy Baseline oracle.
     const sb::FuzzReport report = sb::foldFuzzOutcomes(campaign, cells);
-    ASSERT_EQ(report.failures.size(), cells.size() - 1);
-    for (const sb::FuzzFailure &f : report.failures)
-        EXPECT_EQ(f.kind, "unfinished") << f.detail;
-    cells.front() = tripped[2]; // No oracle: one failure, no verdicts.
+    EXPECT_TRUE(report.failures.empty());
+    EXPECT_EQ(report.unfinished, cells.size() - 1);
+    EXPECT_FALSE(report.ok());
+    cells.front() = tripped[2]; // No oracle: no cell is judged.
     const sb::FuzzReport no_oracle = sb::foldFuzzOutcomes(campaign, cells);
-    ASSERT_EQ(no_oracle.failures.size(), 1u);
-    EXPECT_EQ(no_oracle.failures.front().kind, "unfinished");
+    EXPECT_TRUE(no_oracle.failures.empty());
+    EXPECT_EQ(no_oracle.unfinished, cells.size());
+    EXPECT_FALSE(no_oracle.ok());
+
+    // One printed line and one JSON count stand for them all.
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    sb::printFuzzReport(no_oracle, out);
+    std::rewind(out);
+    std::string printed;
+    for (int c; (c = std::fgetc(out)) != EOF;)
+        printed += char(c);
+    std::fclose(out);
+    EXPECT_EQ(printed.find("repro:"), std::string::npos) << printed;
+    EXPECT_NE(printed.find(std::to_string(cells.size())
+                           + " cell(s) unfinished"),
+              std::string::npos)
+        << printed;
+    EXPECT_NE(sb::toJson(no_oracle).dump().find("\"unfinished\""),
+              std::string::npos);
+    EXPECT_EQ(sb::toJson(sb::foldFuzzOutcomes(campaign,
+                                              {cells.size(), normal[2]}))
+                  .dump()
+                  .find("\"unfinished\""),
+              std::string::npos);
 }
 
 // --- Dispatcher end-to-end with forked workers -------------------------

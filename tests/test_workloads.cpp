@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "common/config.hh"
 #include "core/core.hh"
@@ -69,6 +70,30 @@ TEST(SpecSuite, ConcurrentCallsAgree)
         for (unsigned t = 0; t < threads; ++t)
             EXPECT_EQ(seen[t][n], serial) << names[n] << " thread " << t;
     }
+}
+
+TEST(SpecSuite, ConcurrentReadersOfOneImageAgree)
+{
+    // Two cores on one memoized stand-in read its shared frozen base
+    // at once, through loads and the final fingerprint.
+    const sb::Workload w = sb::SpecSuite::make("505.mcf");
+    auto window = [&w] {
+        sb::SchemeConfig scfg;
+        scfg.scheme = sb::Scheme::SttRename;
+        sb::Core core(sb::CoreConfig::mega(), scfg, sb::makeScheme(scfg),
+                      w.program);
+        const auto r = core.run(6000, 4'000'000);
+        return std::make_tuple(r.cycles, r.instructions,
+                               core.memoryImage().fingerprint());
+    };
+    const auto serial = window();
+    decltype(window()) got[2];
+    std::thread a([&] { got[0] = window(); });
+    std::thread b([&] { got[1] = window(); });
+    a.join();
+    b.join();
+    EXPECT_EQ(got[0], serial);
+    EXPECT_EQ(got[1], serial);
 }
 
 TEST_P(WorkloadTest, BuildsAndDisassembles)
