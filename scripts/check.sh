@@ -8,8 +8,9 @@
 #                              # (ASan/UBSan + _GLIBCXX_ASSERTIONS
 #                              # bounds-checked container indexing)
 #   scripts/check.sh --tsan    # ThreadSanitizer build of the threaded
-#                              # suites only (engine pool, shard tier,
-#                              # the per-process stand-in memo)
+#                              # suites only (engine batch threads,
+#                              # shard tier, the per-process stand-in
+#                              # memo)
 #   scripts/check.sh --bench   # Also run sim-speed + the sbsim grid
 #   scripts/check.sh --verify  # Also run the Spectre gadget battery
 #   scripts/check.sh --contracts # Also judge the battery under the
@@ -22,10 +23,10 @@
 #   scripts/check.sh --docs    # Also run the markdown docs link check
 #   scripts/check.sh --shards  # Also run the shard-tier smoke
 #                              # (cold sharded run == in-process run
-#                              # over every cell kind, a crash storm
-#                              # that must converge, and SIGINT to
-#                              # sharded, threaded and fuzz runs,
-#                              # which must exit 130)
+#                              # over every cell kind, and for verify
+#                              # and fuzz; a crash storm that must
+#                              # converge; SIGINT to sharded, threaded
+#                              # and fuzz runs, which must exit 130)
 #   scripts/check.sh --tenants # Also run the multi-tenant server mix
 #                              # and gate on its cross-tenant verdict
 #
@@ -252,6 +253,35 @@ if [ "$run_shards" = 1 ]; then
         echo "FAIL: sharded run diverged from in-process run" >&2
         status=1
     fi
+    # verify and fuzz take --shards like run and all: uncached, each
+    # must write the same report sharded as on threads.
+    for verb in verify fuzz; do
+        args=("$verb" --no-cache --json)
+        if [ "$verb" = fuzz ]; then
+            args+=(--programs 20)
+        fi
+        verb_ok=1
+        for mode in sharded inproc; do
+            if [ "$mode" = sharded ]; then
+                flags=(--shards 2)
+            else
+                flags=(--jobs 2)
+            fi
+            mkdir -p "$shard_tmp/$verb-$mode"
+            (cd "$build_dir" \
+             && ./sbsim "${args[@]}" "${flags[@]}" > /dev/null \
+             && mv "SBSIM_$verb.json" "$shard_tmp/$verb-$mode/") \
+                || verb_ok=0
+        done
+        if [ "$verb_ok" = 1 ] \
+           && cmp "$shard_tmp/$verb-sharded/SBSIM_$verb.json" \
+                  "$shard_tmp/$verb-inproc/SBSIM_$verb.json"; then
+            echo "shard smoke: sbsim $verb --shards 2 == --jobs 2 (byte-identical)"
+        else
+            echo "FAIL: sharded sbsim $verb diverged from the threaded run" >&2
+            status=1
+        fi
+    done
     # Crash storm: every worker generation dies before its 5th reply.
     # The supervisor must converge (retries served from the shared
     # cache written before each crash) and exit 0, or exit 1 with an
@@ -267,14 +297,15 @@ if [ "$run_shards" = 1 ]; then
         status=1
     fi
     # Interrupt smoke: SIGINT one second into runs that take several
-    # times that (sharded, threaded, and the fuzz verb). Each must
-    # print its partial results, exit 128+SIGINT = 130, and leave no
+    # times that (sharded and threaded, the fuzz verb included). Each
+    # must print its partial results, exit 128+SIGINT = 130, and leave no
     # sbsim process (a shard worker included) behind. The fuzz report
     # must count its cut-short cells in one line, listing none of them
     # as a failure with a repro.
     irq_runs=("run table5 --no-cache --shards 2"
               "run table5 --no-cache --jobs 2"
-              "fuzz --programs 3000 --no-cache --jobs 2")
+              "fuzz --programs 3000 --no-cache --jobs 2"
+              "fuzz --programs 3000 --no-cache --shards 2")
     irq_pids=()
     for k in "${!irq_runs[@]}"; do
         # shellcheck disable=SC2086 # each entry is an argument list

@@ -83,17 +83,6 @@ StatGroup::counter(const std::string &name)
     return ctrs[name];
 }
 
-Histogram &
-StatGroup::histogram(const std::string &name, unsigned num_buckets,
-                     unsigned bucket_width)
-{
-    auto it = hists.find(name);
-    if (it == hists.end()) {
-        it = hists.emplace(name, Histogram(num_buckets, bucket_width)).first;
-    }
-    return it->second;
-}
-
 std::uint64_t
 StatGroup::value(const std::string &name) const
 {
@@ -106,8 +95,6 @@ StatGroup::reset()
 {
     for (auto &kv : ctrs)
         kv.second.reset();
-    for (auto &kv : hists)
-        kv.second.reset();
 }
 
 std::string
@@ -117,12 +104,6 @@ StatGroup::render() const
     for (const auto &kv : ctrs)
         oss << groupName << '.' << kv.first << ' ' << kv.second.value()
             << '\n';
-    for (const auto &kv : hists) {
-        oss << groupName << '.' << kv.first << ".mean " << kv.second.mean()
-            << '\n';
-        oss << groupName << '.' << kv.first << ".count " << kv.second.count()
-            << '\n';
-    }
     return oss.str();
 }
 

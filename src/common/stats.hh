@@ -73,7 +73,7 @@ class Histogram
 };
 
 /**
- * A flat registry of counters and histograms owned by one component.
+ * A flat registry of counters owned by one component.
  * Components expose `StatGroup &stats()` so harnesses can harvest
  * every counter by dotted name.
  */
@@ -92,19 +92,11 @@ class StatGroup
      */
     Counter &counter(const std::string &name);
 
-    /** Register (or fetch) a histogram under this group. */
-    Histogram &histogram(const std::string &name, unsigned num_buckets = 16,
-                         unsigned bucket_width = 1);
-
     /** Value of a counter, 0 if never registered. */
     std::uint64_t value(const std::string &name) const;
 
     const std::string &name() const { return groupName; }
     const std::map<std::string, Counter> &counters() const { return ctrs; }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return hists;
-    }
 
     /** Zero every stat in the group. */
     void reset();
@@ -115,7 +107,6 @@ class StatGroup
   private:
     std::string groupName;
     std::map<std::string, Counter> ctrs;
-    std::map<std::string, Histogram> hists;
 };
 
 } // namespace sb

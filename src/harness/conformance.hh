@@ -20,7 +20,7 @@
  *
  * Each (program, scheme) cell is an ordinary RunSpec with a
  * "fuzz:<profile>:seed=S:iters=N" workload, so fuzzing rides the
- * ExperimentEngine's dedup, worker pool, and content-addressed result
+ * ExperimentEngine's dedup, workers, and content-addressed result
  * cache like every performance cell. Failures fold into a report
  * whose entries carry a replayable repro (`sbsim fuzz --programs 1
  * --seed S --profile P`).

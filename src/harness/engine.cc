@@ -1,6 +1,10 @@
 #include "harness/engine.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <system_error>
+#include <thread>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -10,6 +14,22 @@
 
 namespace sb
 {
+
+bool
+serveCell(const RunSpec &spec, const std::string &key, ResultCache *cache,
+          const RunHooks &hooks, RunOutcome &out)
+{
+    if (cache && !key.empty() && cache->lookup(key, out)
+        && outcomeMatchesSpec(out, spec))
+        return true;
+    out = ExperimentRunner::runOne(spec, hooks);
+    // Timed-out and interrupted outcomes are supervision artifacts,
+    // not results: they stay out of the cache.
+    if (!cache || key.empty() || !outcomeIsCacheable(out))
+        return false;
+    cache->store(key, out);
+    return true;
+}
 
 ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options{}) {}
 
@@ -22,90 +42,52 @@ ExperimentEngine::ExperimentEngine(Options options)
         if (!diskCache->ok())
             diskCache.reset();
     }
-    // Pool threads are spawned lazily on the first batch with work,
-    // so an engine that only ever serves cached/model-only requests
-    // never parks idle threads.
 }
 
-ExperimentEngine::~ExperimentEngine()
-{
-    {
-        std::lock_guard<std::mutex> lock(poolMutex);
-        shuttingDown = true;
-    }
-    workReady.notify_all();
-    for (auto &t : pool)
-        t.join();
-}
-
-void
-ExperimentEngine::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(poolMutex);
-    while (true) {
-        workReady.wait(lock, [this] {
-            return shuttingDown
-                   || (batchSpecs && nextIndex < batchSpecs->size());
-        });
-        if (shuttingDown)
-            return;
-        serveBatch(lock);
-    }
-}
-
-void
-ExperimentEngine::serveBatch(std::unique_lock<std::mutex> &lock) noexcept
-{
-    while (batchSpecs && nextIndex < batchSpecs->size()) {
-        const std::size_t idx = nextIndex++;
-        const RunSpec &spec = (*batchSpecs)[idx];
-        const std::string &key = (*batchKeys)[idx];
-        std::vector<RunOutcome> *results = batchResults;
-        lock.unlock();
-        RunOutcome out;
-        if (interruptRequested()) {
-            // Drain the batch with stubs instead of simulating: run()
-            // still sees every cell complete, the caller gets partial
-            // results and a nonzero exit.
-            out = outcomeHeader(spec, "interrupted");
-        } else {
-            RunHooks hooks;
-            hooks.wallDeadlineSec = opt.cellTimeoutSec;
-            hooks.interruptible = true;
-            out = ExperimentRunner::runOne(spec, hooks);
-        }
-        // Flush to disk as cells complete so an interrupted grid run
-        // keeps its progress (empty key: cell is banned from the cache
-        // after a collision; timed-out / interrupted stubs are
-        // supervision artifacts, not results).
-        if (diskCache && !key.empty() && outcomeIsCacheable(out))
-            diskCache->store(key, out);
-        lock.lock();
-        (*results)[idx] = std::move(out);
-        if (++completedCount == results->size())
-            batchDone.notify_all();
-    }
-}
+ExperimentEngine::~ExperimentEngine() = default;
 
 void
 ExperimentEngine::serve(const std::vector<RunSpec> &specs,
                         const std::vector<std::string> &keys,
                         std::vector<RunOutcome> &results)
 {
-    std::unique_lock<std::mutex> lock(poolMutex);
-    batchSpecs = &specs;
-    batchKeys = &keys;
-    batchResults = &results;
-    nextIndex = 0;
-    completedCount = 0;
-    workReady.notify_all();
-    serveBatch(lock);
-    batchDone.wait(lock, [this, &specs] {
-        return completedCount == specs.size();
-    });
-    batchSpecs = nullptr;
-    batchKeys = nullptr;
-    batchResults = nullptr;
+    // Every worker claims the next unserved index. A cell that throws
+    // ends the process on any of them: the batch lives in this frame,
+    // which the other workers may still be reading.
+    std::atomic<std::size_t> next{0};
+    const auto work = [&]() noexcept {
+        for (std::size_t i; (i = next.fetch_add(1)) < specs.size();) {
+            if (interruptRequested()) {
+                // Drain the batch with stubs instead of simulating:
+                // run() still sees every cell complete, the caller
+                // gets partial results and a nonzero exit.
+                results[i] = outcomeHeader(specs[i], "interrupted");
+                continue;
+            }
+            RunHooks hooks;
+            hooks.wallDeadlineSec = opt.cellTimeoutSec;
+            hooks.interruptible = true;
+            // Stored as each cell completes, so an interrupted grid
+            // run keeps its progress.
+            serveCell(specs[i], keys[i], diskCache.get(), hooks,
+                      results[i]);
+        }
+    };
+    // The calling thread is one of the workers, so a one-job engine,
+    // or a one-cell batch, starts no thread.
+    const std::size_t workers = std::min<std::size_t>(numJobs, specs.size());
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers);
+    try {
+        for (std::size_t t = 1; t < workers; ++t)
+            helpers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // No thread to be had: the ones started and this one still
+        // serve every cell.
+    }
+    work();
+    for (std::thread &helper : helpers)
+        helper.join();
 }
 
 std::vector<RunOutcome>
@@ -184,7 +166,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
     }
 
     // Simulate the remainder: sharded worker processes when
-    // requested, the persistent in-process pool otherwise.
+    // requested, in-process workers otherwise.
     std::vector<RunOutcome> ran(toRun.size());
     if (!toRun.empty() && opt.shards > 0) {
         ShardOptions shardOpt;
@@ -212,9 +194,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
             report.quarantinedKeys.begin(),
             report.quarantinedKeys.end());
         // What the dispatcher handed back (it degraded, or was
-        // interrupted) is served like any in-process batch, on this
-        // thread alone: a sharded engine starts no pool, since its
-        // next batch forks.
+        // interrupted) is served like any in-process batch.
         const std::vector<std::size_t> &left = dispatcher.unfinished();
         std::vector<RunSpec> leftSpecs;
         std::vector<std::string> leftKeys;
@@ -227,13 +207,6 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs)
         for (std::size_t k = 0; k < left.size(); ++k)
             ran[left[k]] = std::move(leftRan[k]);
     } else if (!toRun.empty()) {
-        // The calling thread is one of the workers: jobs = N starts
-        // N - 1 pool threads, so a one-job engine hands nothing off.
-        if (pool.empty()) {
-            pool.reserve(numJobs - 1);
-            for (unsigned i = 1; i < numJobs; ++i)
-                pool.emplace_back([this] { workerLoop(); });
-        }
         serve(toRun, toRunKeys, ran);
     }
     accounting.simulated += toRun.size();

@@ -1,16 +1,15 @@
 /**
  * @file
- * ExperimentEngine: runs batches of cells, each through
- * ExperimentRunner::runOne, with three things on top:
- *  - a persistent worker pool (threads live for the engine's
- *    lifetime, not per batch), sized by resolveJobs() so SB_JOBS and
- *    --jobs bound simulation parallelism everywhere. The thread that
- *    calls run() is one of the workers: it serves cells of its own
- *    batch through the same per-cell code (supervision hooks,
- *    interrupt stubs, the per-cell cache store) next to jobs - 1
- *    pool threads, so a one-job engine starts no thread at all.
- *    Cells a shard dispatcher hands back (harness/shard.hh) run
- *    through the same code on the calling thread;
+ * ExperimentEngine: runs batches of cells, each through serveCell
+ * (ExperimentRunner::runOne behind the result cache), with three
+ * things on top:
+ *  - parallelism per batch: run() serves its cells on the calling
+ *    thread plus min(jobs, cells) - 1 threads that it starts for the
+ *    batch and joins before it returns, so no engine thread outlives
+ *    run() and a one-job engine starts none. jobs comes from
+ *    resolveJobs(), so SB_JOBS and --jobs bound simulation
+ *    parallelism everywhere. Cells a shard dispatcher hands back
+ *    (harness/shard.hh) are served the same way;
  *  - in-batch deduplication: specs with the same specKey() are
  *    simulated once and fanned back out, so scenarios sharing grid
  *    cells (fig7 / fig8 / table3 / ...) pay for each cell once;
@@ -27,12 +26,9 @@
 #ifndef SB_HARNESS_ENGINE_HH
 #define SB_HARNESS_ENGINE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -41,6 +37,17 @@ namespace sb
 {
 
 class ResultCache;
+
+/**
+ * Serve one cell: a hit under @p key in @p cache that matches @p spec
+ * is returned as it is (a cell a crashed shard worker stored before
+ * it could reply); otherwise the cell runs under @p hooks, and a
+ * cacheable result is stored. An empty @p key or a null @p cache
+ * keeps the cell out of the cache. Returns whether @p out is now
+ * persisted in @p cache. Both backends serve their cells here.
+ */
+bool serveCell(const RunSpec &spec, const std::string &key,
+               ResultCache *cache, const RunHooks &hooks, RunOutcome &out);
 
 /** Grid accounting accumulated over every run() batch of one engine. */
 struct EngineStats
@@ -69,15 +76,15 @@ class ExperimentEngine
   public:
     struct Options
     {
-        /** Workers, the calling thread included (N - 1 pool
-         *  threads); 0 defers to SB_JOBS then hardware. */
+        /** Workers, the calling thread included (a batch starts at
+         *  most N - 1 threads); 0 defers to SB_JOBS then hardware. */
         unsigned jobs = 0;
         /** Result-cache directory; empty disables the disk cache. */
         std::string cacheDir;
         /** Worker processes for the sharded tier (forks of this
          *  process; see harness/shard.hh); 0 = in-process threads
-         *  only (the default). A sharded engine never starts its
-         *  thread pool. */
+         *  only (the default). Cells the dispatcher hands back run
+         *  in-process on jobs workers. */
         unsigned shards = 0;
         /** Per-cell wall-clock budget in seconds; 0 = unlimited.
          *  Overruns come back marked stats["watchdog_tripped"] and
@@ -104,39 +111,16 @@ class ExperimentEngine
     const ResultCache *cache() const { return diskCache.get(); }
 
   private:
-    /** A pool thread: serve every published batch until shutdown. */
-    void workerLoop();
-    /** Serve @p specs (cache addresses @p keys) into @p results with
-     *  this thread and the pool, if any. */
+    /** Serve @p specs (cache addresses @p keys) into @p results on
+     *  this thread and threads started for this call alone. */
     void serve(const std::vector<RunSpec> &specs,
                const std::vector<std::string> &keys,
                std::vector<RunOutcome> &results);
-    /** Claim and run cells of the published batch until none is left
-     *  (pool threads and run()'s caller; @p lock holds poolMutex).
-     *  A cell that throws ends the process on either kind of worker:
-     *  the batch lives in run()'s frame, which pool threads may still
-     *  be reading. */
-    void serveBatch(std::unique_lock<std::mutex> &lock) noexcept;
 
     unsigned numJobs;
     Options opt;
     std::unique_ptr<ResultCache> diskCache;
     EngineStats accounting;
-
-    // Persistent-pool state, all guarded by poolMutex. A batch is
-    // published by pointing batchSpecs/batchKeys/batchResults at
-    // run()-local vectors; workers (the caller too) claim indices via
-    // nextIndex.
-    std::mutex poolMutex;
-    std::condition_variable workReady;
-    std::condition_variable batchDone;
-    bool shuttingDown = false;
-    const std::vector<RunSpec> *batchSpecs = nullptr;
-    const std::vector<std::string> *batchKeys = nullptr;
-    std::vector<RunOutcome> *batchResults = nullptr;
-    std::size_t nextIndex = 0;
-    std::size_t completedCount = 0;
-    std::vector<std::thread> pool;
 };
 
 } // namespace sb

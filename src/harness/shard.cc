@@ -19,6 +19,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/signals.hh"
+#include "harness/engine.hh"
 #include "harness/protocol.hh"
 #include "harness/reporting.hh"
 #include "harness/result_cache.hh"
@@ -67,7 +68,7 @@ constexpr int workerFaultExit = 70;
  * code; the caller _exits with it.
  */
 int
-serveCells(int fd, const std::vector<RunSpec> &specs,
+workerMain(int fd, const std::vector<RunSpec> &specs,
            const std::vector<std::string> &keys,
            const ShardOptions &opt)
 {
@@ -119,25 +120,16 @@ serveCells(int fd, const std::vector<RunSpec> &specs,
             _exit(workerFaultExit);
 
         RunOutcome outcome;
-        bool cached = false;
-        if (cache && !key.empty() && cache->lookup(key, outcome)
-            && outcomeMatchesSpec(outcome, spec)) {
-            cached = true;
-        } else {
-            RunHooks hooks;
-            // The dispatcher's kill deadline backs this up; the
-            // worker-side deadline lets a slow cell end cleanly with
-            // a watchdog outcome instead of a SIGKILL.
-            hooks.wallDeadlineSec = opt.cellTimeoutSec;
-            outcome = ExperimentRunner::runOne(spec, hooks);
-            if (cache && !key.empty() && outcomeIsCacheable(outcome)) {
-                // Persist before replying: a crash in the gap costs
-                // nothing (the retry is served from the cache), while
-                // the reverse order could lose a computed cell.
-                cache->store(key, outcome);
-                cached = true;
-            }
-        }
+        RunHooks hooks;
+        // The dispatcher's kill deadline backs this up; the worker-side
+        // deadline lets a slow cell end cleanly with a watchdog outcome
+        // instead of a SIGKILL.
+        hooks.wallDeadlineSec = opt.cellTimeoutSec;
+        // Persisted before the reply: a crash in the gap costs nothing
+        // (the retry is served from the cache), while the reverse order
+        // could lose a computed cell.
+        const bool cached =
+            serveCell(spec, key, cache.get(), hooks, outcome);
 
         // Injected faults at the reply boundary: the work (and any
         // cache store) is done, the dispatcher never hears about it.
@@ -201,13 +193,20 @@ struct ShardDispatcher::Batch
         Done,    ///< Resolved (result or quarantine stub).
     };
 
+    /** A failed cell waiting out its backoff. */
+    struct Delay
+    {
+        std::size_t cell;
+        TimePoint notBefore;
+    };
+
     const std::vector<RunSpec> *specs = nullptr;
     const std::vector<std::string> *keys = nullptr;
     std::vector<RunOutcome> results;
     std::vector<CellState> state;
     std::vector<unsigned> attempts;
-    std::vector<TimePoint> notBefore;
     std::deque<std::size_t> pending; ///< Cells ready to dispatch.
+    std::vector<Delay> delayed;      ///< The Delayed cells, unordered.
     std::size_t remaining = 0;
 };
 
@@ -261,7 +260,7 @@ ShardDispatcher::spawnWorker(Worker &worker, const Batch &batch)
                 ::close(other.fd);
         int code = workerStreamError; // Also for anything thrown.
         try {
-            code = serveCells(sv[1], *batch.specs, *batch.keys, opt);
+            code = workerMain(sv[1], *batch.specs, *batch.keys, opt);
         } catch (...) {
         }
         _exit(code);
@@ -373,10 +372,11 @@ ShardDispatcher::onWorkerDeath(Worker &worker, Batch &batch, bool hang)
         } else {
             ++rep.retries;
             st = Batch::CellState::Delayed;
-            batch.notBefore[cell] =
-                Clock::now()
-                + std::chrono::milliseconds(backoffDelayMs(
-                    attempts, opt.backoffBaseMs, opt.backoffCapMs));
+            batch.delayed.push_back(
+                {cell, Clock::now()
+                           + std::chrono::milliseconds(backoffDelayMs(
+                               attempts, opt.backoffBaseMs,
+                               opt.backoffCapMs))});
         }
     }
 
@@ -495,7 +495,6 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
     batch.results.resize(specs.size());
     batch.state.assign(specs.size(), Batch::CellState::Pending);
     batch.attempts.assign(specs.size(), 0);
-    batch.notBefore.assign(specs.size(), TimePoint{});
     batch.remaining = specs.size();
     unpersistedCells.assign(specs.size(), false);
     unfinishedCells.clear();
@@ -517,19 +516,22 @@ ShardDispatcher::run(const std::vector<RunSpec> &specs,
     std::vector<pollfd> pfds;
     std::vector<std::size_t> pfdWorker;
     while (batch.remaining > 0 && !interruptRequested()) {
-        // Promote delayed cells whose backoff has elapsed.
+        // Promote delayed cells whose backoff has elapsed. Only those
+        // cells are visited: a pass typically completes one cell, so
+        // a scan of the whole batch would make the loop quadratic.
         const TimePoint now = Clock::now();
         TimePoint nextEvent = now + std::chrono::milliseconds(500);
-        for (std::size_t cell = 0; cell < batch.state.size(); ++cell) {
-            if (batch.state[cell] != Batch::CellState::Delayed)
-                continue;
-            if (batch.notBefore[cell] <= now) {
-                batch.state[cell] = Batch::CellState::Pending;
-                batch.pending.push_back(cell);
+        std::size_t stillDelayed = 0;
+        for (const Batch::Delay &delay : batch.delayed) {
+            if (delay.notBefore <= now) {
+                batch.state[delay.cell] = Batch::CellState::Pending;
+                batch.pending.push_back(delay.cell);
             } else {
-                nextEvent = std::min(nextEvent, batch.notBefore[cell]);
+                nextEvent = std::min(nextEvent, delay.notBefore);
+                batch.delayed[stillDelayed++] = delay;
             }
         }
+        batch.delayed.resize(stillDelayed);
 
         for (Worker &worker : workers)
             if (worker.state == Worker::State::Idle)

@@ -18,8 +18,7 @@
  * locks belong to the open file, which fork shares, so an inherited
  * cache would not exclude the siblings). It never returns into the
  * caller: it ends in _exit. Because run() forks, it must not be
- * entered while another thread is simulating; the engine never
- * starts its thread pool in shard mode.
+ * entered while another thread is simulating.
  *
  * Supervision and failure semantics:
  *  - a worker that exits, breaks its stream, or never says hello is

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <thread>
 
 #include "common/json.hh"
 #include "harness/engine.hh"
@@ -208,7 +212,7 @@ TEST(Engine, ThreadCountIndependent)
     for (const char *b : {"557.xz", "541.leela", "503.bwaves"})
         specs.push_back(quickSpec(b, sb::Scheme::Nda));
 
-    // jobs = 2 is the caller and one pool thread sharing the batch.
+    // jobs = 2 is the caller and one thread started for the batch.
     sb::ExperimentEngine serial(engineOpts(1));
     const auto rs = serial.run(specs);
     for (const unsigned jobs : {2u, 4u}) {
@@ -229,6 +233,44 @@ threadCount()
                       std::filesystem::directory_iterator{}));
 }
 
+/** threadCount() once it is down to @p want, or after two seconds: a
+ *  joined thread can stay listed for a moment after join returns. */
+std::size_t
+settledThreadCount(std::size_t want)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::size_t n = threadCount();
+    while (n > want && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = threadCount();
+    }
+    return n;
+}
+
+/** The most threads this process had while @p fn ran, counting the
+ *  thread that samples them. */
+template <typename Fn>
+std::size_t
+peakThreadsDuring(Fn fn)
+{
+    std::atomic<bool> sampled{false};
+    std::atomic<bool> done{false};
+    std::size_t peak = 0;
+    std::thread sampler([&] {
+        do {
+            peak = std::max(peak, threadCount());
+            sampled = true;
+        } while (!done.load());
+    });
+    while (!sampled.load())
+        std::this_thread::yield();
+    fn();
+    done = true;
+    sampler.join();
+    return peak;
+}
+
 TEST(Engine, CallerIsOneOfTheWorkers)
 {
     if (!std::filesystem::is_directory("/proc/self/task"))
@@ -236,21 +278,31 @@ TEST(Engine, CallerIsOneOfTheWorkers)
     const std::vector<sb::RunSpec> specs = {
         quickSpec("557.xz", sb::Scheme::Baseline),
         quickSpec("541.leela", sb::Scheme::Nda),
+        quickSpec("503.bwaves", sb::Scheme::SttRename),
     };
     const std::size_t before = threadCount();
 
-    // A one-job engine serves its batch on the calling thread.
+    // A one-job engine serves its batch on the calling thread and
+    // never starts another (the sampler is the one extra thread).
     sb::ExperimentEngine one(engineOpts(1));
-    const auto got = one.run(specs);
-    EXPECT_EQ(threadCount(), before);
-    EXPECT_EQ(one.stats().simulated, 2u);
+    std::vector<sb::RunOutcome> got;
+    EXPECT_EQ(peakThreadsDuring([&] { got = one.run(specs); }),
+              before + 1);
+    EXPECT_EQ(settledThreadCount(before), before);
+    EXPECT_EQ(one.stats().simulated, specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         expectSameOutcome(got[i], sb::ExperimentRunner::runOne(specs[i]));
 
-    // jobs = N keeps N - 1 pool threads next to the caller.
+    // jobs = N starts at most N - 1 threads for a batch and joins them
+    // before run() returns: none is left while the engine lives on,
+    // batch after batch.
     sb::ExperimentEngine three(engineOpts(3));
-    three.run(specs);
-    EXPECT_EQ(threadCount(), before + 2);
+    for (int batch = 0; batch < 2; ++batch) {
+        EXPECT_LE(peakThreadsDuring([&] { three.run(specs); }),
+                  before + 3);
+        EXPECT_EQ(settledThreadCount(before), before);
+    }
+    EXPECT_EQ(three.stats().simulated, 2 * specs.size());
 }
 
 TEST(Engine, CacheRoundTripIsBitExact)

@@ -4,8 +4,7 @@
  * issue queue's invariants, wakeup matrix and slot-sweeping squash, the generation-tagged
  * instruction slab, the per-PC decode cache, the timing-wheel event
  * queue, the pipeline rings, the LSU's ticket lookups, the cache's
- * shift-and-mask indexing, the single-lookup TAGE predictor, and the
- * histogram-aware stats reset.
+ * shift-and-mask indexing, and the single-lookup TAGE predictor.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "branch/tage.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "core/core.hh"
 #include "core/decode_cache.hh"
 #include "core/inst_slab.hh"
@@ -1194,27 +1192,6 @@ TEST(TagePredictor, MatchesTheReferenceAlgorithm)
                 << "component " << c;
         }
     }
-}
-
-// --- Stats reset -----------------------------------------------------
-
-TEST(StatGroupReset, ClearsHistogramsAndCounters)
-{
-    sb::StatGroup g("test");
-    g.counter("ctr") += 5;
-    sb::Histogram &h = g.histogram("lat", 8, 2);
-    h.sample(3);
-    h.sample(9);
-    ASSERT_EQ(h.count(), 2u);
-    ASSERT_EQ(h.total(), 12u);
-
-    g.reset();
-    EXPECT_EQ(g.value("ctr"), 0u);
-    EXPECT_EQ(h.count(), 0u);   // The warmup-pollution fix.
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    for (unsigned i = 0; i < h.numBuckets(); ++i)
-        EXPECT_EQ(h.bucketCount(i), 0u);
 }
 
 } // anonymous namespace

@@ -10,13 +10,12 @@
  *
  * Common options, accepted identically by run/all/verify/fuzz (one
  * shared parser — parseCommonOpt — so the verbs cannot drift):
- *   --jobs N        workers, this thread and N - 1 more (default:
- *                   SB_JOBS, else hardware)
+ *   --jobs N        workers, this thread and up to N - 1 threads
+ *                   started for the batch (default: SB_JOBS, else
+ *                   hardware)
  *   --cache-dir D   result-cache directory (default: .sbsim-cache)
  *   --no-cache      disable the on-disk result cache
  *   --json          also write SBSIM_<scenario>.json outcome dumps
- *
- * run/all options:
  *   --shards N      run cells on N supervised worker processes
  *                   (forks of this one; crashes and hangs are
  *                   retried with backoff, poisoned cells quarantined,
@@ -79,9 +78,9 @@
  * architectural results (src/harness/conformance.hh). Failures print
  * a minimized, replayable repro (seed + profile + scheme) and the
  * process exits nonzero. With --json the report is written to
- * SBSIM_fuzz.json. Fuzz cells ride the same engine, so --jobs,
- * --cache-dir, and --no-cache apply (authoritative CI smoke runs
- * --no-cache, like the security battery).
+ * SBSIM_fuzz.json. Fuzz cells ride the same engine, so every common
+ * option applies (authoritative CI smoke runs --no-cache, like the
+ * security battery).
  */
 
 #include <cerrno>
@@ -109,9 +108,8 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s list\n"
-                 "       %s run <scenario...> [common] [--shards N]"
-                 " [--cell-timeout S]\n"
-                 "       %s all [common] [--shards N] [--cell-timeout S]\n"
+                 "       %s run <scenario...> [common]\n"
+                 "       %s all [common]\n"
                  "       %s verify [common]"
                  " [--contract declared|sandboxing|constant-time]\n"
                  "               [--mitigation slh|fence|retpoline]\n"
@@ -119,7 +117,8 @@ usage(const char *argv0)
                  " [--profile P] [--core C] [--mitigation M]\n"
                  "common options (identical for run/all/verify/fuzz):\n"
                  "       [--jobs N] [--cache-dir D] [--no-cache]"
-                 " [--json]\n",
+                 " [--json] [--shards N]\n"
+                 "       [--cell-timeout S]\n",
                  argv0, argv0, argv0, argv0, argv0);
     return 2;
 }
@@ -157,6 +156,8 @@ struct CommonOpts
     std::string cacheDir = ".sbsim-cache";
     bool useCache = true;
     bool emitJson = false;
+    unsigned shards = 0;            // 0 = in-process workers only
+    double cellTimeoutSec = 0;      // 0 = unlimited
 };
 
 /**
@@ -169,7 +170,8 @@ int
 parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
 {
     const std::string arg = argv[i];
-    if (arg == "--jobs" || arg == "--cache-dir") {
+    if (arg == "--jobs" || arg == "--cache-dir" || arg == "--shards"
+        || arg == "--cell-timeout") {
         if (++i >= argc) {
             std::fprintf(stderr, "%s wants a value\n", arg.c_str());
             return -1;
@@ -200,6 +202,30 @@ parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
         opts.emitJson = true;
         return 1;
     }
+    if (arg == "--shards") {
+        char *end = nullptr;
+        errno = 0;
+        const long v = std::strtol(argv[i], &end, 10);
+        if (end == argv[i] || *end != '\0' || errno != 0 || v < 0
+            || v > 256) {
+            std::fprintf(stderr, "--shards wants an integer in [0, 256]\n");
+            return -1;
+        }
+        opts.shards = static_cast<unsigned>(v);
+        return 1;
+    }
+    if (arg == "--cell-timeout") {
+        char *end = nullptr;
+        errno = 0;
+        const double v = std::strtod(argv[i], &end);
+        if (end == argv[i] || *end != '\0' || errno != 0 || v < 0) {
+            std::fprintf(stderr, "--cell-timeout wants a nonnegative "
+                                 "number of seconds\n");
+            return -1;
+        }
+        opts.cellTimeoutSec = v;
+        return 1;
+    }
     return 0;
 }
 
@@ -212,6 +238,8 @@ engineOptions(const CommonOpts &common, bool cells)
     options.jobs = common.jobs;
     if (common.useCache && cells)
         options.cacheDir = common.cacheDir;
+    options.shards = common.shards;
+    options.cellTimeoutSec = common.cellTimeoutSec;
     return options;
 }
 
@@ -430,30 +458,13 @@ verifyMitigationMain(sb::Mitigation m, const CommonOpts &common)
                                + sb::mitigationName(m)});
 }
 
-} // anonymous namespace
-
+/** `sbsim run`, `all` and `verify`: scenarios served as one batch,
+ *  each folded into its report. */
 int
-main(int argc, char **argv)
+scenariosMain(const std::string &command, int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
-    const std::string command = argv[1];
-    if (command == "list")
-        return listScenarios();
-    // Graceful interrupt for every simulating verb: finish nothing
-    // new, keep what is done, print the partial summary, exit
-    // 128+signal. Shard workers restore the default dispositions so
-    // the dispatcher's supervision semantics stay observable.
-    sb::installSignalHandlers();
-    if (command == "fuzz")
-        return fuzzMain(argc, argv);
-    if (command != "run" && command != "all" && command != "verify")
-        return usage(argv[0]);
-
     std::vector<std::string> names;
     CommonOpts common;
-    unsigned shards = 0;
-    double cell_timeout = 0;
     std::optional<sb::ContractPolicy> contract_override;
     std::optional<sb::Mitigation> mitigation;
 
@@ -464,33 +475,7 @@ main(int argc, char **argv)
         if (consumed > 0)
             continue;
         const std::string arg = argv[i];
-        if (arg == "--shards" && command != "verify") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            char *end = nullptr;
-            errno = 0;
-            const long v = std::strtol(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || errno != 0 || v < 0
-                || v > 256) {
-                std::fprintf(stderr,
-                             "--shards wants an integer in [0, 256]\n");
-                return 2;
-            }
-            shards = static_cast<unsigned>(v);
-        } else if (arg == "--cell-timeout" && command != "verify") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            char *end = nullptr;
-            errno = 0;
-            const double v = std::strtod(argv[i], &end);
-            if (end == argv[i] || *end != '\0' || errno != 0 || v < 0) {
-                std::fprintf(stderr,
-                             "--cell-timeout wants a nonnegative "
-                             "number of seconds\n");
-                return 2;
-            }
-            cell_timeout = v;
-        } else if (arg == "--contract" && command == "verify") {
+        if (arg == "--contract" && command == "verify") {
             if (++i >= argc)
                 return usage(argv[0]);
             const std::string want = argv[i];
@@ -572,17 +557,13 @@ main(int argc, char **argv)
     }
     offsets.push_back(specs.size());
 
-    sb::ExperimentEngine::Options options =
-        engineOptions(common, !specs.empty());
-    options.shards = shards;
-    options.cellTimeoutSec = cell_timeout;
-    sb::ExperimentEngine engine(options);
+    sb::ExperimentEngine engine(engineOptions(common, !specs.empty()));
 
     std::printf("sbsim: %zu scenario(s), %zu cells, %u jobs, cache %s",
                 scenarios.size(), specs.size(), engine.jobs(),
                 common.useCache ? common.cacheDir.c_str() : "off");
-    if (shards > 0)
-        std::printf(", %u shard worker(s)", shards);
+    if (common.shards > 0)
+        std::printf(", %u shard worker(s)", common.shards);
     std::printf("\n");
     const auto results = engine.run(specs);
 
@@ -629,7 +610,7 @@ main(int argc, char **argv)
         std::printf("cache file:        %s (%zu entries)\n",
                     engine.cache()->path().c_str(),
                     engine.cache()->size());
-    if (shards > 0) {
+    if (st.workersSpawned > 0) {
         std::printf("shard workers:     %llu spawned (crashes %llu, "
                     "hangs %llu, retries %llu)\n",
                     static_cast<unsigned long long>(st.workersSpawned),
@@ -646,4 +627,26 @@ main(int argc, char **argv)
     if (command == "all")
         writeGridspeedJson(names, engine);
     return exitStatus(engine, failed);
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    if (argc < 2)
+        return usage(argv[0]);
+    const std::string command = argv[1];
+    if (command == "list")
+        return listScenarios();
+    // Graceful interrupt for every simulating verb: finish nothing
+    // new, keep what is done, print the partial summary, exit
+    // 128+signal. Shard workers restore the default dispositions so
+    // the dispatcher's supervision semantics stay observable.
+    sb::installSignalHandlers();
+    if (command == "fuzz")
+        return fuzzMain(argc, argv);
+    if (command == "run" || command == "all" || command == "verify")
+        return scenariosMain(command, argc, argv);
+    return usage(argv[0]);
 }
