@@ -14,10 +14,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/config.hh"
+#include "common/roster.hh"
 #include "common/table.hh"
 #include "core/core.hh"
 #include "secure/factory.hh"
@@ -25,20 +25,6 @@
 
 namespace
 {
-
-sb::CoreConfig
-configByName(const std::string &name)
-{
-    if (name == "small")
-        return sb::CoreConfig::small();
-    if (name == "medium")
-        return sb::CoreConfig::medium();
-    if (name == "large")
-        return sb::CoreConfig::large();
-    if (name == "mega")
-        return sb::CoreConfig::mega();
-    sb_fatal("unknown config: ", name);
-}
 
 std::vector<sb::Scheme>
 schemesByName(const std::string &name)
@@ -68,7 +54,10 @@ main(int argc, char **argv)
     const std::string config_name = argc > 3 ? argv[3] : "mega";
 
     const sb::Workload workload = sb::SpecSuite::make(bench);
-    const sb::CoreConfig cfg = configByName(config_name);
+    sb::CoreConfig cfg;
+    if (!sb::fromName(sb::CoreConfig::boomPresets(), &sb::CoreConfig::name,
+                      config_name, cfg))
+        sb_fatal("unknown config: ", config_name);
 
     std::printf("ShadowBinding quickstart: %s on the %s BOOM config\n\n",
                 workload.name.c_str(), cfg.name.c_str());

@@ -12,30 +12,16 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "common/roster.hh"
 #include "harness/verify.hh"
 
 namespace
 {
-
-sb::CoreConfig
-configByName(const std::string &name)
-{
-    if (name == "small")
-        return sb::CoreConfig::small();
-    if (name == "medium")
-        return sb::CoreConfig::medium();
-    if (name == "large")
-        return sb::CoreConfig::large();
-    if (name == "mega")
-        return sb::CoreConfig::mega();
-    sb_fatal("unknown config: ", name);
-}
 
 void
 runBattery(sb::GadgetKind gadget, const sb::CoreConfig &cfg,
@@ -85,17 +71,19 @@ main(int argc, char **argv)
     const std::string config_name = argc > 1 ? argv[1] : "mega";
     const std::string secret = argc > 2 ? argv[2] : "SB!25";
     const std::string gadget_name = argc > 3 ? argv[3] : "spectre-v1";
-    const CoreConfig cfg = configByName(config_name);
+    CoreConfig cfg;
+    if (!fromName(CoreConfig::boomPresets(), &CoreConfig::name,
+                  config_name, cfg))
+        sb_fatal("unknown config: ", config_name);
 
     std::vector<GadgetKind> gadgets;
     if (gadget_name == "all") {
         gadgets = allGadgets();
     } else {
         GadgetKind kind;
-        if (!gadgetFromName(gadget_name, kind))
-            sb_fatal("unknown gadget: ", gadget_name,
-                     " (try spectre-v1, spectre-v1-mask, "
-                     "spectre-v2-indirect, spectre-v4-ssb, all)");
+        if (!fromName(allGadgets(), gadgetName, gadget_name, kind))
+            sb_fatal("unknown gadget: ", gadget_name, " (try ",
+                     vocabulary(allGadgets(), gadgetName), "|all)");
         gadgets.push_back(kind);
     }
 

@@ -7,13 +7,14 @@
  * visibility point.
  *
  * Usage: taint_trace [benchmark] [scheme] [skip_cycles] [show_cycles]
+ *   skip_cycles, show_cycles: decimal cycle counts (default 50000, 120)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/config.hh"
+#include "common/number.hh"
 #include "core/core.hh"
 #include "secure/factory.hh"
 #include "trace/spec_suite.hh"
@@ -23,12 +24,17 @@ main(int argc, char **argv)
 {
     using namespace sb;
 
+    // argv[i] as a cycle count, or the fallback when it is absent.
+    auto cycleArg = [&](int i, Cycle fallback) {
+        std::uint64_t cycles = fallback;
+        if (argc > i && !parseUnsigned(argv[i], cycles))
+            sb_fatal("want a decimal cycle count, got '", argv[i], "'");
+        return cycles;
+    };
     const std::string bench = argc > 1 ? argv[1] : "548.exchange2";
     const std::string scheme_name = argc > 2 ? argv[2] : "stt-rename";
-    const Cycle skip = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                : 50000;
-    const Cycle show = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                : 120;
+    const Cycle skip = cycleArg(3, 50000);
+    const Cycle show = cycleArg(4, 120);
 
     SchemeConfig scfg;
     if (scheme_name == "baseline")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification gate: configure + build + ctest (the
-# tier-1 command), optionally under AddressSanitizer/UBSan.
+# tier-1 command) + a CLI smoke that simulates nothing, optionally
+# under AddressSanitizer/UBSan.
 #
 #   scripts/check.sh           # Release build + full test suite
 #   scripts/check.sh --quick   # Fast-label tests only (inner loop)
@@ -128,6 +129,29 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
       "${ctest_flags[@]}"
 
 status=0
+
+# CLI smoke, on every build that has sbsim: numeric options read a
+# number the one way workload names do (src/common/number.hh), so a
+# sign, a space or a leading zero exits 2 with a message before any
+# cell is built. Nothing is simulated and nothing is written.
+expect_usage_error() {
+    local code=0
+    (cd "$build_dir" && ./sbsim "$@" > /dev/null 2> cli_smoke.err) \
+        || code=$?
+    if [ "$code" = 2 ] && grep -q wants "$build_dir/cli_smoke.err"; then
+        echo "cli smoke: sbsim $*: exit 2"
+    else
+        echo "FAIL: sbsim $* exited $code, want 2 and a message" >&2
+        status=1
+    fi
+    rm -f "$build_dir/cli_smoke.err"
+}
+if [ "$run_tsan" = 0 ]; then
+    expect_usage_error fuzz --seed -1
+    expect_usage_error fuzz --seed 010
+    expect_usage_error run table1 --jobs ' 2'
+    expect_usage_error run table1 --shards +0
+fi
 
 if [ "$run_contracts" = 1 ]; then
     # Contract shadow gate: the battery re-judged under the strictest

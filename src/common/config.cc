@@ -22,18 +22,6 @@ schemeName(Scheme scheme)
     sb_panic("unknown scheme");
 }
 
-bool
-schemeFromName(const std::string &name, Scheme &out)
-{
-    for (Scheme s : allSchemes()) {
-        if (name == schemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<Scheme>
 paperSchemes()
 {

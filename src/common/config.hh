@@ -34,13 +34,6 @@ enum class Scheme
 /** Printable scheme name, matching the paper's labels. */
 const char *schemeName(Scheme scheme);
 
-/**
- * Inverse of schemeName(). Returns false (leaving @p out untouched)
- * on an unknown name, so stale cache lines degrade to a miss instead
- * of an abort.
- */
-bool schemeFromName(const std::string &name, Scheme &out);
-
 /** All schemes evaluated in the paper, in presentation order. */
 std::vector<Scheme> paperSchemes();
 

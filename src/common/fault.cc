@@ -1,9 +1,11 @@
 #include "common/fault.hh"
 
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <vector>
+
+#include "common/number.hh"
 
 namespace sb
 {
@@ -14,9 +16,9 @@ namespace
 struct Directive
 {
     std::string kind;      ///< "crash", "hang", "torn-write", "poison".
-    unsigned long n = 0;   ///< Trigger ordinal (counted kinds).
+    std::uint64_t n = 0;   ///< Trigger ordinal (counted kinds).
     std::string substr;    ///< Workload substring (poison).
-    unsigned long count = 0; ///< Points of this kind reached so far.
+    std::uint64_t count = 0; ///< Points of this kind reached so far.
 };
 
 struct FaultState
@@ -56,11 +58,8 @@ parseLocked()
         const std::string value = item.substr(colon + 1);
         if (d.kind == "poison") {
             d.substr = value;
-        } else {
-            char *end = nullptr;
-            d.n = std::strtoul(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || d.n == 0)
-                continue;
+        } else if (!parseUnsigned(value, d.n) || d.n == 0) {
+            continue;
         }
         g_state.directives.push_back(std::move(d));
         g_state.armed = true;

@@ -18,7 +18,8 @@
  *                   crashes the worker that executes it (a poisoned
  *                   cell: fails on every attempt, on every worker)
  *
- * Counters are per-process: every shard worker, a fork of the
+ * Each <n> is a positive decimal, spelled as common/number.hh reads
+ * it. Counters are per-process: every shard worker, a fork of the
  * dispatcher, re-reads SB_FAULT (faultReset) and starts counting from
  * zero. With SB_FAULT unset every hook is a no-op costing one branch.
  */

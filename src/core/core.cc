@@ -7,10 +7,9 @@
 namespace sb
 {
 
-Core::Core(const CoreConfig &config, const SchemeConfig &scheme_config,
+Core::Core(const CoreConfig &config, const SchemeConfig &,
            std::unique_ptr<SecureScheme> scheme, const Program &prog)
     : cfg(config),
-      schemeCfg(scheme_config),
       schemePtr(scheme ? std::move(scheme)
                        : std::make_unique<SecureScheme>()),
       program(&prog),

@@ -191,7 +191,8 @@ class Core
   public:
     /**
      * @param config core geometry (Table 1 presets in CoreConfig).
-     * @param scheme_config scheme selection and ablation knobs.
+     * @param scheme_config the knobs @p scheme was made from
+     *        (makeScheme); the core reads them only through @p scheme.
      * @param scheme hook implementation; nullptr = unsafe baseline.
      * @param program the program to run (copied functionally).
      */
@@ -234,7 +235,6 @@ class Core
      *  engine diagnostic: now() and the counters already count them. */
     std::uint64_t skippedCycles() const { return skippedCount; }
     const CoreConfig &config() const { return cfg; }
-    const SchemeConfig &schemeConfig() const { return schemeCfg; }
     StatGroup &stats() { return statGroup; }
     MemorySystem &memorySystem() { return mem; }
     SecureScheme &scheme() { return *schemePtr; }
@@ -448,7 +448,6 @@ class Core
 
     // --- Configuration -----------------------------------------------------
     CoreConfig cfg;
-    SchemeConfig schemeCfg;
     std::unique_ptr<SecureScheme> schemePtr;
     /** schemePtr->allowsSpeculativeScheduling(), read once at attach. */
     bool speculativeScheduling = true;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
+#include "common/number.hh"
 
 namespace sb
 {
@@ -14,10 +14,9 @@ bool
 InvariantChecker::defaultActive()
 {
     if (const char *env = std::getenv("SB_INVARIANTS")) {
-        if (std::strcmp(env, "0") == 0)
-            return false;
-        if (std::strcmp(env, "1") == 0)
-            return true;
+        std::uint64_t on = 0;
+        if (parseUnsigned(env, on, 1))
+            return on == 1;
         // Read per core (tests flip the variable between cores), but
         // warned about once per process rather than once per cell.
         static std::atomic<bool> warned{false};

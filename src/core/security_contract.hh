@@ -15,8 +15,6 @@
 #ifndef SB_CORE_SECURITY_CONTRACT_HH
 #define SB_CORE_SECURITY_CONTRACT_HH
 
-#include <string>
-
 namespace sb
 {
 
@@ -117,28 +115,6 @@ contractPolicyName(ContractPolicy policy)
       case ContractPolicy::ConstantTime: return "constant-time";
     }
     return "none";
-}
-
-/** Parse a policy name as printed by contractPolicyName(). Returns
- *  false (leaving `out` untouched) on an unknown name. */
-inline bool
-contractPolicyFromName(const std::string &name, ContractPolicy &out)
-{
-    if (name == "none") { out = ContractPolicy::None; return true; }
-    if (name == "transmitter-safe") {
-        out = ContractPolicy::TransmitterSafe;
-        return true;
-    }
-    if (name == "consume-safe") {
-        out = ContractPolicy::ConsumeSafe;
-        return true;
-    }
-    if (name == "sandboxing") { out = ContractPolicy::Sandboxing; return true; }
-    if (name == "constant-time") {
-        out = ContractPolicy::ConstantTime;
-        return true;
-    }
-    return false;
 }
 
 } // namespace sb

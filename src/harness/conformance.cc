@@ -1,13 +1,12 @@
 #include "harness/conformance.hh"
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/roster.hh"
+#include "common/workload_name.hh"
 #include "core/core.hh"
 #include "harness/cell_driver.hh"
 #include "harness/scenario.hh"
@@ -19,7 +18,10 @@ namespace sb
 namespace
 {
 
-constexpr const char *fuzzPrefix = "fuzz:";
+/** fuzz:<profile>:seed=S:iters=N. */
+constexpr WorkloadGrammar<2> fuzzGrammar{
+    "fuzz", true,
+    {{{"seed"}, {"iters", 1, std::numeric_limits<unsigned>::max()}}}};
 
 /** The fixed campaign behind the "conformance" scenario. */
 FuzzParams
@@ -37,49 +39,26 @@ std::string
 fuzzWorkloadName(OpMixProfile profile, std::uint64_t seed,
                  unsigned iterations)
 {
-    std::string name = fuzzPrefix;
-    name += opMixProfileName(profile);
-    name += ":seed=" + std::to_string(seed);
-    name += ":iters=" + std::to_string(iterations);
-    return name;
+    return fuzzGrammar.write(opMixProfileName(profile), {seed, iterations});
 }
 
 bool
 isFuzzWorkload(const std::string &workload)
 {
-    return workload.rfind(fuzzPrefix, 0) == 0;
+    return fuzzGrammar.matches(workload);
 }
 
 bool
 parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                   std::uint64_t &seed, unsigned &iterations)
 {
-    if (!isFuzzWorkload(workload))
+    std::string_view head;
+    WorkloadGrammar<2>::Values values;
+    if (!fuzzGrammar.parse(workload, head, values)
+        || !fromName(allOpMixProfiles(), opMixProfileName, head, profile))
         return false;
-    const std::size_t profile_begin = std::strlen(fuzzPrefix);
-    const std::size_t profile_end = workload.find(':', profile_begin);
-    if (profile_end == std::string::npos)
-        return false;
-    OpMixProfile parsed_profile;
-    if (!opMixProfileFromName(
-            workload.substr(profile_begin, profile_end - profile_begin),
-            parsed_profile))
-        return false;
-
-    std::uint64_t parsed_seed = 0;
-    unsigned parsed_iters = 0;
-    const std::string rest = workload.substr(profile_end);
-    if (std::sscanf(rest.c_str(), ":seed=%" SCNu64 ":iters=%u",
-                    &parsed_seed, &parsed_iters)
-            != 2
-        || parsed_iters == 0
-        || fuzzWorkloadName(parsed_profile, parsed_seed, parsed_iters)
-               != workload)
-        return false;
-
-    profile = parsed_profile;
-    seed = parsed_seed;
-    iterations = parsed_iters;
+    seed = values[0];
+    iterations = static_cast<unsigned>(values[1]);
     return true;
 }
 

@@ -55,11 +55,8 @@ std::string fuzzWorkloadName(OpMixProfile profile, std::uint64_t seed,
 /** Is @p workload a fuzz cell? */
 bool isFuzzWorkload(const std::string &workload);
 
-/**
- * Decode a fuzzWorkloadName(). Returns false on anything malformed,
- * leaving the outputs untouched: a name is accepted only in the form
- * fuzzWorkloadName() writes it.
- */
+/** Decode a fuzzWorkloadName(); false, with the outputs untouched,
+ *  on any other spelling (common/workload_name.hh). */
 bool parseFuzzWorkload(const std::string &workload, OpMixProfile &profile,
                        std::uint64_t &seed, unsigned &iterations);
 

@@ -1,6 +1,5 @@
 #include "harness/experiment.hh"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
@@ -9,6 +8,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "common/signals.hh"
 #include "core/core.hh"
 #include "harness/cell_driver.hh"
@@ -53,11 +53,8 @@ resolveJobs(unsigned requested)
     if (requested)
         return requested;
     if (const char *env = std::getenv("SB_JOBS")) {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && errno == 0 && v > 0
-            && v <= maxJobs)
+        std::uint64_t v = 0;
+        if (parseUnsigned(env, v, maxJobs) && v > 0)
             return static_cast<unsigned>(v);
         sb_warn("ignoring SB_JOBS='", env, "' (want an integer in [1, ",
                 maxJobs, "])");

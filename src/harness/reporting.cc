@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/roster.hh"
 
 namespace sb
 {
@@ -106,7 +107,9 @@ outcomeFromJson(const Json &json, RunOutcome &out)
     RunOutcome o;
     o.workload = json.at("workload").asString();
     o.coreName = json.at("core").asString();
-    if (!schemeFromName(json.at("scheme").asString(), o.scheme))
+    // An unknown scheme name makes a stale cache line a miss.
+    if (!fromName(allSchemes(), schemeName, json.at("scheme").asString(),
+                  o.scheme))
         return false;
     o.cycles = json.at("cycles").asUint();
     o.instructions = json.at("instructions").asUint();

@@ -13,6 +13,7 @@
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/number.hh"
 #include "harness/protocol.hh"
 #include "harness/reporting.hh"
 
@@ -64,12 +65,13 @@ parseCacheLine(const std::string &line, std::string &key,
     static const std::string framedPrefix = "{\"len\":";
     if (line.compare(0, framedPrefix.size(), framedPrefix) != 0)
         return false;
-    std::size_t pos = framedPrefix.size();
-    std::size_t len = 0;
-    const std::size_t lenStart = pos;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
-        len = len * 10 + static_cast<std::size_t>(line[pos++] - '0');
-    if (pos == lenStart)
+    const std::size_t lenStart = framedPrefix.size();
+    std::size_t pos = line.find(',', lenStart);
+    std::uint64_t len = 0;
+    if (pos == std::string::npos
+        || !parseUnsigned(std::string_view(line).substr(lenStart,
+                                                        pos - lenStart),
+                          len, line.size()))
         return false;
     static const std::string sumTag = ",\"sum\":\"";
     if (line.compare(pos, sumTag.size(), sumTag) != 0)

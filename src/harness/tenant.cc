@@ -1,13 +1,14 @@
 #include "harness/tenant.hh"
 
-#include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <unordered_set>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/workload_name.hh"
 #include "core/core.hh"
 #include "core/security_contract.hh"
 #include "harness/cell_driver.hh"
@@ -20,7 +21,13 @@ namespace sb
 namespace
 {
 
-constexpr const char *tenantPrefix = "mt:";
+/** mt:tenants=T:requests=R:work=W:hostile=H:seed=S. The unsigned
+ *  fields' narrower ranges are serverMixParamsValid()'s. */
+constexpr std::uint64_t unsignedMax = std::numeric_limits<unsigned>::max();
+constexpr WorkloadGrammar<5> tenantGrammar{
+    "mt", false,
+    {{{"tenants", 0, unsignedMax}, {"requests", 0, unsignedMax},
+      {"work", 0, unsignedMax}, {"hostile", 0, 1}, {"seed"}}}};
 
 /** The scenario's canonical heavy-traffic cell. */
 ServerMixParams
@@ -34,44 +41,30 @@ scenarioParams()
 std::string
 tenantWorkloadName(const ServerMixParams &p)
 {
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "mt:tenants=%u:requests=%u:work=%u:hostile=%u:"
-                  "seed=%" PRIu64,
-                  p.tenants, p.requests, p.work, p.hostile ? 1u : 0u,
-                  p.seed);
-    return buf;
+    return tenantGrammar.write(
+        {}, {p.tenants, p.requests, p.work, p.hostile, p.seed});
 }
 
 bool
 isTenantWorkload(const std::string &workload)
 {
-    return workload.rfind(tenantPrefix, 0) == 0;
+    return tenantGrammar.matches(workload);
 }
 
 bool
 parseTenantWorkload(const std::string &workload, ServerMixParams &out)
 {
-    unsigned tenants = 0;
-    unsigned requests = 0;
-    unsigned work = 0;
-    unsigned hostile = 0;
-    std::uint64_t seed = 0;
-    if (std::sscanf(workload.c_str(),
-                    "mt:tenants=%u:requests=%u:work=%u:hostile=%u:"
-                    "seed=%" SCNu64,
-                    &tenants, &requests, &work, &hostile, &seed)
-        != 5) {
+    std::string_view head;
+    WorkloadGrammar<5>::Values values;
+    if (!tenantGrammar.parse(workload, head, values))
         return false;
-    }
     ServerMixParams parsed;
-    parsed.tenants = tenants;
-    parsed.requests = requests;
-    parsed.work = work;
-    parsed.hostile = hostile != 0;
-    parsed.seed = seed;
-    if (tenantWorkloadName(parsed) != workload
-        || !serverMixParamsValid(parsed))
+    parsed.tenants = static_cast<unsigned>(values[0]);
+    parsed.requests = static_cast<unsigned>(values[1]);
+    parsed.work = static_cast<unsigned>(values[2]);
+    parsed.hostile = values[3] != 0;
+    parsed.seed = values[4];
+    if (!serverMixParamsValid(parsed))
         return false;
     out = parsed;
     return true;

@@ -39,12 +39,9 @@ std::string tenantWorkloadName(const ServerMixParams &p);
 /** Is @p workload a multi-tenant server-mix cell? */
 bool isTenantWorkload(const std::string &workload);
 
-/**
- * Decode a tenantWorkloadName(). Returns false on anything malformed,
- * leaving @p out untouched: a name is accepted only in the form
- * tenantWorkloadName() writes it, with fields buildServerMix()
- * accepts.
- */
+/** Decode a tenantWorkloadName(); false, with @p out untouched, on
+ *  any other spelling (common/workload_name.hh) or on fields
+ *  buildServerMix() rejects. */
 bool parseTenantWorkload(const std::string &workload,
                          ServerMixParams &out);
 

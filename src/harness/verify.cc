@@ -1,13 +1,13 @@
 #include "harness/verify.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/roster.hh"
 #include "common/table.hh"
+#include "common/workload_name.hh"
 #include "core/core.hh"
 #include "harness/cell_driver.hh"
 #include "harness/scenario.hh"
@@ -19,22 +19,10 @@ namespace sb
 namespace
 {
 
-constexpr const char *gadgetPrefix = "gadget:";
-
-/** Strict base-10 parse of a full token. */
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || errno != 0)
-        return false;
-    out = v;
-    return true;
-}
+/** gadget:<kind>:secret=S:seed=N. Slot 0 of the probe is warmed by
+ *  training, so the secret byte is 1..255. */
+constexpr WorkloadGrammar<2> gadgetGrammar{
+    "gadget", true, {{{"secret", 1, 255}, {"seed"}}}};
 
 } // anonymous namespace
 
@@ -42,55 +30,26 @@ std::string
 gadgetWorkloadName(GadgetKind kind, std::uint8_t secret,
                    std::uint64_t seed)
 {
-    return std::string(gadgetPrefix) + gadgetName(kind)
-           + ":secret=" + std::to_string(unsigned(secret))
-           + ":seed=" + std::to_string(seed);
+    return gadgetGrammar.write(gadgetName(kind), {secret, seed});
 }
 
 bool
 isGadgetWorkload(const std::string &workload)
 {
-    return workload.rfind(gadgetPrefix, 0) == 0;
+    return gadgetGrammar.matches(workload);
 }
 
 bool
 parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
                     std::uint8_t &secret, std::uint64_t &seed)
 {
-    if (!isGadgetWorkload(workload))
+    std::string_view head;
+    WorkloadGrammar<2>::Values values;
+    if (!gadgetGrammar.parse(workload, head, values)
+        || !fromName(allGadgets(), gadgetName, head, kind))
         return false;
-    const std::string rest = workload.substr(std::string(gadgetPrefix).size());
-    const std::size_t colon1 = rest.find(':');
-    if (colon1 == std::string::npos)
-        return false;
-    const std::size_t colon2 = rest.find(':', colon1 + 1);
-    if (colon2 == std::string::npos)
-        return false;
-
-    GadgetKind parsed_kind;
-    if (!gadgetFromName(rest.substr(0, colon1), parsed_kind))
-        return false;
-    const std::string secret_tok = rest.substr(colon1 + 1,
-                                               colon2 - colon1 - 1);
-    const std::string seed_tok = rest.substr(colon2 + 1);
-    if (secret_tok.rfind("secret=", 0) != 0
-        || seed_tok.rfind("seed=", 0) != 0)
-        return false;
-    std::uint64_t secret_val = 0;
-    std::uint64_t seed_val = 0;
-    if (!parseUint(secret_tok.substr(7), secret_val)
-        || !parseUint(seed_tok.substr(5), seed_val))
-        return false;
-    if (secret_val < 1 || secret_val > 255
-        || gadgetWorkloadName(parsed_kind,
-                              static_cast<std::uint8_t>(secret_val),
-                              seed_val)
-               != workload)
-        return false;
-
-    kind = parsed_kind;
-    secret = static_cast<std::uint8_t>(secret_val);
-    seed = seed_val;
+    secret = static_cast<std::uint8_t>(values[0]);
+    seed = values[1];
     return true;
 }
 
@@ -682,7 +641,7 @@ foldMitigationOutcomes(Mitigation m,
                   "mitigation fold pair mismatch: ", b.gadget, " vs ",
                   v.gadget);
         GadgetKind kind;
-        sb_assert(gadgetFromName(v.gadget, kind),
+        sb_assert(fromName(allGadgets(), gadgetName, v.gadget, kind),
                   "unknown gadget in fold: ", v.gadget);
 
         MitigationCell cell;

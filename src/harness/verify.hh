@@ -64,11 +64,8 @@ std::string gadgetWorkloadName(GadgetKind kind, std::uint8_t secret,
 /** Is @p workload a gadget cell (vs a SPEC stand-in benchmark)? */
 bool isGadgetWorkload(const std::string &workload);
 
-/**
- * Decode a gadgetWorkloadName(). Returns false on anything
- * malformed, leaving the outputs untouched: a name is accepted only
- * in the form gadgetWorkloadName() writes it.
- */
+/** Decode a gadgetWorkloadName(); false, with the outputs untouched,
+ *  on any other spelling (common/workload_name.hh). */
 bool parseGadgetWorkload(const std::string &workload, GadgetKind &kind,
                          std::uint8_t &secret, std::uint64_t &seed);
 

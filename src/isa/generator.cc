@@ -355,18 +355,6 @@ opMixProfileName(OpMixProfile profile)
     sb_panic("unknown op-mix profile");
 }
 
-bool
-opMixProfileFromName(const std::string &name, OpMixProfile &out)
-{
-    for (OpMixProfile p : allOpMixProfiles()) {
-        if (name == opMixProfileName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<OpMixProfile>
 allOpMixProfiles()
 {

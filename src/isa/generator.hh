@@ -48,12 +48,6 @@ enum class OpMixProfile : std::uint8_t
 /** Printable profile name (the `sbsim fuzz --profile` vocabulary). */
 const char *opMixProfileName(OpMixProfile profile);
 
-/**
- * Inverse of opMixProfileName(). Returns false (leaving @p out
- * untouched) on an unknown name.
- */
-bool opMixProfileFromName(const std::string &name, OpMixProfile &out);
-
 /** Every profile, in declaration order. */
 std::vector<OpMixProfile> allOpMixProfiles();
 

@@ -23,18 +23,6 @@ mitigationName(Mitigation m)
     sb_panic("unknown mitigation");
 }
 
-bool
-mitigationFromName(const std::string &name, Mitigation &out)
-{
-    for (Mitigation m : allMitigations()) {
-        if (name == mitigationName(m)) {
-            out = m;
-            return true;
-        }
-    }
-    return false;
-}
-
 const std::vector<Mitigation> &
 allMitigations()
 {
@@ -45,18 +33,6 @@ allMitigations()
         Mitigation::Retpoline,
     };
     return roster;
-}
-
-std::string
-mitigationVocabulary()
-{
-    std::string s;
-    for (Mitigation m : allMitigations()) {
-        if (!s.empty())
-            s += '|';
-        s += mitigationName(m);
-    }
-    return s;
 }
 
 std::string

@@ -57,14 +57,8 @@ enum class Mitigation : std::uint8_t
 
 const char *mitigationName(Mitigation m);
 
-/** Parse @p name ("none"|"slh"|"fence"|"retpoline"). */
-bool mitigationFromName(const std::string &name, Mitigation &out);
-
 /** Full roster, None first (grid sweeps iterate this). */
 const std::vector<Mitigation> &allMitigations();
-
-/** "none|slh|fence|retpoline" — for CLI error messages. */
-std::string mitigationVocabulary();
 
 /**
  * The mitigation slice of a RunSpec. A struct (not a bare enum) so

@@ -558,18 +558,6 @@ gadgetName(GadgetKind kind)
     sb_panic("unknown gadget kind");
 }
 
-bool
-gadgetFromName(const std::string &name, GadgetKind &out)
-{
-    for (GadgetKind kind : allGadgets()) {
-        if (name == gadgetName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<GadgetKind>
 allGadgets()
 {

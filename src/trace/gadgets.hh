@@ -77,9 +77,6 @@ enum class GadgetKind
 /** Stable CLI / JSON handle, e.g. "spectre-v1". */
 const char *gadgetName(GadgetKind kind);
 
-/** Inverse of gadgetName(); false (out untouched) on unknown names. */
-bool gadgetFromName(const std::string &name, GadgetKind &out);
-
 /** All gadgets, in battery order. */
 std::vector<GadgetKind> allGadgets();
 

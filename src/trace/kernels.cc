@@ -84,8 +84,6 @@ makeStreamKernel(const StreamParams &p)
             }
         }
     }
-    if (p.slowBranchPeriod > 0)
-        emitSlowBranch(b, 8, magic);
     if (p.storePerIter)
         b.store(ptr, acc0, 56);
     b.add(ptr, ptr, stride);
@@ -104,19 +102,16 @@ makePointerChaseKernel(const PointerChaseParams &p)
     Rng rng(p.seed);
 
     // Build one cyclic random permutation per chain, nodes 64 B apart.
-    // Node layout: [next (+0)] [payload (+8)]. With heterogeneous
-    // chains, chain c's region shrinks by 8x per step so fast,
-    // cache-resident chains run beside DRAM-bound ones.
+    // Node layout: [next (+0)] [payload (+8)]. Chain c's region
+    // shrinks by 32x per step (floor 16 KiB), so fast, cache-resident
+    // chains run beside DRAM-bound ones.
     std::vector<Addr> heads(p.chains);
     std::vector<unsigned> hops(p.chains, 1);
     std::vector<std::uint64_t> chainBytes(p.chains);
     std::uint64_t nodes = 0;
     for (unsigned c = 0; c < p.chains; ++c) {
-        const std::uint64_t bytes = p.heterogeneous
-                                        ? p.footprintBytes >> (5 * c)
-                                        : p.footprintBytes / p.chains;
-        chainBytes[c] =
-            floorPow2(std::max<std::uint64_t>(bytes, 16u << 10));
+        chainBytes[c] = floorPow2(std::max<std::uint64_t>(
+            p.footprintBytes >> (5 * c), 16u << 10));
         nodes += chainBytes[c] / 64;
     }
     // Two words per node, and nothing else: the image is allocated
@@ -126,8 +121,8 @@ makePointerChaseKernel(const PointerChaseParams &p)
     for (unsigned c = 0; c < p.chains; ++c) {
         const std::uint64_t bytes = chainBytes[c];
         const std::uint64_t slots = bytes / 64;
-        if (p.heterogeneous && c > 0)
-            hops[c] = std::min(p.maxHopsPerIter, 1u << c);
+        if (c > 0)
+            hops[c] = std::min(4u, 1u << c);
 
         std::vector<std::uint32_t> order(slots);
         for (std::uint64_t i = 0; i < slots; ++i)
@@ -268,8 +263,7 @@ makeComputeChainKernel(const ComputeChainParams &p)
     }
     // Slow branch on the chain result: resolves a full chain latency
     // after the loads, keeping every younger load speculative.
-    if (p.branchOnChain)
-        emitSlowBranch(b, 16, magic);
+    emitSlowBranch(b, 16, magic);
     // Independent integer work: ILP every scheme retains.
     for (unsigned c = 0; c < p.independentWork; ++c) {
         const ArchReg w = 24 + (c % 4);
@@ -402,8 +396,7 @@ makeStoreForwardKernel(const StoreForwardParams &p)
     // data path, so the pop roots stay live while the push data is
     // ready early — the blocked address halves then force younger
     // pops to bypass unknown stores and take violation flushes.
-    if (p.slowBranchOnPop)
-        emitSlowBranch(b, slowv, magic);
+    emitSlowBranch(b, slowv, magic);
     // Push phase: store addresses come from the fast sp counter.
     // With loadedData, odd slots carry pop-derived (tainted) data, so
     // single-taint STT-Rename blocks their address halves too (paper

@@ -41,12 +41,18 @@ struct StreamParams
     unsigned computePerLoad = 2;    ///< Independent ALU/FP ops per load.
     bool useFp = true;              ///< FP-latency compute ops.
     bool storePerIter = true;       ///< One streaming store per element.
-    /** Emit a slow branch on loaded data every N iterations (0=off). */
-    unsigned slowBranchPeriod = 0;
     std::uint64_t seed = 1;
 };
 
-/** Parameters for the pointer-chase kernel. */
+/**
+ * Parameters for the pointer-chase kernel. The chains are
+ * heterogeneous: chain c's footprint is footprintBytes >> (5*c)
+ * (floor 16 KiB), so fast (cache-resident) chains coexist with
+ * DRAM-bound ones, and chain c > 0 takes min(2^c, 4) dependent hops
+ * per iteration. Under STT every intra-iteration hop address is
+ * tainted while the slow chain's branch is unresolved, collapsing the
+ * fast chains' MLP — the dominant STT cost on mcf-like code.
+ */
 struct PointerChaseParams
 {
     std::uint64_t footprintBytes = 16u << 20;
@@ -57,18 +63,6 @@ struct PointerChaseParams
     /** Fraction of chains followed by a noisy (mispredicting) branch. */
     double noisyBranchFraction = 0.25;
     /**
-     * Heterogeneous chains: chain c's footprint is
-     * footprintBytes >> (3*c) (floor 128 KiB), so fast (cache-
-     * resident) chains coexist with DRAM-bound ones, and fast chains
-     * take several dependent hops per iteration. Under STT every
-     * intra-iteration hop address is tainted while the slow chain's
-     * branch is unresolved, collapsing the fast chains' MLP — the
-     * dominant STT cost on mcf-like code.
-     */
-    bool heterogeneous = true;
-    /** Dependent hops per iteration for the fastest chains. */
-    unsigned maxHopsPerIter = 4;
-    /**
      * Dependent ALU ops between a payload and its slow branch: the
      * branch then resolves that much after the payload, keeping the
      * next hop's taint root live past its data-ready time (the STT
@@ -78,7 +72,8 @@ struct PointerChaseParams
     std::uint64_t seed = 2;
 };
 
-/** Parameters for the compute-chain kernel. */
+/** Parameters for the compute-chain kernel. Each iteration ends in a
+ *  slow branch on the first chain's result. */
 struct ComputeChainParams
 {
     unsigned chainLength = 8;       ///< Dependent ops per chain segment.
@@ -86,8 +81,6 @@ struct ComputeChainParams
     bool useFp = true;
     unsigned loadsPerIter = 2;      ///< Hot-set loads feeding the chains.
     std::uint64_t hotBytes = 16u << 10; ///< Small, L1-resident set.
-    /** Slow branch on the chain result each iteration. */
-    bool branchOnChain = true;
     /** Independent ALU ops per iteration (ILP the schemes keep). */
     unsigned independentWork = 0;
     std::uint64_t seed = 3;
@@ -114,7 +107,9 @@ struct BranchyParams
     std::uint64_t seed = 4;
 };
 
-/** Parameters for the store/forward (stack-churn) kernel. */
+/** Parameters for the store/forward (stack-churn) kernel. Each
+ *  iteration starts with a slow branch on a side chain, which keeps
+ *  the shadow open so the taints below stay live. */
 struct StoreForwardParams
 {
     std::uint64_t regionBytes = 4u << 10; ///< Tiny, forwarding-heavy.
@@ -122,9 +117,6 @@ struct StoreForwardParams
     unsigned computePerLevel = 2;
     /** Store data depends on loaded values (keeps stores tainted). */
     bool loadedData = true;
-    /** Slow branch on a popped value each iteration (keeps the
-     *  shadow open so the taints above stay live). */
-    bool slowBranchOnPop = true;
     /**
      * Dependent ALU ops between the pops and the value the slow
      * branch tests: stretches the shadow past the forwarding window

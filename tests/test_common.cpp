@@ -1,19 +1,28 @@
 /**
  * @file
  * Unit tests for src/common: RNG, statistics, configurations, table
- * rendering, and the word table's sizing.
+ * rendering, the word table's sizing, and how names and numbers are
+ * read (the unsigned parser, the roster lookup, the workload-name
+ * grammar).
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/config.hh"
+#include "common/number.hh"
+#include "common/roster.hh"
 #include "common/types.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/word_table.hh"
+#include "common/workload_name.hh"
+#include "isa/generator.hh"
+#include "isa/transform.hh"
+#include "trace/gadgets.hh"
 
 namespace
 {
@@ -209,6 +218,131 @@ TEST(Config, SchemeNamesMatchPaperLabels)
     EXPECT_STREQ(sb::schemeName(sb::Scheme::SttIssue), "STT-Issue");
     EXPECT_STREQ(sb::schemeName(sb::Scheme::Nda), "NDA");
     EXPECT_EQ(sb::paperSchemes().size(), 3u);
+}
+
+TEST(Number, ParseUnsignedAcceptsOneSpelling)
+{
+    constexpr std::uint64_t u64max =
+        std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t v = 99;
+    ASSERT_TRUE(sb::parseUnsigned("0", v));
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(sb::parseUnsigned("7", v));
+    EXPECT_EQ(v, 7u);
+    ASSERT_TRUE(sb::parseUnsigned("18446744073709551615", v));
+    EXPECT_EQ(v, u64max);
+    ASSERT_TRUE(sb::parseUnsigned("256", v, 256));
+    EXPECT_EQ(v, 256u);
+    ASSERT_TRUE(sb::parseUnsigned("0xC0FFEE", v, u64max,
+                                  sb::Radix::DecimalOrHex));
+    EXPECT_EQ(v, 0xC0FFEEu);
+    ASSERT_TRUE(sb::parseUnsigned("12648430", v, u64max,
+                                  sb::Radix::DecimalOrHex));
+    EXPECT_EQ(v, 0xC0FFEEu);
+    ASSERT_TRUE(sb::parseUnsigned("0xffffffffffffffff", v, u64max,
+                                  sb::Radix::DecimalOrHex));
+    EXPECT_EQ(v, u64max);
+}
+
+TEST(Number, ParseUnsignedRejectsEveryOtherSpelling)
+{
+    constexpr std::uint64_t u64max =
+        std::numeric_limits<std::uint64_t>::max();
+    for (const sb::Radix radix :
+         {sb::Radix::Decimal, sb::Radix::DecimalOrHex}) {
+        for (const char *bad :
+             {"", "-1", "+0", " 2", "2 ", "010", "00", "0x", "1e3",
+              "18446744073709551616", "99999999999999999999",
+              "0x10000000000000000", "0xg"}) {
+            std::uint64_t v = 42;
+            EXPECT_FALSE(sb::parseUnsigned(bad, v, u64max, radix))
+                << "'" << bad << "'";
+            EXPECT_EQ(v, 42u) << "'" << bad << "'";
+        }
+    }
+    std::uint64_t v = 42;
+    // Hex only where the caller opts in.
+    EXPECT_FALSE(sb::parseUnsigned("0xC0FFEE", v));
+    // Nothing above the caller's bound, in either spelling.
+    EXPECT_FALSE(sb::parseUnsigned("257", v, 256));
+    EXPECT_FALSE(sb::parseUnsigned("0x101", v, 256,
+                                   sb::Radix::DecimalOrHex));
+    EXPECT_FALSE(sb::parseUnsigned("1", v, 0));
+    EXPECT_EQ(v, 42u);
+}
+
+/** Every name of @p roster reads back as its item; an unknown name
+ *  leaves the output as it was. */
+template <class Roster, class NameOf>
+void
+expectRoundTrips(const Roster &roster, NameOf nameOf)
+{
+    ASSERT_FALSE(roster.empty());
+    for (const auto &item : roster) {
+        auto back = roster.back();
+        if (&item == &roster.back())
+            back = roster.front();
+        const std::string name = std::invoke(nameOf, item);
+        ASSERT_TRUE(sb::fromName(roster, nameOf, name, back)) << name;
+        EXPECT_EQ(std::invoke(nameOf, back), name);
+        EXPECT_NE(sb::vocabulary(roster, nameOf).find(name),
+                  std::string::npos);
+    }
+    auto out = roster.front();
+    for (const char *unknown : {"", "nope", "all"})
+        EXPECT_FALSE(sb::fromName(roster, nameOf, unknown, out)) << unknown;
+    EXPECT_EQ(std::invoke(nameOf, out), std::invoke(nameOf, roster.front()));
+}
+
+TEST(Roster, FromNameRoundTripsEveryRoster)
+{
+    expectRoundTrips(sb::allSchemes(), sb::schemeName);
+    expectRoundTrips(sb::allMitigations(), sb::mitigationName);
+    expectRoundTrips(sb::allOpMixProfiles(), sb::opMixProfileName);
+    expectRoundTrips(sb::allGadgets(), sb::gadgetName);
+    expectRoundTrips(sb::CoreConfig::boomPresets(), &sb::CoreConfig::name);
+    // Names are exact: no case folding, no prefix match.
+    sb::Scheme scheme = sb::Scheme::Nda;
+    EXPECT_FALSE(sb::fromName(sb::allSchemes(), sb::schemeName,
+                              "stt-rename", scheme));
+    EXPECT_FALSE(sb::fromName(sb::allSchemes(), sb::schemeName, "STT",
+                              scheme));
+    EXPECT_EQ(scheme, sb::Scheme::Nda);
+    EXPECT_EQ(sb::vocabulary(sb::CoreConfig::boomPresets(),
+                             &sb::CoreConfig::name),
+              "small|medium|large|mega");
+}
+
+TEST(WorkloadName, ParsesExactlyWhatItWrites)
+{
+    const sb::WorkloadGrammar<2> grammar{
+        "demo", true, {{{"a", 1, 9}, {"b"}}}};
+    const std::string name = grammar.write("head", {3, 12});
+    EXPECT_EQ(name, "demo:head:a=3:b=12");
+    EXPECT_TRUE(grammar.matches(name));
+    EXPECT_FALSE(grammar.matches("demolition:head:a=3:b=12"));
+    std::string_view head;
+    sb::WorkloadGrammar<2>::Values values{};
+    ASSERT_TRUE(grammar.parse(name, head, values));
+    EXPECT_EQ(head, "head");
+    EXPECT_EQ(values[0], 3u);
+    EXPECT_EQ(values[1], 12u);
+    for (const char *bad :
+         {"demo:head:a=3", "demo:head:b=12:a=3", "demo:head:a=0:b=12",
+          "demo:head:a=10:b=12", "demo:head:a=3:b=12:", "demo:a=3:b=12",
+          "demo:head:a=3:b=12:c=1", "demo:head:a=03:b=12",
+          "demo:head:a=3::b=12", "demo:head:a=3:b=", "demo:head:A=3:b=12",
+          "demo", "demo:"}) {
+        EXPECT_FALSE(grammar.parse(bad, head, values)) << bad;
+    }
+    EXPECT_EQ(values[0], 3u);
+
+    const sb::WorkloadGrammar<1> headless{"x", false, {{{"n"}}}};
+    EXPECT_EQ(headless.write({}, {0}), "x:n=0");
+    sb::WorkloadGrammar<1>::Values n{};
+    EXPECT_TRUE(headless.parse("x:n=0", head, n));
+    EXPECT_TRUE(head.empty());
+    EXPECT_FALSE(headless.parse("x:head:n=0", head, n));
 }
 
 TEST(Table, RendersAlignedCells)

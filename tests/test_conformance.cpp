@@ -14,18 +14,24 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/hash.hh"
 #include "common/json.hh"
+#include "common/number.hh"
+#include "common/roster.hh"
 #include "core/core.hh"
 #include "core/invariants.hh"
 #include "harness/conformance.hh"
 #include "harness/engine.hh"
 #include "harness/result_cache.hh"
 #include "harness/scenario.hh"
+#include "harness/verify.hh"
 #include "isa/generator.hh"
+#include "isa/transform.hh"
 #include "secure/factory.hh"
 
 #ifndef SB_CORPUS_DIR
@@ -73,15 +79,23 @@ loadCorpus()
             const std::string key = line.substr(0, eq);
             const std::string value = line.substr(eq + 1);
             if (key == "seed") {
-                entry.seed = std::stoull(value, nullptr, 0);
+                EXPECT_TRUE(sb::parseUnsigned(
+                    value, entry.seed,
+                    std::numeric_limits<std::uint64_t>::max(),
+                    sb::Radix::DecimalOrHex))
+                    << entry.file << ": bad seed '" << value << "'";
                 have_seed = true;
             } else if (key == "profile") {
-                EXPECT_TRUE(
-                    sb::opMixProfileFromName(value, entry.profile))
+                EXPECT_TRUE(sb::fromName(sb::allOpMixProfiles(),
+                                         sb::opMixProfileName, value,
+                                         entry.profile))
                     << entry.file << ": bad profile '" << value << "'";
             } else if (key == "iters") {
-                entry.iters =
-                    static_cast<unsigned>(std::stoul(value));
+                std::uint64_t iters = 0;
+                EXPECT_TRUE(sb::parseUnsigned(
+                    value, iters, std::numeric_limits<unsigned>::max()))
+                    << entry.file << ": bad iters '" << value << "'";
+                entry.iters = static_cast<unsigned>(iters);
             } else {
                 ADD_FAILURE() << entry.file << ": unknown key '" << key
                               << "'";
@@ -406,6 +420,31 @@ TEST(SpecKey, GoldenStability)
     EXPECT_NE(mitigated.specKey(), gadget.specKey());
     EXPECT_NE(mitigated.canonical().find("|mitigation=slh|"),
               std::string::npos);
+}
+
+// Every workload name the repository generates, pinned at once: one
+// digest over the specKey of every cell `sbsim all` requests, the
+// default fuzz campaign and each mitigation's battery. A name that
+// drifts (a codec change, a new field that alters a bare name)
+// retires cached cells and fails here. It simulates nothing.
+TEST(SpecKey, EveryGeneratedNameIsPinned)
+{
+    std::uint64_t digest = sb::fnv1aBasis;
+    std::size_t cells = 0;
+    auto fold = [&](const std::vector<sb::RunSpec> &specs) {
+        for (const sb::RunSpec &spec : specs)
+            digest = sb::fnv1aString(digest, spec.specKey());
+        cells += specs.size();
+    };
+    const auto &registry = sb::ScenarioRegistry::instance();
+    for (const std::string &name : registry.names())
+        fold(registry.find(name)->specs());
+    EXPECT_EQ(cells, 3007u);
+    fold(sb::fuzzSpecs(sb::FuzzParams{}));
+    for (const sb::Mitigation m : sb::allMitigations())
+        fold(sb::mitigationBatterySpecs(sb::CoreConfig::mega(),
+                                        sb::allSchemeConfigs(), m));
+    EXPECT_EQ(sb::hex16(digest), "a0241140b7fb8d7e") << cells << " cells";
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/roster.hh"
 #include "harness/verify.hh"
 #include "secure/factory.hh"
 
@@ -83,11 +84,13 @@ TEST(GadgetPrograms, NamesRoundTrip)
 {
     for (const auto kind : sb::allGadgets()) {
         sb::GadgetKind parsed;
-        ASSERT_TRUE(sb::gadgetFromName(sb::gadgetName(kind), parsed));
+        ASSERT_TRUE(sb::fromName(sb::allGadgets(), sb::gadgetName,
+                                 sb::gadgetName(kind), parsed));
         EXPECT_EQ(parsed, kind);
     }
     sb::GadgetKind parsed;
-    EXPECT_FALSE(sb::gadgetFromName("spectre-v9", parsed));
+    EXPECT_FALSE(
+        sb::fromName(sb::allGadgets(), sb::gadgetName, "spectre-v9", parsed));
 }
 
 TEST(GadgetPrograms, DeterministicBuilds)

@@ -13,10 +13,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/number.hh"
+#include "common/roster.hh"
 #include "core/core.hh"
 #include "harness/conformance.hh"
 #include "harness/engine.hh"
@@ -52,33 +55,37 @@ activeMitigations()
 
 TEST(Vocabulary, MitigationNamesRoundTrip)
 {
-    for (const sb::Mitigation m : sb::allMitigations()) {
+    const auto &roster = sb::allMitigations();
+    for (const sb::Mitigation m : roster) {
         sb::Mitigation back;
-        ASSERT_TRUE(sb::mitigationFromName(sb::mitigationName(m), back))
+        ASSERT_TRUE(sb::fromName(roster, sb::mitigationName,
+                                 sb::mitigationName(m), back))
             << sb::mitigationName(m);
         EXPECT_EQ(back, m);
-        // The CLI diagnostic enumerates exactly the parseable names.
-        EXPECT_NE(sb::mitigationVocabulary().find(sb::mitigationName(m)),
-                  std::string::npos);
     }
     sb::Mitigation out;
     for (const char *bad : {"", "SLH", "retpolines", "lfence", "nope"})
-        EXPECT_FALSE(sb::mitigationFromName(bad, out)) << bad;
-    EXPECT_EQ(sb::mitigationVocabulary(), "none|slh|fence|retpoline");
+        EXPECT_FALSE(sb::fromName(roster, sb::mitigationName, bad, out))
+            << bad;
+    // The CLI diagnostic enumerates exactly the parseable names.
+    EXPECT_EQ(sb::vocabulary(roster, sb::mitigationName),
+              "none|slh|fence|retpoline");
 }
 
 TEST(Vocabulary, OpMixProfileNamesRoundTrip)
 {
-    for (const sb::OpMixProfile p : sb::allOpMixProfiles()) {
+    const auto roster = sb::allOpMixProfiles();
+    for (const sb::OpMixProfile p : roster) {
         sb::OpMixProfile back;
-        ASSERT_TRUE(sb::opMixProfileFromName(sb::opMixProfileName(p),
-                                             back))
+        ASSERT_TRUE(sb::fromName(roster, sb::opMixProfileName,
+                                 sb::opMixProfileName(p), back))
             << sb::opMixProfileName(p);
         EXPECT_EQ(back, p);
     }
     sb::OpMixProfile out;
     for (const char *bad : {"", "Mixed", "memory", "branchy"})
-        EXPECT_FALSE(sb::opMixProfileFromName(bad, out)) << bad;
+        EXPECT_FALSE(sb::fromName(roster, sb::opMixProfileName, bad, out))
+            << bad;
 }
 
 // ---------------------------------------------------------------------
@@ -237,14 +244,24 @@ loadCorpus()
                 continue;
             const std::string key = line.substr(0, eq);
             const std::string value = line.substr(eq + 1);
-            if (key == "seed")
-                entry.seed = std::stoull(value, nullptr, 0);
-            else if (key == "profile")
-                EXPECT_TRUE(
-                    sb::opMixProfileFromName(value, entry.profile))
+            if (key == "seed") {
+                EXPECT_TRUE(sb::parseUnsigned(
+                    value, entry.seed,
+                    std::numeric_limits<std::uint64_t>::max(),
+                    sb::Radix::DecimalOrHex))
                     << entry.file;
-            else if (key == "iters")
-                entry.iters = static_cast<unsigned>(std::stoul(value));
+            } else if (key == "profile") {
+                EXPECT_TRUE(sb::fromName(sb::allOpMixProfiles(),
+                                         sb::opMixProfileName, value,
+                                         entry.profile))
+                    << entry.file;
+            } else if (key == "iters") {
+                std::uint64_t iters = 0;
+                EXPECT_TRUE(sb::parseUnsigned(
+                    value, iters, std::numeric_limits<unsigned>::max()))
+                    << entry.file;
+                entry.iters = static_cast<unsigned>(iters);
+            }
         }
         entries.push_back(std::move(entry));
     }

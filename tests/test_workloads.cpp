@@ -263,7 +263,6 @@ TEST(Kernels, PointerChaseChainsAreClosedCycles)
     sb::PointerChaseParams p;
     p.footprintBytes = 256u << 10;
     p.chains = 1;
-    p.heterogeneous = false;
     const sb::Program prog = sb::makePointerChaseKernel(p);
     // Follow the chain from the head; it must return to the head
     // after exactly slots hops.

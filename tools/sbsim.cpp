@@ -24,6 +24,11 @@
  *   --cell-timeout S  per-cell wall-clock budget in seconds; overruns
  *                   come back as stats["watchdog_tripped"] outcomes
  *
+ * Integer options (--jobs, --shards, --programs, --seed) and SB_JOBS
+ * take decimal digits only, the spelling workload names use
+ * (common/number.hh): no sign, no space, no leading zero. --seed also
+ * takes 0x hex. Any other spelling exits 2 with a message.
+ *
  * verify options:
  *   --contract C    contract to judge protected cells under:
  *                   declared (default; each scheme's own contract),
@@ -46,7 +51,8 @@
  *
  * Fuzz options (sbsim fuzz only):
  *   --programs N    random programs per campaign (default 50)
- *   --seed S        base seed; program i uses seed S+i (default 0xC0FFEE)
+ *   --seed S        base seed, decimal or 0x hex; program i uses seed
+ *                   S+i (default 0xC0FFEE)
  *   --profile P     op-mix profile (mixed|alu|mem|branch|all; default all)
  *   --core C        core preset (small|medium|large|mega; default mega)
  *   --mitigation M  apply a software mitigation (isa/transform.hh) to
@@ -86,11 +92,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/number.hh"
+#include "common/roster.hh"
 #include "common/signals.hh"
 #include "core/security_contract.hh"
 #include "harness/conformance.hh"
@@ -123,30 +132,37 @@ usage(const char *argv0)
     return 2;
 }
 
-/** "mixed|alu|...|all" — derived from the enum roster, so the CLI
- *  diagnostics cannot drift from the profiles that actually exist. */
-std::string
-profileVocabulary()
+/** @p text as a number in [@p min, @p max] for @p flag, spelled as
+ *  sb::parseUnsigned() reads it; false after a diagnostic otherwise. */
+bool
+parseNumberOpt(const std::string &flag, const char *text,
+               std::uint64_t min, std::uint64_t max, std::uint64_t &out,
+               sb::Radix radix = sb::Radix::Decimal)
 {
-    std::string vocab;
-    for (const sb::OpMixProfile p : sb::allOpMixProfiles()) {
-        vocab += sb::opMixProfileName(p);
-        vocab += '|';
-    }
-    return vocab + "all";
+    if (sb::parseUnsigned(text, out, max, radix) && out >= min)
+        return true;
+    std::fprintf(stderr, "%s wants an integer in [%llu, %llu]%s (got '%s')\n",
+                 flag.c_str(), static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max),
+                 radix == sb::Radix::Decimal ? "" : ", decimal or 0x hex",
+                 text);
+    return false;
 }
 
-/** "small|medium|..." — derived from the preset roster. */
-std::string
-coreVocabulary()
+/** The item of @p roster named @p text for @p flag; otherwise false
+ *  after a diagnostic naming what it takes (@p roster's names, then
+ *  @p also). */
+template <class Roster, class NameOf, class T>
+bool
+parseNameOpt(const std::string &flag, const char *text,
+             const Roster &roster, NameOf nameOf, T &out,
+             const char *also = "")
 {
-    std::string vocab;
-    for (const sb::CoreConfig &preset : sb::CoreConfig::boomPresets()) {
-        if (!vocab.empty())
-            vocab += '|';
-        vocab += preset.name;
-    }
-    return vocab;
+    if (sb::fromName(roster, nameOf, text, out))
+        return true;
+    std::fprintf(stderr, "%s wants %s%s (got '%s')\n", flag.c_str(),
+                 sb::vocabulary(roster, nameOf).c_str(), also, text);
+    return false;
 }
 
 /** Options every simulating verb accepts with identical semantics. */
@@ -177,16 +193,10 @@ parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
             return -1;
         }
     }
+    std::uint64_t v = 0;
     if (arg == "--jobs") {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(argv[i], &end, 10);
-        if (end == argv[i] || *end != '\0' || errno != 0 || v <= 0
-            || v > static_cast<long>(sb::maxJobs)) {
-            std::fprintf(stderr, "--jobs wants an integer in [1, %u]\n",
-                         sb::maxJobs);
+        if (!parseNumberOpt(arg, argv[i], 1, sb::maxJobs, v))
             return -1;
-        }
         opts.jobs = static_cast<unsigned>(v);
         return 1;
     }
@@ -203,14 +213,8 @@ parseCommonOpt(int argc, char **argv, int &i, CommonOpts &opts)
         return 1;
     }
     if (arg == "--shards") {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(argv[i], &end, 10);
-        if (end == argv[i] || *end != '\0' || errno != 0 || v < 0
-            || v > 256) {
-            std::fprintf(stderr, "--shards wants an integer in [0, 256]\n");
+        if (!parseNumberOpt(arg, argv[i], 0, 256, v))
             return -1;
-        }
         opts.shards = static_cast<unsigned>(v);
         return 1;
     }
@@ -336,8 +340,7 @@ fuzzMain(int argc, char **argv)
         if (consumed > 0)
             continue;
         const std::string arg = argv[i];
-        char *end = nullptr;
-        errno = 0;
+        std::uint64_t v = 0;
         if (arg == "--programs" || arg == "--seed"
             || arg == "--profile" || arg == "--core"
             || arg == "--mitigation") {
@@ -345,59 +348,31 @@ fuzzMain(int argc, char **argv)
                 return usage(argv[0]);
         }
         if (arg == "--programs") {
-            const unsigned long v = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || errno != 0 || v == 0
-                || v > 1000000) {
-                std::fprintf(stderr,
-                             "--programs wants an integer in "
-                             "[1, 1000000]\n");
+            if (!parseNumberOpt(arg, argv[i], 1, 1000000, v))
                 return 2;
-            }
             params.programs = static_cast<unsigned>(v);
         } else if (arg == "--seed") {
-            const unsigned long long v =
-                std::strtoull(argv[i], &end, 0);
-            if (end == argv[i] || *end != '\0' || errno != 0) {
-                std::fprintf(stderr, "--seed wants a 64-bit integer\n");
+            if (!parseNumberOpt(arg, argv[i], 0,
+                                std::numeric_limits<std::uint64_t>::max(),
+                                params.baseSeed, sb::Radix::DecimalOrHex))
                 return 2;
-            }
-            params.baseSeed = v;
         } else if (arg == "--profile") {
             sb::OpMixProfile profile;
-            if (std::string(argv[i]) == "all") {
+            if (std::string(argv[i]) == "all")
                 params.profiles.clear();
-            } else if (sb::opMixProfileFromName(argv[i], profile)) {
+            else if (parseNameOpt(arg, argv[i], sb::allOpMixProfiles(),
+                                  sb::opMixProfileName, profile, "|all"))
                 params.profiles = {profile};
-            } else {
-                std::fprintf(stderr, "unknown profile '%s' (want %s)\n",
-                             argv[i], profileVocabulary().c_str());
+            else
                 return 2;
-            }
         } else if (arg == "--core") {
-            bool found = false;
-            for (const sb::CoreConfig &preset :
-                 sb::CoreConfig::boomPresets()) {
-                if (preset.name == argv[i]) {
-                    params.core = preset;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                std::fprintf(stderr, "unknown core '%s' (want %s)\n",
-                             argv[i], coreVocabulary().c_str());
+            if (!parseNameOpt(arg, argv[i], sb::CoreConfig::boomPresets(),
+                              &sb::CoreConfig::name, params.core))
                 return 2;
-            }
         } else if (arg == "--mitigation") {
-            sb::Mitigation m;
-            if (!sb::mitigationFromName(argv[i], m)) {
-                std::fprintf(stderr,
-                             "unknown mitigation '%s' (want %s)\n",
-                             argv[i],
-                             sb::mitigationVocabulary().c_str());
+            if (!parseNameOpt(arg, argv[i], sb::allMitigations(),
+                              sb::mitigationName, params.mitigation))
                 return 2;
-            }
-            params.mitigation = m;
         } else {
             std::fprintf(stderr, "unknown fuzz option '%s'\n",
                          arg.c_str());
@@ -478,34 +453,28 @@ scenariosMain(const std::string &command, int argc, char **argv)
         if (arg == "--contract" && command == "verify") {
             if (++i >= argc)
                 return usage(argv[0]);
-            const std::string want = argv[i];
+            // The policies declared schemes may be re-judged under.
+            const sb::ContractPolicy overrides[] = {
+                sb::ContractPolicy::Sandboxing,
+                sb::ContractPolicy::ConstantTime};
             sb::ContractPolicy policy;
-            if (want == "declared") {
+            if (std::string(argv[i]) == "declared")
                 contract_override.reset();
-            } else if (sb::contractPolicyFromName(want, policy)
-                       && (policy == sb::ContractPolicy::Sandboxing
-                           || policy
-                                  == sb::ContractPolicy::ConstantTime)) {
+            else if (parseNameOpt(arg, argv[i], overrides,
+                                  sb::contractPolicyName, policy,
+                                  "|declared"))
                 contract_override = policy;
-            } else {
-                std::fprintf(stderr,
-                             "--contract wants declared, sandboxing, "
-                             "or constant-time (got '%s')\n",
-                             want.c_str());
+            else
                 return 2;
-            }
         } else if (arg == "--mitigation" && command == "verify") {
             if (++i >= argc)
                 return usage(argv[0]);
+            // Every pass: the roster without None, which comes first.
+            const std::vector<sb::Mitigation> passes(
+                sb::allMitigations().begin() + 1, sb::allMitigations().end());
             sb::Mitigation m;
-            if (!sb::mitigationFromName(argv[i], m)
-                || m == sb::Mitigation::None) {
-                std::fprintf(stderr,
-                             "--mitigation wants slh, fence, or "
-                             "retpoline (got '%s')\n",
-                             argv[i]);
+            if (!parseNameOpt(arg, argv[i], passes, sb::mitigationName, m))
                 return 2;
-            }
             mitigation = m;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "unknown %s option '%s'\n",
